@@ -3,8 +3,8 @@
 Bills are random conjugate-coding product states; the mint verifies by
 projecting onto the stored secret.  A mint that returns post-measurement
 states on INVALID answers leaks its whole secret in n queries; a mint
-that destroys failed bills stays exponentially secure against the
-implemented baselines.
+that destroys failed bills keeps counterfeiting exponentially hard
+against the attacks implemented here.
 """
 
 from .qstate import (

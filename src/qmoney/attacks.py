@@ -19,6 +19,7 @@ from .qstate import (
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
+    random_symbol,
     symbol_amplitudes,
     symbol_for,
     symbols_to_string,
@@ -179,7 +180,7 @@ def baseline_attack(
     exposed for completeness but not used in the headline statistics.
     """
     if kind is StrategyKind.GUESS_RANDOM_SYMBOLS:
-        symbols = [_uniform_symbol(rng) for _ in range(n)]
+        symbols = [random_symbol(rng) for _ in range(n)]
         copy = registry.register(SumOfProductsState.from_symbols(symbols))
         return copy, handle
     if kind is StrategyKind.MEASURE_RANDOM_BASIS_COPY:
@@ -193,13 +194,6 @@ def baseline_attack(
         copy = registry.register(SumOfProductsState.from_symbols(observed))
         return copy, handle
     raise ValueError(f"{kind} is not a baseline strategy")
-
-
-_SYMBOL_ORDER = (QubitSymbol.ZERO, QubitSymbol.ONE, QubitSymbol.PLUS, QubitSymbol.MINUS)
-
-
-def _uniform_symbol(rng: random.Random) -> QubitSymbol:
-    return _SYMBOL_ORDER[int(rng.random() * 4)]
 
 
 def analytic_pass_prob(kind: StrategyKind, n: int) -> float:

@@ -15,6 +15,7 @@ from .qstate import (
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
+    random_symbol,
     symbols_from_string,
     symbols_to_string,
 )
@@ -105,12 +106,14 @@ class StateRegistry:
 
     All mutations take the registry lock, and consume-then-act is atomic,
     so concurrent callers can never obtain two live handles to one state.
+    The registry is each state's only owner, so gates and measurements
+    update the stored state in place.  Ids are handed out in increasing
+    order, so an id below the next one that holds no state was consumed.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
         self._states: dict[int, SumOfProductsState] = {}
-        self._consumed: set[int] = set()
         self._next_id = 1
 
     def register(self, state: SumOfProductsState) -> StateHandle:
@@ -122,16 +125,16 @@ class StateRegistry:
 
     def _live_state(self, handle: StateHandle) -> SumOfProductsState:
         # caller holds the lock
-        if handle.id in self._consumed:
-            raise HandleConsumedError(f"handle {handle.id} was already consumed")
         try:
             return self._states[handle.id]
         except KeyError:
+            if 0 < handle.id < self._next_id:
+                raise HandleConsumedError(f"handle {handle.id} was already consumed") from None
             raise UnknownHandleError(f"unknown handle {handle.id}") from None
 
     def is_live(self, handle: StateHandle) -> bool:
         with self._lock:
-            return handle.id in self._states and handle.id not in self._consumed
+            return handle.id in self._states
 
     def consume(self, handle: StateHandle, expected_n: int | None = None) -> SumOfProductsState:
         """Atomically take ownership of the state; the handle dies here.
@@ -145,7 +148,6 @@ class StateRegistry:
                     f"handle {handle.id} holds {state.n} qubits, expected {expected_n}"
                 )
             del self._states[handle.id]
-            self._consumed.add(handle.id)
             return state
 
     def release(self, handle: StateHandle) -> None:
@@ -153,24 +155,21 @@ class StateRegistry:
 
     def apply_pauli_x(self, handle: StateHandle, i: int) -> None:
         with self._lock:
-            state = self._live_state(handle)
-            self._states[handle.id] = state.apply_pauli_x(i)
+            self._live_state(handle).apply_pauli_x(i)
 
     def apply_unitary(self, handle: StateHandle, i: int, u) -> None:
         with self._lock:
-            state = self._live_state(handle)
-            self._states[handle.id] = state.apply_unitary(i, u)
+            self._live_state(handle).apply_unitary(i, u)
 
     def measure(self, handle: StateHandle, i: int, basis, rng: random.Random) -> int:
         with self._lock:
-            state = self._live_state(handle)
-            bit, post = state.measure_qubit(i, basis, rng.random())
-            self._states[handle.id] = post
+            bit, _ = self._live_state(handle).measure_qubit(i, basis, rng.random())
             return bit
 
     def inspect(self, handle: StateHandle) -> SumOfProductsState:
-        """Read-only peek for tests and diagnostics; not part of the
-        attacker-facing surface."""
+        """The live state itself, for tests and diagnostics to read; not
+        part of the attacker-facing surface.  Later operations on the
+        handle change it."""
         with self._lock:
             return self._live_state(handle)
 
@@ -185,14 +184,6 @@ class StateRegistry:
     def live_count(self) -> int:
         with self._lock:
             return len(self._states)
-
-
-_SYMBOL_ORDER = (QubitSymbol.ZERO, QubitSymbol.ONE, QubitSymbol.PLUS, QubitSymbol.MINUS)
-
-
-def _draw_symbol(rng: random.Random) -> QubitSymbol:
-    # one uniform draw per qubit
-    return _SYMBOL_ORDER[int(rng.random() * 4)]
 
 
 class Mint:
@@ -219,15 +210,7 @@ class Mint:
     ) -> tuple[BillSecret, StateHandle]:
         if n < 1:
             raise ValueError("bill size n must be >= 1")
-        rng = rng if rng is not None else self._rng
-        with self._lock:
-            serial = self._fresh_serial(rng)
-            symbols = tuple(_draw_symbol(rng) for _ in range(n))
-            secret = BillSecret(serial=serial, symbols=symbols, denomination=denomination)
-            self._bills[serial] = secret
-            self._stats[serial] = QueryStats()
-        handle = self.registry.register(SumOfProductsState.from_symbols(symbols))
-        return secret, handle
+        return self._issue(None, n, denomination, rng)
 
     def add_bill(
         self, symbols, denomination: str = "$20", rng: random.Random | None = None
@@ -237,14 +220,22 @@ class Mint:
         symbols = tuple(symbols)
         if not symbols:
             raise ValueError("bill needs at least one symbol")
+        return self._issue(symbols, len(symbols), denomination, rng)
+
+    def _issue(
+        self, symbols, n: int, denomination: str, rng: random.Random | None
+    ) -> tuple[BillSecret, StateHandle]:
+        # symbols=None draws n of them, after the serial, so seeded mints
+        # keep their bills
         rng = rng if rng is not None else self._rng
         with self._lock:
             serial = self._fresh_serial(rng)
+            if symbols is None:
+                symbols = tuple(random_symbol(rng) for _ in range(n))
             secret = BillSecret(serial=serial, symbols=symbols, denomination=denomination)
             self._bills[serial] = secret
             self._stats[serial] = QueryStats()
-        handle = self.registry.register(SumOfProductsState.from_symbols(symbols))
-        return secret, handle
+        return secret, self.issue_bill_state(serial)
 
     def issue_bill_state(self, serial: str) -> StateHandle:
         """Hand out a fresh genuine copy of a stored bill's state.

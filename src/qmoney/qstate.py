@@ -5,11 +5,20 @@
 # backend stores states as a sum of product terms instead of a 2^n
 # amplitude vector.  A dense statevector backend (numpy) is kept as a
 # cross-validation oracle for small n.
+#
+# Ownership: a SumOfProductsState is owned by exactly one holder (the
+# registry hands out handles, never states), so its operations update
+# it in place and return the same object; `s = s.op(...)` reads the
+# same either way.  A gate costs O(1) per term.  A qubit measurement
+# and the verification projector cost O(n * terms^2) at worst, for the
+# pairwise overlaps of the norm: O(1) and O(n) on a single product term.
+# DenseState is immutable: every operation returns a new state, which
+# keeps it an independent reference.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -81,12 +90,16 @@ def symbol_amplitudes(sym: QubitSymbol) -> tuple[complex, complex]:
     return sym.amplitudes
 
 
-def basis_vector(basis: Basis, bit: int) -> tuple[complex, complex]:
-    return _BASIS_VECTORS[basis][bit]
-
-
 def symbol_for(basis: Basis, bit: int) -> QubitSymbol:
     return _SYMBOL_FOR[(basis, bit)]
+
+
+_SYMBOL_ORDER = tuple(QubitSymbol)
+
+
+def random_symbol(rng) -> QubitSymbol:
+    """A uniform conjugate-coding symbol from one rng.random() draw."""
+    return _SYMBOL_ORDER[int(rng.random() * 4)]
 
 
 def symbols_from_string(text: str) -> tuple[QubitSymbol, ...]:
@@ -135,6 +148,10 @@ def check_unitary(u) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise NonUnitaryError(f"not a 2x2 complex matrix: {u!r}") from exc
+    # every comparison with NaN is false, so the tolerance test below
+    # would pass it
+    if not all(cmath.isfinite(z) for z in (a, b, c, d)):
+        raise NonUnitaryError("matrix has a non-finite entry")
     col0 = abs(a) ** 2 + abs(c) ** 2
     col1 = abs(b) ** 2 + abs(d) ** 2
     cross = a.conjugate() * b + c.conjugate() * d
@@ -150,20 +167,27 @@ HADAMARD = (
 )
 
 
-@dataclass(frozen=True)
 class ProductTerm:
-    """One product term: a complex coefficient times n unit-norm factors."""
+    """One product term: a complex coefficient times n unit-norm factors.
 
-    coeff: complex
-    factors: tuple[tuple[complex, complex], ...]
+    The state that owns a term updates it in place.
+    """
+
+    __slots__ = ("coeff", "factors")
+
+    def __init__(self, coeff: complex, factors):
+        self.coeff = coeff
+        self.factors: list[tuple[complex, complex]] = (
+            factors if type(factors) is list else list(factors)
+        )
 
 
 class SumOfProductsState:
     """A normalized n-qubit state stored as a sum of product terms.
 
-    Operations return new states; callers replace their reference.  Term
-    count only grows on projector measurements (at most one extra term
-    per measurement).
+    Operations update the state in place and return it.  Term count only
+    grows on projector measurements (at most one extra term per
+    measurement).
     """
 
     __slots__ = ("n", "terms")
@@ -177,7 +201,7 @@ class SumOfProductsState:
         self.terms = terms
         if check:
             self.terms = terms = [
-                t if isinstance(t, ProductTerm) else ProductTerm(complex(t.coeff), tuple(t.factors))
+                t if isinstance(t, ProductTerm) else ProductTerm(complex(t.coeff), t.factors)
                 for t in terms
             ]
             for t in terms:
@@ -189,11 +213,10 @@ class SumOfProductsState:
 
     @classmethod
     def from_symbols(cls, symbols) -> "SumOfProductsState":
-        symbols = tuple(symbols)
-        if not symbols:
+        factors = [s.amplitudes for s in symbols]
+        if not factors:
             raise ValueError("symbol sequence must be nonempty")
-        factors = tuple(s.amplitudes for s in symbols)
-        return cls(len(symbols), [ProductTerm(1.0 + 0.0j, factors)], check=False)
+        return cls(len(factors), [ProductTerm(1.0 + 0.0j, factors)], check=False)
 
     @classmethod
     def from_string(cls, text: str) -> "SumOfProductsState":
@@ -249,104 +272,64 @@ class SumOfProductsState:
 
     def apply_pauli_x(self, i: int) -> "SumOfProductsState":
         self._check_index(i)
-        new_terms = []
         for t in self.terms:
             f = t.factors[i]
-            new_terms.append(
-                ProductTerm(t.coeff, t.factors[:i] + ((f[1], f[0]),) + t.factors[i + 1 :])
-            )
-        return SumOfProductsState(self.n, new_terms, check=False)
+            t.factors[i] = (f[1], f[0])
+        return self
 
     def apply_unitary(self, i: int, u) -> "SumOfProductsState":
         self._check_index(i)
         (a, b), (c, d) = check_unitary(u)
-        new_terms = []
         for t in self.terms:
             f0, f1 = t.factors[i]
-            nf = (a * f0 + b * f1, c * f0 + d * f1)
-            new_terms.append(ProductTerm(t.coeff, t.factors[:i] + (nf,) + t.factors[i + 1 :]))
-        return SumOfProductsState(self.n, new_terms, check=False)
+            t.factors[i] = (a * f0 + b * f1, c * f0 + d * f1)
+        return self
 
-    def _projected(self, i: int, bvec) -> list[ProductTerm]:
-        out = []
-        for t in self.terms:
-            amp = _dot(bvec, t.factors[i])
-            out.append(ProductTerm(t.coeff * amp, t.factors[:i] + (bvec,) + t.factors[i + 1 :]))
-        return out
-
-    def _branch_norm_sq(self, terms: list[ProductTerm]) -> float:
-        if not terms:
-            return 0.0
-        total = 0.0 + 0.0j
-        for j, tj in enumerate(terms):
-            total += abs(tj.coeff) ** 2
-            for tk in terms[j + 1 :]:
-                ov = tj.coeff.conjugate() * tk.coeff
-                for fj, fk in zip(tj.factors, tk.factors):
-                    ov *= _dot(fj, fk)
-                    if ov == 0:
-                        break
-                total += 2 * ov.real
-        return total.real
+    def _project(self, i: int, bvec, before) -> None:
+        # qubit i of each term onto bvec, from its (coeff, factor) in `before`
+        for t, (coeff, f) in zip(self.terms, before):
+            t.coeff = coeff * _dot(bvec, f)
+            t.factors[i] = bvec
 
     def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "SumOfProductsState"]:
         """Born-rule measurement of qubit i; consumes exactly one draw."""
         self._check_index(i)
         b0, b1 = _BASIS_VECTORS[basis]
-        if len(self.terms) == 1:
-            # fast path: a single product term collapses in place
-            t = self.terms[0]
-            f = t.factors[i]
-            amp0 = b0[0].conjugate() * f[0] + b0[1].conjugate() * f[1]
-            p0 = clamp_probability((abs(t.coeff) * abs(amp0)) ** 2)
-            if draw < p0:
-                bit, bvec, amp, p = 0, b0, amp0, p0
-            else:
-                amp1 = b1[0].conjugate() * f[0] + b1[1].conjugate() * f[1]
-                bit, bvec, amp, p = 1, b1, amp1, 1.0 - p0
-            coeff = t.coeff * amp / math.sqrt(p)
-            term = ProductTerm(coeff, t.factors[:i] + (bvec,) + t.factors[i + 1 :])
-            return bit, SumOfProductsState(self.n, [term], check=False)
-        proj0 = self._projected(i, b0)
-        p0 = clamp_probability(self._branch_norm_sq(proj0))
+        before = [(t.coeff, t.factors[i]) for t in self.terms]
+        self._project(i, b0, before)
+        p0 = clamp_probability(self.norm_sq())
         if draw < p0:
-            bit, branch, p = 0, proj0, p0
+            bit, p = 0, p0
         else:
-            bit, branch, p = 1, self._projected(i, b1), 1.0 - p0
+            bit, p = 1, 1.0 - p0
+            self._project(i, b1, before)
         scale = 1.0 / math.sqrt(p)
-        new_terms = [
-            ProductTerm(t.coeff * scale, t.factors)
-            for t in branch
-            if abs(t.coeff) >= PRUNE_TOL
-        ]
-        return bit, SumOfProductsState(self.n, new_terms, check=False)
-
-    def measure_projector(self, target, draw: float) -> tuple[VerifyOutcome, "SumOfProductsState"]:
-        """Project onto the product state of `target`; consumes one draw.
-
-        VALID post-state is the clean target product state (global phase
-        discarded); INVALID post-state is the renormalized residue.
-        """
-        outcome, post, _ = self.measure_projector_detail(target, draw)
-        return outcome, post
+        self.terms = [t for t in self.terms if abs(t.coeff) >= PRUNE_TOL]
+        for t in self.terms:
+            t.coeff *= scale
+        return bit, self
 
     def measure_projector_detail(
         self, target, draw: float
     ) -> tuple[VerifyOutcome, "SumOfProductsState", float]:
-        """As measure_projector, but also reports the clamped probability
-        of the VALID branch."""
+        """Project onto the product state of `target`; consumes one draw.
+
+        Returns (outcome, post-state, clamped probability of VALID).  The
+        VALID post-state is the clean target product state (global phase
+        discarded); the INVALID post-state is the renormalized residue.
+        """
         target = tuple(target)
         c = self.inner_with_symbols(target)
         p = clamp_probability(abs(c) ** 2)
         if draw < p:
-            return VerifyOutcome.VALID, SumOfProductsState.from_symbols(target), p
-        tfactors = tuple(s.amplitudes for s in target)
+            self.terms = [ProductTerm(1.0 + 0.0j, [s.amplitudes for s in target])]
+            return VerifyOutcome.VALID, self, p
         scale = 1.0 / math.sqrt(1.0 - p)
-        new_terms = [ProductTerm(t.coeff * scale, t.factors) for t in self.terms]
+        for t in self.terms:
+            t.coeff *= scale
         if abs(c) >= PRUNE_TOL:
-            new_terms.append(ProductTerm(-c * scale, tfactors))
-        post = SumOfProductsState(self.n, new_terms, check=False).compress()
-        return VerifyOutcome.INVALID, post, p
+            self.terms.append(ProductTerm(-c * scale, [s.amplitudes for s in target]))
+        return VerifyOutcome.INVALID, self.compress(), p
 
     def compress(self) -> "SumOfProductsState":
         """Drop negligible terms, merge colinear ones, renormalize."""
@@ -354,7 +337,7 @@ class SumOfProductsState:
         for t in self.terms:
             if abs(t.coeff) < PRUNE_TOL:
                 continue
-            for k, m in enumerate(merged):
+            for m in merged:
                 phase = 1.0 + 0.0j
                 colinear = True
                 for fm, ft in zip(m.factors, t.factors):
@@ -364,18 +347,18 @@ class SumOfProductsState:
                         break
                     phase *= ov
                 if colinear:
-                    merged[k] = ProductTerm(m.coeff + t.coeff * phase, m.factors)
+                    m.coeff += t.coeff * phase
                     break
             else:
                 merged.append(t)
         merged = [t for t in merged if abs(t.coeff) >= PRUNE_TOL]
         if not merged:
             raise ValueError("compression eliminated all terms; state had zero norm")
-        state = SumOfProductsState(self.n, merged, check=False)
-        scale = 1.0 / math.sqrt(state.norm_sq())
-        return SumOfProductsState(
-            self.n, [ProductTerm(t.coeff * scale, t.factors) for t in merged], check=False
-        )
+        self.terms = merged
+        scale = 1.0 / math.sqrt(self.norm_sq())
+        for t in merged:
+            t.coeff *= scale
+        return self
 
     def to_dense(self) -> "DenseState":
         if self.n > DENSE_MAX_QUBITS:
@@ -399,7 +382,10 @@ def fidelity_to_symbols(state: SumOfProductsState, symbols) -> float:
 
 
 class DenseState:
-    """Reference 2^n statevector backend (qubit 0 is the leftmost factor)."""
+    """Reference 2^n statevector backend (qubit 0 is the leftmost factor).
+
+    Immutable: operations return new states.
+    """
 
     __slots__ = ("n", "amps")
 
@@ -461,7 +447,9 @@ class DenseState:
         post = np.moveaxis(np.multiply.outer(bvec, amp), 0, i) / math.sqrt(p)
         return bit, DenseState(self.n, post.reshape(-1))
 
-    def measure_projector(self, target, draw: float) -> tuple[VerifyOutcome, "DenseState"]:
+    def measure_projector_detail(
+        self, target, draw: float
+    ) -> tuple[VerifyOutcome, "DenseState", float]:
         target = tuple(target)
         if len(target) != self.n:
             raise ValueError("dimension mismatch")
@@ -469,9 +457,9 @@ class DenseState:
         c = complex(np.vdot(tvec, self.amps))
         p = clamp_probability(abs(c) ** 2)
         if draw < p:
-            return VerifyOutcome.VALID, DenseState(self.n, tvec.copy())
+            return VerifyOutcome.VALID, DenseState(self.n, tvec), p
         post = (self.amps - c * tvec) / math.sqrt(1.0 - p)
-        return VerifyOutcome.INVALID, DenseState(self.n, post)
+        return VerifyOutcome.INVALID, DenseState(self.n, post), p
 
     def fidelity(self, other: "DenseState") -> float:
         return min(1.0, abs(complex(np.vdot(self.amps, other.amps))) ** 2)

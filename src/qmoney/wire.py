@@ -27,6 +27,9 @@ from .mint import (
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
 
 PROTOCOL_VERSION = 1
+# serve_forever() notices shutdown() only between polls, so the poll
+# interval bounds how long stop() takes
+_POLL_INTERVAL_S = 0.05
 
 
 class ProtocolError(Exception):
@@ -46,9 +49,14 @@ def _error(code: str, detail: str = "") -> dict:
     return {"type": "error", "code": code, "detail": detail}
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false is not a number on the wire
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_handle(msg: dict) -> int:
     hid = msg.get("handle")
-    if not isinstance(hid, int):
+    if not _is_int(hid):
         raise ProtocolError("BAD_REQUEST", "field 'handle' must be an integer")
     return hid
 
@@ -60,7 +68,10 @@ def _parse_unitary(raw):
         or not all(isinstance(e, list) and len(e) == 2 for e in raw)
     ):
         raise ProtocolError("BAD_REQUEST", "field 'u' must be four [re, im] pairs, row-major")
-    vals = [complex(e[0], e[1]) for e in raw]
+    try:
+        vals = [complex(e[0], e[1]) for e in raw]
+    except (OverflowError, TypeError) as exc:
+        raise ProtocolError("BAD_REQUEST", f"field 'u' must hold numbers: {exc}") from None
     return ((vals[0], vals[1]), (vals[2], vals[3]))
 
 
@@ -110,11 +121,11 @@ class MintServer:
         return self._tcp.server_address[:2]
 
     def start(self) -> None:
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
 
     def serve_forever(self) -> None:
-        self._tcp.serve_forever()
+        self._tcp.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def stop(self) -> None:
         self._tcp.shutdown()
@@ -190,7 +201,7 @@ class MintServer:
 
     def _do_mint(self, msg: dict, owned: set[int]) -> dict:
         n = msg.get("n")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ProtocolError("BAD_REQUEST", "field 'n' must be a positive integer")
         secret, handle = self.mint.mint_bill(n, rng=self._rng)
         self._own(owned, handle.id)
@@ -227,7 +238,7 @@ class MintServer:
 
     def _qubit(self, msg: dict) -> int:
         i = msg.get("qubit")
-        if not isinstance(i, int):
+        if not _is_int(i):
             raise ProtocolError("BAD_REQUEST", "field 'qubit' must be an integer")
         return i
 

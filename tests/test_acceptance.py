@@ -67,8 +67,9 @@ def test_criterion_2_backend_equivalence():
     for _ in range(500):
         symbols, ops = random_program(rng, max_n=10, max_x=5, max_meas=3)
         draws = [rng.random() for _ in range(len(ops))]
-        outcomes, fidelities = run_on_both_backends(symbols, ops, draws)
+        outcomes, fidelities, probabilities = run_on_both_backends(symbols, ops, draws)
         assert all(a == b for a, b in outcomes)
+        assert all(abs(a - b) <= 1e-9 for a, b in probabilities)
         assert all(f >= 1 - 1e-9 for f in fidelities)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"

@@ -5,16 +5,21 @@ import pytest
 from support import random_program, run_on_both_backends
 
 
+def assert_backends_agree(outcomes, fidelities, probabilities):
+    for out_s, out_d in outcomes:
+        assert out_s == out_d
+    for p_s, p_d in probabilities:
+        assert abs(p_s - p_d) <= 1e-9
+    for f in fidelities:
+        assert f >= 1 - 1e-9
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_shared_draw_programs_agree(seed):
     rng = random.Random(1000 + seed)
     symbols, ops = random_program(rng)
     draws = [rng.random() for _ in range(len(ops))]
-    outcomes, fidelities = run_on_both_backends(symbols, ops, draws)
-    for out_s, out_d in outcomes:
-        assert out_s == out_d
-    for f in fidelities:
-        assert f >= 1 - 1e-9
+    assert_backends_agree(*run_on_both_backends(symbols, ops, draws))
 
 
 def test_qubit_measurements_agree_too():
@@ -29,6 +34,4 @@ def test_qubit_measurements_agree_too():
             ops.append(("measure", rng.randrange(n), rng.choice([Basis.Z, Basis.X])))
         rng.shuffle(ops)
         draws = [rng.random() for _ in range(len(ops))]
-        outcomes, fidelities = run_on_both_backends(symbols, ops, draws)
-        assert all(a == b for a, b in outcomes)
-        assert all(f >= 1 - 1e-9 for f in fidelities)
+        assert_backends_agree(*run_on_both_backends(symbols, ops, draws))

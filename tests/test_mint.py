@@ -179,6 +179,17 @@ class TestRegistryLinearity:
         with pytest.raises(HandleConsumedError):
             reg.measure(h, 0, None, random.Random(0))
 
+    def test_unissued_ids_are_unknown(self):
+        # consumed = issued (0 < id < next id) and no longer held
+        reg = StateRegistry()
+        h = reg.register(SumOfProductsState.from_string("0"))
+        reg.release(h)
+        with pytest.raises(HandleConsumedError):
+            reg.apply_pauli_x(h, 0)
+        for hid in (-1, 0, h.id + 1):
+            with pytest.raises(UnknownHandleError):
+                reg.apply_pauli_x(StateHandle(hid), 0)
+
     def test_fresh_ids_never_reused(self):
         reg = StateRegistry()
         seen = set()

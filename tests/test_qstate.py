@@ -15,6 +15,7 @@ from qmoney.qstate import (
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
+    check_unitary,
     clamp_probability,
     fidelity,
     fidelity_to_symbols,
@@ -124,15 +125,19 @@ class TestPauliX:
         assert fidelity_to_symbols(s, symbols_from_string("1")) == pytest.approx(1, abs=ATOL)
 
     def test_plus_invariant(self):
-        s = SumOfProductsState.from_string("+")
-        assert fidelity(s.apply_pauli_x(0), s) == pytest.approx(1, abs=ATOL)
+        s = SumOfProductsState.from_string("+").apply_pauli_x(0)
+        assert fidelity(s, SumOfProductsState.from_string("+")) == pytest.approx(1, abs=ATOL)
 
     def test_minus_picks_up_phase(self):
-        s = SumOfProductsState.from_string("-")
-        flipped = s.apply_pauli_x(0)
+        flipped = SumOfProductsState.from_string("-").apply_pauli_x(0)
         # eigenvalue -1 shows up in the amplitudes, not in fidelity
         assert flipped.inner_with_symbols(symbols_from_string("-")) == pytest.approx(-1)
-        assert fidelity(flipped, s) == pytest.approx(1, abs=ATOL)
+        assert fidelity(flipped, SumOfProductsState.from_string("-")) == pytest.approx(1, abs=ATOL)
+
+    def test_in_place(self):
+        s = SumOfProductsState.from_string("0+")
+        assert s.apply_pauli_x(0) is s
+        assert fidelity_to_symbols(s, symbols_from_string("1+")) == pytest.approx(1, abs=ATOL)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -141,14 +146,12 @@ class TestPauliX:
 
 class TestUnitary:
     def test_identity(self):
-        s = SumOfProductsState.from_string("0+")
-        out = s.apply_unitary(1, ((1, 0), (0, 1)))
-        assert fidelity(out, s) == pytest.approx(1, abs=ATOL)
+        out = SumOfProductsState.from_string("0+").apply_unitary(1, ((1, 0), (0, 1)))
+        assert fidelity(out, SumOfProductsState.from_string("0+")) == pytest.approx(1, abs=ATOL)
 
     def test_matches_pauli_x(self):
-        s = SumOfProductsState.from_string("01+-")
-        a = s.apply_pauli_x(2)
-        b = s.apply_unitary(2, PAULI_X)
+        a = SumOfProductsState.from_string("01+-").apply_pauli_x(2)
+        b = SumOfProductsState.from_string("01+-").apply_unitary(2, PAULI_X)
         for ta, tb in zip(a.terms, b.terms):
             assert ta.coeff == tb.coeff
             assert ta.factors == tb.factors
@@ -160,6 +163,19 @@ class TestUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryError):
             SumOfProductsState.from_string("0").apply_unitary(0, ((1, 1), (0, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        # NaN fails every tolerance comparison, so only an explicit check stops it
+        u = ((bad, 0), (0, bad))
+        with pytest.raises(NonUnitaryError):
+            check_unitary(u)
+        s = SumOfProductsState.from_string("0")
+        with pytest.raises(NonUnitaryError):
+            s.apply_unitary(0, u)
+        assert s.norm_sq() == pytest.approx(1, abs=ATOL)
+        with pytest.raises(NonUnitaryError):
+            DenseState.from_string("0").apply_unitary(0, u)
 
     def test_bad_index(self):
         with pytest.raises(IndexError):
@@ -199,14 +215,16 @@ class TestMeasureQubit:
 class TestMeasureProjector:
     def test_exact_match_valid(self):
         s = SumOfProductsState.from_string("0+")
-        outcome, post = s.measure_projector(symbols_from_string("0+"), 0.999999)
+        outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"), 0.999999)
+        assert p == 1.0
         assert outcome is VerifyOutcome.VALID
         assert fidelity_to_symbols(post, symbols_from_string("0+")) == pytest.approx(1, abs=ATOL)
 
     def test_orthogonal_invalid_state_unchanged(self):
         # X on a Z-eigenstate qubit makes the bill orthogonal to the target
         s = SumOfProductsState.from_string("0+").apply_pauli_x(0)
-        outcome, post = s.measure_projector(symbols_from_string("0+"), 0.0)
+        outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"), 0.0)
+        assert p == 0.0
         assert outcome is VerifyOutcome.INVALID
         assert fidelity_to_symbols(post, symbols_from_string("1+")) == pytest.approx(1, abs=ATOL)
 
@@ -218,9 +236,10 @@ class TestMeasureProjector:
         residue = (dense.amps - c * tvec) / math.sqrt(1 - abs(c) ** 2)
         assert np.allclose(residue, DenseState.from_string("1").amps)
 
-        outcome, post = SumOfProductsState.from_string("+").measure_projector(
+        outcome, post, p = SumOfProductsState.from_string("+").measure_projector_detail(
             symbols_from_string("0"), 0.9
         )
+        assert p == pytest.approx(0.5)
         assert outcome is VerifyOutcome.INVALID
         assert fidelity_to_symbols(post, symbols_from_string("1")) == pytest.approx(1, abs=ATOL)
 
@@ -231,14 +250,16 @@ class TestMeasureProjector:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            SumOfProductsState.from_string("0+").measure_projector(symbols_from_string("0"), 0.5)
+            SumOfProductsState.from_string("0+").measure_projector_detail(
+                symbols_from_string("0"), 0.5
+            )
 
     def test_term_growth_bound(self):
         rng = random.Random(11)
         state = SumOfProductsState.from_string("01+-+-01")
         for k in range(1, 6):
             target = [rng.choice(list(QubitSymbol)) for _ in range(8)]
-            _, state = state.measure_projector(target, rng.random())
+            _, state, _ = state.measure_projector_detail(target, rng.random())
             assert len(state.terms) <= k + 1
             assert abs(state.norm_sq() - 1) <= ATOL
 
@@ -264,7 +285,7 @@ class TestToDense:
             s = SumOfProductsState.from_symbols(syms)
             for _ in range(2):
                 target = [rng.choice(list(QubitSymbol)) for _ in range(3)]
-                _, s = s.measure_projector(target, rng.random())
+                _, s, _ = s.measure_projector_detail(target, rng.random())
             assert abs(s.to_dense().norm_sq() - 1) <= ATOL
 
 
@@ -286,18 +307,16 @@ class TestFidelity:
 
 class TestCompress:
     def test_single_term_unchanged(self):
-        s = SumOfProductsState.from_string("0+")
-        c = s.compress()
+        c = SumOfProductsState.from_string("0+").compress()
         assert len(c.terms) == 1
-        assert fidelity(c, s) == pytest.approx(1, abs=ATOL)
+        assert fidelity(c, SumOfProductsState.from_string("0+")) == pytest.approx(1, abs=ATOL)
 
     def test_tiny_term_dropped(self):
-        base = SumOfProductsState.from_string("0")
-        terms = list(base.terms) + [ProductTerm(1e-15 + 0j, ((0j, 1 + 0j),))]
+        terms = [ProductTerm(1 + 0j, ((1 + 0j, 0j),)), ProductTerm(1e-15 + 0j, ((0j, 1 + 0j),))]
         s = SumOfProductsState(1, terms, check=False)
         c = s.compress()
         assert len(c.terms) == 1
-        assert fidelity(c, base) >= 1 - ATOL
+        assert fidelity(c, SumOfProductsState.from_string("0")) >= 1 - ATOL
 
     def test_colinear_merge(self):
         zero = ((1 + 0j, 0j),)
@@ -322,5 +341,5 @@ class TestNormPreservation:
                 _, s = s.measure_qubit(rng.randrange(6), rng.choice([Basis.Z, Basis.X]), rng.random())
             else:
                 target = [rng.choice(list(QubitSymbol)) for _ in range(6)]
-                _, s = s.measure_projector(target, rng.random())
+                _, s, _ = s.measure_projector_detail(target, rng.random())
             assert abs(s.norm_sq() - 1) <= ATOL

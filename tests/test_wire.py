@@ -1,11 +1,12 @@
 import json
 import random
 import socket
+import time
 
 import pytest
 
 from qmoney.attacks import LocalSession, adaptive_attack
-from qmoney.mint import Mint, MintPolicy
+from qmoney.mint import Mint, MintPolicy, StateHandle
 from qmoney.qstate import Basis, VerifyOutcome, symbols_from_string
 from qmoney.wire import MintServer, ProtocolError, RemoteMint, TransportError, remote_adaptive_attack
 
@@ -180,6 +181,59 @@ class TestRobustness:
             with pytest.raises(ProtocolError) as err:
                 c.apply_x(handle, 7)
             assert err.value.code == "BAD_REQUEST"
+
+    def test_bad_unitary_entry_is_bad_request(self, server):
+        raw = RawClient(server)
+        try:
+            handle = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 1}))["handle"]
+            for u in ('[["a", 0], [0, 0], [0, 0], [1, 0]]',
+                      '[[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [1, 0]]'):
+                resp = raw.send_line('{"v": 1, "type": "apply_u", "handle": %d, "qubit": 0, '
+                                     '"u": %s}' % (handle, u))
+                assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+            # the connection and the handle survive
+            resp = raw.send_line(json.dumps({"v": 1, "type": "apply_x", "handle": handle,
+                                             "qubit": 0}))
+            assert resp == {"type": "ok", "handle": handle}
+        finally:
+            raw.close()
+
+    def test_nan_unitary_rejected(self, server):
+        raw = RawClient(server)
+        try:
+            handle = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 1}))["handle"]
+            resp = raw.send_line('{"v": 1, "type": "apply_u", "handle": %d, "qubit": 0, '
+                                 '"u": [[NaN, 0], [0, 0], [0, 0], [NaN, 0]]}' % handle)
+            assert resp["type"] == "error" and resp["code"] == "NON_UNITARY"
+            state = server.mint.registry.inspect(StateHandle(handle))
+            assert abs(state.norm_sq() - 1) <= 1e-9
+        finally:
+            raw.close()
+
+    @pytest.mark.parametrize("field", ["n", "handle", "qubit"])
+    def test_bool_is_not_an_integer(self, server, field):
+        raw = RawClient(server)
+        try:
+            # a fresh server's first handle is 1, which true would match
+            handle = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 2}))["handle"]
+            assert handle == 1
+            if field == "n":
+                msg = {"v": 1, "type": "mint", "n": True}
+            else:
+                msg = {"v": 1, "type": "apply_x", "handle": handle, "qubit": 1, field: True}
+            resp = raw.send_line(json.dumps(msg))
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+        finally:
+            raw.close()
+
+    def test_stop_is_prompt(self):
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
+        srv.start()
+        t0 = time.monotonic()
+        srv.stop()
+        # a 0.5 s serve_forever poll made stop() wait for most of it
+        assert time.monotonic() - t0 < 0.3
+        assert not srv._thread.is_alive()
 
     def test_connect_failure_is_transport_error(self):
         with pytest.raises(TransportError):
