@@ -9,9 +9,27 @@
 # Ownership: a SumOfProductsState is owned by exactly one holder (the
 # registry hands out handles, never states), so its operations update
 # it in place and return the same object; `s = s.op(...)` reads the
-# same either way.  A gate costs O(1) per term.  A qubit measurement
-# and the verification projector cost O(n * terms^2) at worst, for the
-# pairwise overlaps of the norm: O(1) and O(n) on a single product term.
+# same either way.
+#
+# Reference symbols: a state remembers the symbol tuple it was issued
+# from (`_ref`, set by from_symbols and by a VALID projection) and the
+# qubits touched since (`_dirty`).  Invariant: for every term and every
+# qubit k not in `_dirty`, `factors[k] is _ref[k].amplitudes`.  So
+# where no qubit is dirty all terms agree, and the overlaps that the
+# norm, `compress` and a projector onto `_ref` itself need are taken
+# over the dirty qubits only.  The mint verifies with the very tuple
+# the bill was issued from, every VALID answer clears `_dirty`, and a
+# qubit measured onto its reference symbol leaves it, so each query of
+# the adaptive attack costs O(1) whatever n is.
+#
+# Costs: a gate costs O(1) per term.  A projector onto the issued
+# symbols costs O(|dirty| * terms^2) at worst, plus O(n) when an
+# INVALID answer adds the target as a term; a projector onto any other
+# symbols costs O(n * terms^2) at worst, O(n) on a single product term.
+# A qubit measurement costs O(1) on a single product term, and its
+# pairwise overlaps run over the dirty qubits while `_ref` is set, else
+# over all n.
+#
 # DenseState is immutable: every operation returns a new state, which
 # keeps it an independent reference.
 
@@ -64,12 +82,11 @@ _AMPLITUDES = {
     QubitSymbol.MINUS: (_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
 }
 
+# the symbols' own amplitude tuples, so a qubit measured onto a
+# reference symbol holds that symbol's factor again
 _BASIS_VECTORS = {
-    Basis.Z: ((1.0 + 0.0j, 0.0 + 0.0j), (0.0 + 0.0j, 1.0 + 0.0j)),
-    Basis.X: (
-        (_INV_SQRT2 + 0.0j, _INV_SQRT2 + 0.0j),
-        (_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
-    ),
+    Basis.Z: (_AMPLITUDES[QubitSymbol.ZERO], _AMPLITUDES[QubitSymbol.ONE]),
+    Basis.X: (_AMPLITUDES[QubitSymbol.PLUS], _AMPLITUDES[QubitSymbol.MINUS]),
 }
 
 _SYMBOL_FOR = {
@@ -126,7 +143,7 @@ class NonUnitaryError(ValueError):
 
 
 def _dot(u, v) -> complex:
-    # <u|v> for 2-vectors stored as tuples
+    # <u|v> for 2-vectors stored as tuples; every factor overlap goes here
     return u[0].conjugate() * v[0] + u[1].conjugate() * v[1]
 
 
@@ -187,10 +204,11 @@ class SumOfProductsState:
 
     Operations update the state in place and return it.  Term count only
     grows on projector measurements (at most one extra term per
-    measurement).
+    measurement).  `_ref` and `_dirty` are the reference symbols and the
+    qubits touched since (see the module comment).
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_ref", "_dirty")
 
     def __init__(self, n: int, terms, check: bool = True):
         if n < 1:
@@ -199,6 +217,8 @@ class SumOfProductsState:
             raise ValueError("state needs at least one term")
         self.n = n
         self.terms = terms
+        self._ref = None
+        self._dirty: set[int] = set()
         if check:
             self.terms = terms = [
                 t if isinstance(t, ProductTerm) else ProductTerm(complex(t.coeff), t.factors)
@@ -213,10 +233,13 @@ class SumOfProductsState:
 
     @classmethod
     def from_symbols(cls, symbols) -> "SumOfProductsState":
-        factors = [s.amplitudes for s in symbols]
-        if not factors:
+        symbols = tuple(symbols)
+        if not symbols:
             raise ValueError("symbol sequence must be nonempty")
-        return cls(len(factors), [ProductTerm(1.0 + 0.0j, factors)], check=False)
+        state = cls(len(symbols), [ProductTerm(1.0 + 0.0j, [s.amplitudes for s in symbols])],
+                    check=False)
+        state._ref = symbols
+        return state
 
     @classmethod
     def from_string(cls, text: str) -> "SumOfProductsState":
@@ -226,13 +249,26 @@ class SumOfProductsState:
         if not 0 <= i < self.n:
             raise IndexError(f"qubit index {i} out of range for n={self.n}")
 
+    def _pairing(self):
+        # lines up two terms' factor lists where they can differ: on all
+        # qubits, or on the dirty ones while the terms share the
+        # reference factors everywhere else
+        if self._ref is None:
+            return zip
+        idx = sorted(self._dirty)
+        return lambda u, v: [(u[k], v[k]) for k in idx]
+
     def norm_sq(self) -> float:
+        terms = self.terms
+        if len(terms) == 1:
+            return abs(terms[0].coeff) ** 2
+        pairs = self._pairing()
         total = 0.0 + 0.0j
-        for j, tj in enumerate(self.terms):
+        for j, tj in enumerate(terms):
             total += abs(tj.coeff) ** 2
-            for tk in self.terms[j + 1 :]:
+            for tk in terms[j + 1 :]:
                 ov = tj.coeff.conjugate() * tk.coeff
-                for fj, fk in zip(tj.factors, tk.factors):
+                for fj, fk in pairs(tj.factors, tk.factors):
                     ov *= _dot(fj, fk)
                     if ov == 0:
                         break
@@ -244,6 +280,19 @@ class SumOfProductsState:
         target = tuple(target)
         if len(target) != self.n:
             raise ValueError(f"dimension mismatch: state n={self.n}, target length {len(target)}")
+        if target is self._ref:
+            # off the dirty qubits every factor is the target's own
+            idx = sorted(self._dirty)
+            total = 0.0 + 0.0j
+            for t in self.terms:
+                amp = t.coeff
+                f = t.factors
+                for k in idx:
+                    amp *= _dot(target[k].amplitudes, f[k])
+                    if amp == 0:
+                        break
+                total += amp
+            return total
         tfactors = [s.amplitudes for s in target]
         total = 0.0 + 0.0j
         for t in self.terms:
@@ -272,6 +321,7 @@ class SumOfProductsState:
 
     def apply_pauli_x(self, i: int) -> "SumOfProductsState":
         self._check_index(i)
+        self._dirty.add(i)
         for t in self.terms:
             f = t.factors[i]
             t.factors[i] = (f[1], f[0])
@@ -280,6 +330,7 @@ class SumOfProductsState:
     def apply_unitary(self, i: int, u) -> "SumOfProductsState":
         self._check_index(i)
         (a, b), (c, d) = check_unitary(u)
+        self._dirty.add(i)
         for t in self.terms:
             f0, f1 = t.factors[i]
             t.factors[i] = (a * f0 + b * f1, c * f0 + d * f1)
@@ -296,13 +347,21 @@ class SumOfProductsState:
         self._check_index(i)
         b0, b1 = _BASIS_VECTORS[basis]
         before = [(t.coeff, t.factors[i]) for t in self.terms]
+        # the norm needs no overlap on qubit i: every term holds b0 there
         self._project(i, b0, before)
         p0 = clamp_probability(self.norm_sq())
         if draw < p0:
-            bit, p = 0, p0
+            bit, bvec, p = 0, b0, p0
         else:
-            bit, p = 1, 1.0 - p0
+            bit, bvec, p = 1, b1, 1.0 - p0
             self._project(i, b1, before)
+        ref = self._ref
+        if ref is not None:
+            # qubit i is clean again iff it holds the reference factor
+            if bvec is ref[i].amplitudes:
+                self._dirty.discard(i)
+            else:
+                self._dirty.add(i)
         scale = 1.0 / math.sqrt(p)
         self.terms = [t for t in self.terms if abs(t.coeff) >= PRUNE_TOL]
         for t in self.terms:
@@ -322,25 +381,38 @@ class SumOfProductsState:
         c = self.inner_with_symbols(target)
         p = clamp_probability(abs(c) ** 2)
         if draw < p:
-            self.terms = [ProductTerm(1.0 + 0.0j, [s.amplitudes for s in target])]
+            if target is self._ref:
+                # any term's list is the target but for the dirty qubits
+                factors = self.terms[0].factors
+                for k in self._dirty:
+                    factors[k] = target[k].amplitudes
+            else:
+                factors = [s.amplitudes for s in target]
+                self._ref = target
+            self._dirty.clear()
+            self.terms = [ProductTerm(1.0 + 0.0j, factors)]
             return VerifyOutcome.VALID, self, p
         scale = 1.0 / math.sqrt(1.0 - p)
         for t in self.terms:
             t.coeff *= scale
         if abs(c) >= PRUNE_TOL:
+            if target is not self._ref:
+                # the new term breaks the reference invariant
+                self._ref = None
             self.terms.append(ProductTerm(-c * scale, [s.amplitudes for s in target]))
         return VerifyOutcome.INVALID, self.compress(), p
 
     def compress(self) -> "SumOfProductsState":
         """Drop negligible terms, merge colinear ones, renormalize."""
         merged: list[ProductTerm] = []
+        pairs = self._pairing() if len(self.terms) > 1 else zip
         for t in self.terms:
             if abs(t.coeff) < PRUNE_TOL:
                 continue
             for m in merged:
                 phase = 1.0 + 0.0j
                 colinear = True
-                for fm, ft in zip(m.factors, t.factors):
+                for fm, ft in pairs(m.factors, t.factors):
                     ov = _dot(fm, ft)
                     if abs(ov) < 1.0 - ATOL:
                         colinear = False

@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
 import socket
 import socketserver
@@ -27,9 +28,13 @@ from .mint import (
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
 
 PROTOCOL_VERSION = 1
+_log = logging.getLogger(__name__)
 # serve_forever() notices shutdown() only between polls, so the poll
 # interval bounds how long stop() takes
 _POLL_INTERVAL_S = 0.05
+# largest bill a wire `mint` may ask for; each qubit costs the server a
+# draw and a factor
+MAX_MINT_QUBITS = 2**16
 
 
 class ProtocolError(Exception):
@@ -158,10 +163,21 @@ class MintServer:
     # -- dispatch ---------------------------------------------------------
 
     def handle_message(self, line: str, owned: set[int]) -> dict:
+        """The one reply to a request line; never raises, so the
+        connection and the session's handles outlive any request."""
+        try:
+            return self._dispatch(line, owned)
+        except Exception as exc:
+            _log.exception("request failed: %.200r", line)
+            return _error("INTERNAL", f"request failed: {type(exc).__name__}")
+
+    def _dispatch(self, line: str, owned: set[int]) -> dict:
         try:
             msg = json.loads(line)
         except json.JSONDecodeError:
             return _error("BAD_REQUEST", "line is not a JSON object")
+        except RecursionError:
+            return _error("BAD_REQUEST", "line nests too deeply")
         if not isinstance(msg, dict):
             return _error("BAD_REQUEST", "message must be a JSON object")
         version = msg.get("v")
@@ -201,8 +217,10 @@ class MintServer:
 
     def _do_mint(self, msg: dict, owned: set[int]) -> dict:
         n = msg.get("n")
-        if not _is_int(n) or n < 1:
-            raise ProtocolError("BAD_REQUEST", "field 'n' must be a positive integer")
+        if not _is_int(n) or not 1 <= n <= MAX_MINT_QUBITS:
+            raise ProtocolError(
+                "BAD_REQUEST", f"field 'n' must be an integer from 1 to {MAX_MINT_QUBITS}"
+            )
         secret, handle = self.mint.mint_bill(n, rng=self._rng)
         self._own(owned, handle.id)
         return {"type": "minted", "serial": secret.serial, "handle": handle.id}

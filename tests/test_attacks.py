@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from qmoney import qstate
 from qmoney.attacks import (
     AttackConsistencyError,
     LocalSession,
@@ -146,6 +147,30 @@ class TestAdaptiveAttack:
         session = LocalSession(mint, MintPolicy.RETURN_ALWAYS, random.Random(0))
         with pytest.raises(ValueError):
             adaptive_attack(session, secret.serial, handle, 3, order=[0, 0, 1])
+
+    @pytest.mark.parametrize("bill", ["random", "0", "-"])
+    def test_factor_overlaps_linear_in_n(self, monkeypatch, bill):
+        # each verify of the issued symbols costs O(1) factor overlaps,
+        # so the whole attack costs O(n), whatever the bill's symbols
+        n = 4096
+        mint = make_mint(5)
+        if bill == "random":
+            secret, handle = mint.mint_bill(n)
+        else:
+            secret, handle = mint.add_bill(symbols_from_string(bill * n))
+        calls = 0
+        dot = qstate._dot
+
+        def counted(u, v):
+            nonlocal calls
+            calls += 1
+            return dot(u, v)
+
+        monkeypatch.setattr(qstate, "_dot", counted)
+        session = LocalSession(mint, MintPolicy.RETURN_ALWAYS, random.Random(5))
+        transcript, _ = adaptive_attack(session, secret.serial, handle, n)
+        assert transcript.learned == list(secret.symbols)
+        assert calls < 8 * n
 
 
 class TestForgeCopies:

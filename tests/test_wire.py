@@ -8,7 +8,14 @@ import pytest
 from qmoney.attacks import LocalSession, adaptive_attack
 from qmoney.mint import Mint, MintPolicy, StateHandle
 from qmoney.qstate import Basis, VerifyOutcome, symbols_from_string
-from qmoney.wire import MintServer, ProtocolError, RemoteMint, TransportError, remote_adaptive_attack
+from qmoney.wire import (
+    MAX_MINT_QUBITS,
+    MintServer,
+    ProtocolError,
+    RemoteMint,
+    TransportError,
+    remote_adaptive_attack,
+)
 
 
 @pytest.fixture
@@ -223,6 +230,52 @@ class TestRobustness:
                 msg = {"v": 1, "type": "apply_x", "handle": handle, "qubit": 1, field: True}
             resp = raw.send_line(json.dumps(msg))
             assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+        finally:
+            raw.close()
+
+    def test_deep_nesting_gets_one_reply(self, server):
+        raw = RawClient(server)
+        try:
+            handle = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 1}))["handle"]
+            # json.loads raises RecursionError on this line
+            resp = raw.send_line("[" * 100000 + "]" * 100000)
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+            # the next reply answers the next line: the bad one got exactly one
+            resp = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 1}))
+            assert resp["type"] == "minted"
+            resp = raw.send_line(json.dumps({"v": 1, "type": "apply_x", "handle": handle,
+                                             "qubit": 0}))
+            assert resp == {"type": "ok", "handle": handle}
+        finally:
+            raw.close()
+
+    def test_unexpected_failure_is_internal_error(self, server, monkeypatch):
+        raw = RawClient(server)
+        try:
+            handle = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 1}))["handle"]
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(server.mint, "mint_bill", broken)
+            resp = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 1}))
+            assert resp["type"] == "error" and resp["code"] == "INTERNAL"
+            # the connection and the session's handle survive
+            resp = raw.send_line(json.dumps({"v": 1, "type": "apply_x", "handle": handle,
+                                             "qubit": 0}))
+            assert resp == {"type": "ok", "handle": handle}
+        finally:
+            raw.close()
+
+    @pytest.mark.parametrize("n", [MAX_MINT_QUBITS + 1, 10**9])
+    def test_mint_size_is_bounded(self, server, n):
+        raw = RawClient(server)
+        try:
+            resp = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": n}))
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+            assert server.mint.serials() == []
+            resp = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": MAX_MINT_QUBITS}))
+            assert resp["type"] == "minted"
         finally:
             raw.close()
 
