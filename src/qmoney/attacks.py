@@ -19,7 +19,7 @@ from .qstate import (
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
-    random_symbol,
+    random_symbols,
     symbol_amplitudes,
     symbol_for,
     symbols_to_string,
@@ -180,7 +180,7 @@ def baseline_attack(
     exposed for completeness but not used in the headline statistics.
     """
     if kind is StrategyKind.GUESS_RANDOM_SYMBOLS:
-        symbols = [random_symbol(rng) for _ in range(n)]
+        symbols = random_symbols(rng, n)
         copy = registry.register(SumOfProductsState.from_symbols(symbols))
         return copy, handle
     if kind is StrategyKind.MEASURE_RANDOM_BASIS_COPY:

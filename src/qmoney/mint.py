@@ -15,7 +15,7 @@ from .qstate import (
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
-    random_symbol,
+    random_symbols,
     symbols_from_string,
     symbols_to_string,
 )
@@ -109,19 +109,29 @@ class StateRegistry:
     The registry is each state's only owner, so gates and measurements
     update the stored state in place.  Ids are handed out in increasing
     order, so an id below the next one that holds no state was consumed.
+
+    `lock` is shared with the Mint built on this registry, which guards
+    its own database with it too.  Holding it, the mint calls
+    `consume_locked` and `register_locked`, so that issuing a bill takes
+    the lock once and a verify twice: a Monte Carlo trial builds a fresh
+    mint and registry and is dominated by such fixed costs.
     """
 
     def __init__(self):
-        self._lock = threading.RLock()
+        self.lock = threading.RLock()
         self._states: dict[int, SumOfProductsState] = {}
         self._next_id = 1
 
     def register(self, state: SumOfProductsState) -> StateHandle:
-        with self._lock:
-            hid = self._next_id
-            self._next_id += 1
-            self._states[hid] = state
-            return StateHandle(hid)
+        with self.lock:
+            return self.register_locked(state)
+
+    def register_locked(self, state: SumOfProductsState) -> StateHandle:
+        """`register` for a caller that holds `lock`."""
+        hid = self._next_id
+        self._next_id += 1
+        self._states[hid] = state
+        return StateHandle(hid)
 
     def _live_state(self, handle: StateHandle) -> SumOfProductsState:
         # caller holds the lock
@@ -133,7 +143,7 @@ class StateRegistry:
             raise UnknownHandleError(f"unknown handle {handle.id}") from None
 
     def is_live(self, handle: StateHandle) -> bool:
-        with self._lock:
+        with self.lock:
             return handle.id in self._states
 
     def consume(self, handle: StateHandle, expected_n: int | None = None) -> SumOfProductsState:
@@ -141,28 +151,32 @@ class StateRegistry:
 
         A dimension mismatch leaves the handle live.
         """
-        with self._lock:
-            state = self._live_state(handle)
-            if expected_n is not None and state.n != expected_n:
-                raise DimensionMismatchError(
-                    f"handle {handle.id} holds {state.n} qubits, expected {expected_n}"
-                )
-            del self._states[handle.id]
-            return state
+        with self.lock:
+            return self.consume_locked(handle, expected_n)
+
+    def consume_locked(self, handle: StateHandle, expected_n: int | None = None) -> SumOfProductsState:
+        """`consume` for a caller that holds `lock`."""
+        state = self._live_state(handle)
+        if expected_n is not None and state.n != expected_n:
+            raise DimensionMismatchError(
+                f"handle {handle.id} holds {state.n} qubits, expected {expected_n}"
+            )
+        del self._states[handle.id]
+        return state
 
     def release(self, handle: StateHandle) -> None:
         self.consume(handle)
 
     def apply_pauli_x(self, handle: StateHandle, i: int) -> None:
-        with self._lock:
+        with self.lock:
             self._live_state(handle).apply_pauli_x(i)
 
     def apply_unitary(self, handle: StateHandle, i: int, u) -> None:
-        with self._lock:
+        with self.lock:
             self._live_state(handle).apply_unitary(i, u)
 
     def measure(self, handle: StateHandle, i: int, basis, rng: random.Random) -> int:
-        with self._lock:
+        with self.lock:
             bit, _ = self._live_state(handle).measure_qubit(i, basis, rng.random())
             return bit
 
@@ -170,29 +184,32 @@ class StateRegistry:
         """The live state itself, for tests and diagnostics to read; not
         part of the attacker-facing surface.  Later operations on the
         handle change it."""
-        with self._lock:
+        with self.lock:
             return self._live_state(handle)
 
     def duplicate_attempt(self, handle: StateHandle) -> None:
         """Named negative path: cloning a live state always fails."""
-        with self._lock:
+        with self.lock:
             self._live_state(handle)
             raise NoCloningError(
                 f"handle {handle.id} holds an unknown quantum state; it cannot be copied"
             )
 
     def live_count(self) -> int:
-        with self._lock:
+        with self.lock:
             return len(self._states)
 
 
 class Mint:
-    """Issues bills, keeps the secret database, and verifies submissions."""
+    """Issues bills, keeps the secret database, and verifies submissions.
+
+    The database is guarded by the registry's lock (see StateRegistry).
+    """
 
     def __init__(self, registry: StateRegistry | None = None, rng: random.Random | None = None):
         self.registry = registry if registry is not None else StateRegistry()
         self._rng = rng if rng is not None else random.Random()
-        self._lock = threading.RLock()
+        self._lock = self.registry.lock
         self._bills: dict[str, BillSecret] = {}
         self._stats: dict[str, QueryStats] = {}
 
@@ -231,11 +248,11 @@ class Mint:
         with self._lock:
             serial = self._fresh_serial(rng)
             if symbols is None:
-                symbols = tuple(random_symbol(rng) for _ in range(n))
+                symbols = random_symbols(rng, n)
             secret = BillSecret(serial=serial, symbols=symbols, denomination=denomination)
             self._bills[serial] = secret
             self._stats[serial] = QueryStats()
-        return secret, self.issue_bill_state(serial)
+            return secret, self.registry.register_locked(SumOfProductsState.from_symbols(symbols))
 
     def issue_bill_state(self, serial: str) -> StateHandle:
         """Hand out a fresh genuine copy of a stored bill's state.
@@ -248,10 +265,14 @@ class Mint:
 
     def secret(self, serial: str) -> BillSecret:
         with self._lock:
-            try:
-                return self._bills[serial]
-            except KeyError:
-                raise UnknownSerialError(f"no bill with serial {serial}") from None
+            return self._secret(serial)
+
+    def _secret(self, serial: str) -> BillSecret:
+        # caller holds the lock
+        try:
+            return self._bills[serial]
+        except KeyError:
+            raise UnknownSerialError(f"no bill with serial {serial}") from None
 
     def serials(self) -> list[str]:
         with self._lock:
@@ -275,10 +296,16 @@ class Mint:
     ) -> VerifyResult:
         MintPolicy.check(policy)
         rng = rng if rng is not None else self._rng
-        secret = self.secret(serial)
-        state = self.registry.consume(handle, expected_n=secret.n)
-        outcome, post, p = state.measure_projector_detail(secret.symbols, rng.random())
-        deterministic = p == 0.0 or p == 1.0
+        registry = self.registry
+        with self._lock:
+            secret = self._secret(serial)
+            state = registry.consume_locked(handle, secret.n)
+        # the projection runs outside the lock, so a large bill does not
+        # hold up other sessions; a destroying mint drops an INVALID
+        # bill, so it asks for no residue
+        outcome, post, p = state.measure_projector_detail(
+            secret.symbols, rng.random(), residue=policy == MintPolicy.RETURN_ALWAYS
+        )
         with self._lock:
             st = self._stats[serial]
             st.total += 1
@@ -286,9 +313,8 @@ class Mint:
                 st.valid += 1
             else:
                 st.invalid += 1
-        if outcome is VerifyOutcome.VALID or policy == MintPolicy.RETURN_ALWAYS:
-            return VerifyResult(outcome, self.registry.register(post), deterministic)
-        return VerifyResult(outcome, None, deterministic)
+            new_handle = None if post is None else registry.register_locked(post)
+        return VerifyResult(outcome, new_handle, p == 0.0 or p == 1.0)
 
     def duplicate_handle_attempt(self, handle: StateHandle) -> None:
         self.registry.duplicate_attempt(handle)

@@ -26,9 +26,15 @@
 # symbols costs O(|dirty| * terms^2) at worst, plus O(n) when an
 # INVALID answer adds the target as a term; a projector onto any other
 # symbols costs O(n * terms^2) at worst, O(n) on a single product term.
-# A qubit measurement costs O(1) on a single product term, and its
-# pairwise overlaps run over the dirty qubits while `_ref` is set, else
-# over all n.
+# An INVALID answer whose residue the caller does not want (a destroying
+# mint) builds no term and calls no `compress`.  A qubit measurement
+# costs O(1) on a single product term: one overlap per outcome, no norm
+# and no term list.  On more terms its pairwise overlaps run over the
+# dirty qubits while `_ref` is set, else over all n.  Every measurement
+# the attacks make is of a single product term (an X on a Z-basis qubit
+# makes the state orthogonal to the target, so its INVALID adds no
+# term); only tests measure the residues of two or more terms that an
+# INVALID after a general unitary leaves.
 #
 # DenseState is immutable: every operation returns a new state, which
 # keeps it an independent reference.
@@ -82,24 +88,17 @@ _AMPLITUDES = {
     QubitSymbol.MINUS: (_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
 }
 
-# the symbols' own amplitude tuples, so a qubit measured onto a
-# reference symbol holds that symbol's factor again
-_BASIS_VECTORS = {
-    Basis.Z: (_AMPLITUDES[QubitSymbol.ZERO], _AMPLITUDES[QubitSymbol.ONE]),
-    Basis.X: (_AMPLITUDES[QubitSymbol.PLUS], _AMPLITUDES[QubitSymbol.MINUS]),
-}
-
-_SYMBOL_FOR = {
-    (Basis.Z, 0): QubitSymbol.ZERO,
-    (Basis.Z, 1): QubitSymbol.ONE,
-    (Basis.X, 0): QubitSymbol.PLUS,
-    (Basis.X, 1): QubitSymbol.MINUS,
-}
-
-
 for _sym in QubitSymbol:
-    # cached on the members; attribute access beats dict hashing in hot loops
+    # cached on the members: Enum.__hash__ is Python code, so a dict
+    # keyed by members costs a call per lookup in the hot loops
     _sym.amplitudes = _AMPLITUDES[_sym]
+
+# a basis's outcome vectors are the symbols' own amplitude tuples, so a
+# qubit measured onto a reference symbol holds that symbol's factor again
+Basis.Z.symbols = (QubitSymbol.ZERO, QubitSymbol.ONE)
+Basis.X.symbols = (QubitSymbol.PLUS, QubitSymbol.MINUS)
+for _basis in Basis:
+    _basis.vectors = tuple(sym.amplitudes for sym in _basis.symbols)
 
 
 def symbol_amplitudes(sym: QubitSymbol) -> tuple[complex, complex]:
@@ -108,15 +107,16 @@ def symbol_amplitudes(sym: QubitSymbol) -> tuple[complex, complex]:
 
 
 def symbol_for(basis: Basis, bit: int) -> QubitSymbol:
-    return _SYMBOL_FOR[(basis, bit)]
+    return basis.symbols[bit]
 
 
 _SYMBOL_ORDER = tuple(QubitSymbol)
 
 
-def random_symbol(rng) -> QubitSymbol:
-    """A uniform conjugate-coding symbol from one rng.random() draw."""
-    return _SYMBOL_ORDER[int(rng.random() * 4)]
+def random_symbols(rng, n: int) -> tuple[QubitSymbol, ...]:
+    """n uniform conjugate-coding symbols, one rng.random() draw each."""
+    draw = rng.random
+    return tuple([_SYMBOL_ORDER[int(draw() * 4)] for _ in range(n)])
 
 
 def symbols_from_string(text: str) -> tuple[QubitSymbol, ...]:
@@ -345,16 +345,36 @@ class SumOfProductsState:
     def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "SumOfProductsState"]:
         """Born-rule measurement of qubit i; consumes exactly one draw."""
         self._check_index(i)
-        b0, b1 = _BASIS_VECTORS[basis]
-        before = [(t.coeff, t.factors[i]) for t in self.terms]
-        # the norm needs no overlap on qubit i: every term holds b0 there
-        self._project(i, b0, before)
-        p0 = clamp_probability(self.norm_sq())
-        if draw < p0:
-            bit, bvec, p = 0, b0, p0
+        b0, b1 = basis.vectors
+        terms = self.terms
+        if len(terms) == 1:
+            # the branch amplitude is the term's own overlap; the same
+            # expressions as the general path below, so the same bits
+            t = terms[0]
+            f = t.factors[i]
+            c = t.coeff * _dot(b0, f)
+            p0 = clamp_probability(abs(c) ** 2)
+            if draw < p0:
+                bit, bvec, p = 0, b0, p0
+            else:
+                bit, bvec, p = 1, b1, 1.0 - p0
+                c = t.coeff * _dot(b1, f)
+            t.coeff = c * (1.0 / math.sqrt(p))
+            t.factors[i] = bvec
         else:
-            bit, bvec, p = 1, b1, 1.0 - p0
-            self._project(i, b1, before)
+            before = [(t.coeff, t.factors[i]) for t in terms]
+            # the norm needs no overlap on qubit i: every term holds b0 there
+            self._project(i, b0, before)
+            p0 = clamp_probability(self.norm_sq())
+            if draw < p0:
+                bit, bvec, p = 0, b0, p0
+            else:
+                bit, bvec, p = 1, b1, 1.0 - p0
+                self._project(i, b1, before)
+            scale = 1.0 / math.sqrt(p)
+            self.terms = [t for t in terms if abs(t.coeff) >= PRUNE_TOL]
+            for t in self.terms:
+                t.coeff *= scale
         ref = self._ref
         if ref is not None:
             # qubit i is clean again iff it holds the reference factor
@@ -362,20 +382,18 @@ class SumOfProductsState:
                 self._dirty.discard(i)
             else:
                 self._dirty.add(i)
-        scale = 1.0 / math.sqrt(p)
-        self.terms = [t for t in self.terms if abs(t.coeff) >= PRUNE_TOL]
-        for t in self.terms:
-            t.coeff *= scale
         return bit, self
 
     def measure_projector_detail(
-        self, target, draw: float
-    ) -> tuple[VerifyOutcome, "SumOfProductsState", float]:
+        self, target, draw: float, residue: bool = True
+    ) -> tuple[VerifyOutcome, "SumOfProductsState | None", float]:
         """Project onto the product state of `target`; consumes one draw.
 
         Returns (outcome, post-state, clamped probability of VALID).  The
         VALID post-state is the clean target product state (global phase
-        discarded); the INVALID post-state is the renormalized residue.
+        discarded); the INVALID post-state is the renormalized residue,
+        or None when `residue` is false, in which case it is never built
+        and the state is left to be dropped.
         """
         target = tuple(target)
         c = self.inner_with_symbols(target)
@@ -392,6 +410,8 @@ class SumOfProductsState:
             self._dirty.clear()
             self.terms = [ProductTerm(1.0 + 0.0j, factors)]
             return VerifyOutcome.VALID, self, p
+        if not residue:
+            return VerifyOutcome.INVALID, None, p
         scale = 1.0 / math.sqrt(1.0 - p)
         for t in self.terms:
             t.coeff *= scale
@@ -506,8 +526,8 @@ class DenseState:
 
     def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "DenseState"]:
         self._check_index(i)
-        b0 = np.array(_BASIS_VECTORS[basis][0], dtype=complex)
-        b1 = np.array(_BASIS_VECTORS[basis][1], dtype=complex)
+        b0 = np.array(basis.vectors[0], dtype=complex)
+        b1 = np.array(basis.vectors[1], dtype=complex)
         t = self._tensor()
         amp0 = np.tensordot(b0.conjugate(), t, axes=([0], [i]))
         p0 = clamp_probability(float(np.vdot(amp0, amp0).real))

@@ -35,6 +35,9 @@ _POLL_INTERVAL_S = 0.05
 # largest bill a wire `mint` may ask for; each qubit costs the server a
 # draw and a factor
 MAX_MINT_QUBITS = 2**16
+# longest request line, newline included, that the server reads into
+# memory; a longer one is skipped and answered with one BAD_REQUEST
+MAX_LINE_BYTES = 2**20
 
 
 class ProtocolError(Exception):
@@ -85,7 +88,12 @@ class _Handler(socketserver.StreamRequestHandler):
         server: "MintServer" = self.server.owner  # type: ignore[attr-defined]
         owned: set[int] = set()
         try:
-            for raw in self.rfile:
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw) > MAX_LINE_BYTES:
+                    self._skip_line(raw)
+                    self._send(_error("BAD_REQUEST",
+                                      f"request line longer than {MAX_LINE_BYTES} bytes"))
+                    continue
                 try:
                     line = raw.decode("utf-8").strip()
                 except UnicodeDecodeError:
@@ -98,6 +106,11 @@ class _Handler(socketserver.StreamRequestHandler):
             pass
         finally:
             server.drop_session(owned)
+
+    def _skip_line(self, head: bytes) -> None:
+        # read the rest of an over-long line, one bounded chunk at a time
+        while head and not head.endswith(b"\n"):
+            head = self.rfile.readline(MAX_LINE_BYTES + 1)
 
     def _send(self, obj: dict) -> None:
         self.wfile.write((json.dumps(obj) + "\n").encode("utf-8"))

@@ -113,6 +113,18 @@ class TestExperimentSweep:
             assert code == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_workers_is_deprecated_and_ignored(self, capsys, tmp_path):
+        errs = []
+        for path, extra in ((tmp_path / "w1.csv", ()), (tmp_path / "w3.csv", ("--workers", "3"))):
+            code, _, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
+                                   "--n", "1,2", "--trials", "200", "--seed", "1",
+                                   "--out", str(path), *extra)
+            assert code == EXIT_OK
+            errs.append(err)
+        assert errs[0] == ""
+        assert "--workers is deprecated and ignored" in errs[1]
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+
     def test_bad_n_list(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
                                "--n", "1,two", "--trials", "10", "--seed", "1",

@@ -151,3 +151,37 @@ class TestExponentialDecaySlope:
         assert analytic_success_rate(
             StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, 2
         ) == pytest.approx(0.25, abs=1e-12)
+
+
+# A seeded sweep is a reproducible result: these CSVs were rendered
+# before the trial code was last optimized, and every later version must
+# reproduce them byte for byte.
+PINNED_CSV = {
+    (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, (1, 2, 4, 8), 303): """\
+n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed
+1,guess,return-always,2000,984,0.492,1.0,0.011178908712392278,0.5,303
+2,guess,return-always,2000,526,0.263,1.0,0.009844567029585404,0.25,303
+4,guess,return-always,2000,121,0.0605,1.0,0.005331029450303197,0.0625,303
+8,guess,return-always,2000,6,0.003,1.0,0.0012229063741758812,0.00390625,303
+""",
+    (StrategyKind.MEASURE_RANDOM_BASIS_COPY, MintPolicy.RETURN_ALWAYS, (1, 2, 4, 8), 303): """\
+n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed
+1,measure-copy,return-always,2000,1501,0.7505,1.0,0.009675994780899791,0.7499999999999998,303
+2,measure-copy,return-always,2000,1124,0.562,1.0,0.011094052460665579,0.5624999999999997,303
+4,measure-copy,return-always,2000,678,0.339,1.0,0.010584871279330704,0.3164062499999996,303
+8,measure-copy,return-always,2000,212,0.106,1.0,0.0068834584330843464,0.10011291503906226,303
+""",
+    (StrategyKind.ADAPTIVE_ORACLE, MintPolicy.DESTROY_ON_INVALID, (1, 2, 4), 404): """\
+n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed
+1,adaptive,destroy-on-invalid,2000,1004,0.502,1.0,0.011180250444422075,0.5,404
+2,adaptive,destroy-on-invalid,2000,501,0.2505,1.5015,0.009688904736862677,0.25,404
+4,adaptive,destroy-on-invalid,2000,127,0.0635,1.8735,0.005452877680637995,0.0625,404
+""",
+}
+
+
+def test_seeded_csv_is_pinned():
+    for (strategy, policy, n_values, seed), expected in PINNED_CSV.items():
+        config = ExperimentConfig(strategy=strategy, policy=policy, n_values=list(n_values),
+                                  trials=2000, seed=seed)
+        assert render_csv(run_experiment(config)) == expected

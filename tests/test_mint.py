@@ -4,6 +4,7 @@ import threading
 from collections import Counter
 
 import pytest
+from support import random_unitary
 
 from qmoney.mint import (
     SERIAL_PATTERN,
@@ -19,9 +20,12 @@ from qmoney.mint import (
     UnknownSerialError,
 )
 from qmoney.qstate import (
+    HADAMARD,
+    DenseState,
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
+    dense_fidelity,
     fidelity_to_symbols,
     symbols_from_string,
 )
@@ -30,6 +34,29 @@ from qmoney.qstate import (
 @pytest.fixture
 def mint():
     return Mint(rng=random.Random(42))
+
+
+class FixedDraw:
+    """An rng whose every draw is the same number."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self):
+        return self.draw
+
+
+def count_compress(monkeypatch) -> list:
+    """Record every SumOfProductsState.compress call from here on."""
+    calls = []
+    compress = SumOfProductsState.compress
+
+    def counted(self):
+        calls.append(self)
+        return compress(self)
+
+    monkeypatch.setattr(SumOfProductsState, "compress", counted)
+    return calls
 
 
 class TestMintBill:
@@ -94,6 +121,30 @@ class TestVerify:
         with pytest.raises(HandleConsumedError):
             mint.registry.apply_pauli_x(handle, 0)
 
+    def test_destroyed_bill_builds_no_residue(self, mint, monkeypatch):
+        secret, handle = mint.add_bill(symbols_from_string("0+"))
+        mint.registry.apply_pauli_x(handle, 0)
+        calls = count_compress(monkeypatch)
+        res = mint.verify(secret.serial, handle, MintPolicy.DESTROY_ON_INVALID)
+        assert res.outcome is VerifyOutcome.INVALID and res.handle is None
+        assert calls == []
+
+    def test_returned_residue_matches_dense(self, mint, monkeypatch):
+        # VALID has probability 1/2 * |<-|u|->|^2 < 1/2, so a draw of
+        # 0.999 is INVALID on both backends
+        symbols = symbols_from_string("0+-")
+        u = random_unitary(random.Random(5))
+        secret, handle = mint.add_bill(symbols)
+        mint.registry.apply_unitary(handle, 0, HADAMARD)
+        mint.registry.apply_unitary(handle, 2, u)
+        calls = count_compress(monkeypatch)
+        res = mint.verify(secret.serial, handle, MintPolicy.RETURN_ALWAYS, FixedDraw(0.999))
+        dense = DenseState.from_symbols(symbols).apply_unitary(0, HADAMARD).apply_unitary(2, u)
+        outcome, post, _ = dense.measure_projector_detail(symbols, 0.999)
+        assert res.outcome is outcome is VerifyOutcome.INVALID
+        assert len(calls) == 1
+        assert dense_fidelity(mint.registry.inspect(res.handle), post) >= 1 - 1e-12
+
     def test_database_row_survives_destruction(self, mint):
         secret, handle = mint.add_bill(symbols_from_string("1"))
         mint.registry.apply_pauli_x(handle, 0)
@@ -149,6 +200,10 @@ class TestVerify:
             t.join()
         assert len(wins) == 1
         assert len(errors) == 15
+        # only the winner was counted, and only its returned state is live
+        st = mint.stats(secret.serial)
+        assert (st.total, st.valid + st.invalid) == (1, 1)
+        assert mint.registry.live_count() == 1
 
 
 class TestNoCloning:

@@ -1,8 +1,10 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from support import random_unitary
 
 from qmoney.qstate import (
     ATOL,
@@ -17,6 +19,7 @@ from qmoney.qstate import (
     VerifyOutcome,
     check_unitary,
     clamp_probability,
+    dense_fidelity,
     fidelity,
     fidelity_to_symbols,
     symbol_amplitudes,
@@ -210,6 +213,59 @@ class TestMeasureQubit:
         for draw in (0.0, 0.499, 0.501, 0.999):
             bit, _ = SumOfProductsState.from_string("+").measure_qubit(0, Basis.Z, draw)
             assert bit == (0 if draw < 0.5 else 1)
+
+
+def _with_zero_term(state: SumOfProductsState) -> SumOfProductsState:
+    """The same one-term state plus a term of coefficient 0, so that a
+    measurement takes the general path, which prunes that term."""
+    (t,) = state.terms
+    return SumOfProductsState(
+        state.n, [ProductTerm(t.coeff, list(t.factors)), ProductTerm(0j, list(t.factors))]
+    )
+
+
+def _threshold(measure) -> float:
+    """The least draw in [0, 1] for which measure(draw) gives bit 1: p(0)
+    itself, to the last bit.  Non-negative doubles sort as their bits."""
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if measure(struct.unpack("<d", struct.pack("<q", mid))[0]) == 1:
+            hi = mid
+        else:
+            lo = mid + 1
+    return struct.unpack("<d", struct.pack("<q", lo))[0]
+
+
+class TestMeasureQubitOneTerm:
+    @pytest.mark.parametrize("rotated", [False, True], ids=["symbol", "unitary"])
+    @pytest.mark.parametrize("basis", list(Basis), ids=lambda b: b.value)
+    @pytest.mark.parametrize("sym", list(QubitSymbol), ids=lambda s: s.value)
+    def test_matches_dense_and_general_path(self, sym, basis, rotated):
+        symbols = (QubitSymbol.PLUS, sym)
+        u = random_unitary(random.Random(sym.value + basis.value)) if rotated else None
+
+        def one_term():
+            s = SumOfProductsState.from_symbols(symbols)
+            return s.apply_unitary(1, u) if rotated else s
+
+        dense = DenseState.from_symbols(symbols)
+        if rotated:
+            dense = dense.apply_unitary(1, u)
+        for draw in (0.0, 0.4999, 0.999):
+            bit, post = one_term().measure_qubit(1, basis, draw)
+            bit_g, post_g = _with_zero_term(one_term()).measure_qubit(1, basis, draw)
+            bit_d, post_d = dense.measure_qubit(1, basis, draw)
+            assert bit == bit_g == bit_d
+            assert dense_fidelity(post, post_d) >= 1 - 1e-12
+            # the general path prunes the zero term and leaves the same bits
+            (t,), (t_g,) = post.terms, post_g.terms
+            assert repr(t.coeff) == repr(t_g.coeff)
+            assert t.factors == t_g.factors
+        p0 = _threshold(lambda d: one_term().measure_qubit(1, basis, d)[0])
+        assert p0 == _threshold(lambda d: _with_zero_term(one_term()).measure_qubit(1, basis, d)[0])
+        assert p0 == pytest.approx(_threshold(lambda d: dense.measure_qubit(1, basis, d)[0]),
+                                   abs=1e-12)
 
 
 class TestMeasureProjector:

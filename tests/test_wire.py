@@ -9,6 +9,7 @@ from qmoney.attacks import LocalSession, adaptive_attack
 from qmoney.mint import Mint, MintPolicy, StateHandle
 from qmoney.qstate import Basis, VerifyOutcome, symbols_from_string
 from qmoney.wire import (
+    MAX_LINE_BYTES,
     MAX_MINT_QUBITS,
     MintServer,
     ProtocolError,
@@ -230,6 +231,37 @@ class TestRobustness:
                 msg = {"v": 1, "type": "apply_x", "handle": handle, "qubit": 1, field: True}
             resp = raw.send_line(json.dumps(msg))
             assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+        finally:
+            raw.close()
+
+    def test_long_line_gets_one_reply(self, server):
+        raw = RawClient(server)
+        try:
+            mint = json.dumps({"v": 1, "type": "mint", "n": 1})
+            raw.file.write("x" * (2 * 2**20) + "\n" + mint + "\n")
+            raw.file.flush()
+            resp = json.loads(raw.file.readline())
+            assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
+            assert "longer than" in resp["detail"]
+            handle = json.loads(raw.file.readline())["handle"]
+            # the next reply answers the next line: the long one got exactly one
+            resp = raw.send_line(json.dumps({"v": 1, "type": "apply_x", "handle": handle,
+                                             "qubit": 0}))
+            assert resp == {"type": "ok", "handle": handle}
+        finally:
+            raw.close()
+        with client_for(server) as c:
+            assert c.mint_bill(1)
+
+    def test_line_length_bound_is_exact(self, server):
+        raw = RawClient(server)
+        try:
+            mint = json.dumps({"v": 1, "type": "mint", "n": 1})
+            # MAX_LINE_BYTES bytes with the newline are read; one more is not
+            resp = raw.send_line(mint + " " * (MAX_LINE_BYTES - 1 - len(mint)))
+            assert resp["type"] == "minted"
+            resp = raw.send_line(mint + " " * (MAX_LINE_BYTES - len(mint)))
+            assert resp["type"] == "error" and "longer than" in resp["detail"]
         finally:
             raw.close()
 
