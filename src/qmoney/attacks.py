@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .mint import Mint, MintPolicy, StateHandle, StateRegistry
 from .qstate import (
@@ -37,8 +38,8 @@ class AttackConsistencyError(RuntimeError):
     correctness argument requires a deterministic one."""
 
 
-@dataclass(frozen=True)
-class AttackRecord:
+class AttackRecord(NamedTuple):
+    # a NamedTuple, like StateHandle, because one is built per query
     qubit: int
     outcome: VerifyOutcome
     # None only for the round on which a destroying mint ate the bill.
@@ -84,8 +85,8 @@ class LocalSession:
         self.rng = rng if rng is not None else random.Random()
 
     def verify(self, serial: str, handle: StateHandle):
-        res = self.mint.verify(serial, handle, self.policy, self.rng)
-        return res.outcome, res.handle, res.deterministic
+        # a VerifyResult is the (outcome, handle, deterministic) triple
+        return self.mint.verify(serial, handle, self.policy, self.rng)
 
     def apply_x(self, handle: StateHandle, i: int) -> StateHandle:
         self.mint.registry.apply_pauli_x(handle, i)
@@ -114,11 +115,15 @@ def adaptive_attack(session, serial: str, handle, n: int, order=None):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if order is None:
+        rounds = range(n)
+    else:
+        rounds = list(order)
+        if sorted(rounds) != list(range(n)):
+            raise ValueError("order must visit each qubit exactly once")
     transcript = AttackTranscript(serial=serial)
-    learned_by_qubit: dict[int, QubitSymbol] = {}
-    rounds = list(order) if order is not None else list(range(n))
-    if sorted(rounds) != list(range(n)):
-        raise ValueError("order must visit each qubit exactly once")
+    # symbol learned for each qubit, None until its round
+    learned_by_qubit: list[QubitSymbol | None] = [None] * n
 
     for i in rounds:
         handle = session.apply_x(handle, i)
@@ -131,7 +136,7 @@ def adaptive_attack(session, serial: str, handle, n: int, order=None):
         if outcome is VerifyOutcome.INVALID and returned is None:
             # destroying mint: the bill is gone, the attack is over
             transcript.records.append(AttackRecord(i, outcome, None))
-            transcript.learned = [learned_by_qubit[q] for q in sorted(learned_by_qubit)]
+            transcript.learned = [s for s in learned_by_qubit if s is not None]
             transcript.bill_recovered = False
             return transcript, None
         handle = returned
@@ -149,8 +154,8 @@ def adaptive_attack(session, serial: str, handle, n: int, order=None):
         transcript.records.append(AttackRecord(i, outcome, sym))
         learned_by_qubit[i] = sym
 
-    transcript.learned = [learned_by_qubit[q] for q in sorted(learned_by_qubit)]
-    transcript.bill_recovered = len(transcript.learned) == n
+    transcript.learned = learned_by_qubit
+    transcript.bill_recovered = True
     return transcript, handle
 
 

@@ -10,6 +10,7 @@ import random
 import re
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qstate import (
     QubitSymbol,
@@ -54,9 +55,11 @@ class DatabaseFormatError(ValueError):
     """Secret database file could not be parsed."""
 
 
-@dataclass(frozen=True)
-class StateHandle:
-    """Opaque id into a state registry; live until consumed, never copied."""
+class StateHandle(NamedTuple):
+    """Opaque id into a state registry; live until consumed, never copied.
+
+    A NamedTuple, not a frozen dataclass, because one is built on every
+    request and a tuple is the cheapest immutable, hashable value."""
 
     id: int
 
@@ -91,8 +94,8 @@ class MintPolicy:
         return policy
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
+    # a NamedTuple for the reason StateHandle is one
     outcome: VerifyOutcome
     handle: StateHandle | None
     # True when the projector probability was exactly 0 or 1; used by the

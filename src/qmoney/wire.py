@@ -38,6 +38,12 @@ MAX_MINT_QUBITS = 2**16
 # longest request line, newline included, that the server reads into
 # memory; a longer one is skipped and answered with one BAD_REQUEST
 MAX_LINE_BYTES = 2**20
+# most handles one session may hold at once; `mint` and `claim` beyond
+# it are refused, so one client cannot fill the server's memory
+MAX_SESSION_HANDLES = 2**10
+# one encoder for every line sent: json.dumps builds a new one per call.
+# The text is the same as json.dumps gives; no message is circular.
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 class ProtocolError(Exception):
@@ -62,11 +68,27 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_handle(msg: dict) -> int:
+def _owned_handle(msg: dict, owned: set[int]) -> int:
     hid = msg.get("handle")
     if not _is_int(hid):
         raise ProtocolError("BAD_REQUEST", "field 'handle' must be an integer")
+    if hid not in owned:
+        raise ProtocolError("HANDLE_NOT_OWNED", f"handle {hid} is not owned by this session")
     return hid
+
+
+def _qubit(msg: dict) -> int:
+    i = msg.get("qubit")
+    if not _is_int(i):
+        raise ProtocolError("BAD_REQUEST", "field 'qubit' must be an integer")
+    return i
+
+
+def _check_room(owned: set[int]) -> None:
+    if len(owned) >= MAX_SESSION_HANDLES:
+        raise ProtocolError(
+            "TOO_MANY_HANDLES", f"a session may hold at most {MAX_SESSION_HANDLES} handles"
+        )
 
 
 def _parse_unitary(raw):
@@ -113,7 +135,7 @@ class _Handler(socketserver.StreamRequestHandler):
             head = self.rfile.readline(MAX_LINE_BYTES + 1)
 
     def _send(self, obj: dict) -> None:
-        self.wfile.write((json.dumps(obj) + "\n").encode("utf-8"))
+        self.request.sendall((_encode(obj) + "\n").encode())
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -129,7 +151,6 @@ class MintServer:
         self.mint = mint if mint is not None else Mint()
         self.policy = MintPolicy.check(policy)
         self._rng = rng if rng is not None else random.Random()
-        self._lock = threading.Lock()
         self._tcp = _TCPServer((host, port), _Handler)
         self._tcp.owner = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
@@ -152,19 +173,10 @@ class MintServer:
             self._thread.join(timeout=5)
 
     # -- session bookkeeping ---------------------------------------------
-
-    def _own(self, owned: set[int], hid: int) -> None:
-        with self._lock:
-            owned.add(hid)
-
-    def _check_owned(self, owned: set[int], hid: int) -> None:
-        with self._lock:
-            if hid not in owned:
-                raise ProtocolError("HANDLE_NOT_OWNED", f"handle {hid} is not owned by this session")
-
-    def _disown(self, owned: set[int], hid: int) -> None:
-        with self._lock:
-            owned.discard(hid)
+    #
+    # A session's `owned` set of handle ids is read and changed only by
+    # its connection's handler thread, `drop_session` included, so it
+    # needs no lock.
 
     def drop_session(self, owned: set[int]) -> None:
         for hid in list(owned):
@@ -200,21 +212,13 @@ class MintServer:
             return _error("UNSUPPORTED_VERSION", f"this server speaks version {PROTOCOL_VERSION}")
         mtype = msg.get("type")
         try:
-            if mtype == "mint":
-                return self._do_mint(msg, owned)
-            if mtype == "claim":
-                return self._do_claim(msg, owned)
-            if mtype == "verify":
-                return self._do_verify(msg, owned)
-            if mtype == "apply_x":
-                return self._do_apply_x(msg, owned)
-            if mtype == "apply_u":
-                return self._do_apply_u(msg, owned)
-            if mtype == "measure":
-                return self._do_measure(msg, owned)
-            if mtype == "release":
-                return self._do_release(msg, owned)
+            op = self._OPS.get(mtype)
+        except TypeError:  # a list or object is no message type
+            op = None
+        if op is None:
             return _error("BAD_REQUEST", f"unknown message type {mtype!r}")
+        try:
+            return op(self, msg, owned)
         except ProtocolError as exc:
             return _error(exc.code, exc.detail)
         except UnknownSerialError as exc:
@@ -234,8 +238,9 @@ class MintServer:
             raise ProtocolError(
                 "BAD_REQUEST", f"field 'n' must be an integer from 1 to {MAX_MINT_QUBITS}"
             )
+        _check_room(owned)
         secret, handle = self.mint.mint_bill(n, rng=self._rng)
-        self._own(owned, handle.id)
+        owned.add(handle.id)
         return {"type": "minted", "serial": secret.serial, "handle": handle.id}
 
     def _do_claim(self, msg: dict, owned: set[int]) -> dict:
@@ -244,8 +249,9 @@ class MintServer:
         serial = msg.get("serial")
         if not isinstance(serial, str):
             raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
+        _check_room(owned)
         handle = self.mint.issue_bill_state(serial)
-        self._own(owned, handle.id)
+        owned.add(handle.id)
         return {
             "type": "claimed",
             "serial": serial,
@@ -254,55 +260,55 @@ class MintServer:
         }
 
     def _do_verify(self, msg: dict, owned: set[int]) -> dict:
+        # swaps one handle for at most one, so it needs no room
         serial = msg.get("serial")
         if not isinstance(serial, str):
             raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
-        hid = _parse_handle(msg)
-        self._check_owned(owned, hid)
+        hid = _owned_handle(msg, owned)
         res = self.mint.verify(serial, StateHandle(hid), self.policy, self._rng)
-        self._disown(owned, hid)
+        owned.discard(hid)
         new_hid = None
         if res.handle is not None:
             new_hid = res.handle.id
-            self._own(owned, new_hid)
+            owned.add(new_hid)
         return {"type": "verified", "result": res.outcome.value, "handle": new_hid}
 
-    def _qubit(self, msg: dict) -> int:
-        i = msg.get("qubit")
-        if not _is_int(i):
-            raise ProtocolError("BAD_REQUEST", "field 'qubit' must be an integer")
-        return i
-
     def _do_apply_x(self, msg: dict, owned: set[int]) -> dict:
-        hid = _parse_handle(msg)
-        self._check_owned(owned, hid)
-        self.mint.registry.apply_pauli_x(StateHandle(hid), self._qubit(msg))
+        hid = _owned_handle(msg, owned)
+        self.mint.registry.apply_pauli_x(StateHandle(hid), _qubit(msg))
         return {"type": "ok", "handle": hid}
 
     def _do_apply_u(self, msg: dict, owned: set[int]) -> dict:
-        hid = _parse_handle(msg)
-        self._check_owned(owned, hid)
+        hid = _owned_handle(msg, owned)
         u = _parse_unitary(msg.get("u"))
-        self.mint.registry.apply_unitary(StateHandle(hid), self._qubit(msg), u)
+        self.mint.registry.apply_unitary(StateHandle(hid), _qubit(msg), u)
         return {"type": "ok", "handle": hid}
 
     def _do_measure(self, msg: dict, owned: set[int]) -> dict:
-        hid = _parse_handle(msg)
-        self._check_owned(owned, hid)
+        hid = _owned_handle(msg, owned)
         basis_name = msg.get("basis")
         if basis_name not in ("Z", "X"):
             raise ProtocolError("BAD_REQUEST", "field 'basis' must be \"Z\" or \"X\"")
         bit = self.mint.registry.measure(
-            StateHandle(hid), self._qubit(msg), Basis(basis_name), self._rng
+            StateHandle(hid), _qubit(msg), Basis(basis_name), self._rng
         )
         return {"type": "measured", "bit": bit, "handle": hid}
 
     def _do_release(self, msg: dict, owned: set[int]) -> dict:
-        hid = _parse_handle(msg)
-        self._check_owned(owned, hid)
+        hid = _owned_handle(msg, owned)
         self.mint.registry.release(StateHandle(hid))
-        self._disown(owned, hid)
+        owned.discard(hid)
         return {"type": "ok", "handle": hid}
+
+    _OPS = {
+        "mint": _do_mint,
+        "claim": _do_claim,
+        "verify": _do_verify,
+        "apply_x": _do_apply_x,
+        "apply_u": _do_apply_u,
+        "measure": _do_measure,
+        "release": _do_release,
+    }
 
 
 class RemoteMint:
@@ -314,12 +320,12 @@ class RemoteMint:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
-        self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
+        self._replies = self._sock.makefile("rb")
         self.sent_counts: Counter[str] = Counter()
 
     def close(self) -> None:
         try:
-            self._file.close()
+            self._replies.close()
             self._sock.close()
         except OSError:
             pass
@@ -334,14 +340,14 @@ class RemoteMint:
         msg = {"v": PROTOCOL_VERSION, **msg}
         self.sent_counts[msg.get("type", "?")] += 1
         try:
-            self._file.write(json.dumps(msg) + "\n")
-            self._file.flush()
-            line = self._file.readline()
+            self._sock.sendall((_encode(msg) + "\n").encode())
+            line = self._replies.readline()
         except OSError as exc:
             raise TransportError(f"connection failed: {exc}") from exc
         if not line:
             raise TransportError("server closed the connection")
-        resp = json.loads(line)
+        # json.loads is slower on bytes than a decode and loads on str
+        resp = json.loads(line.decode())
         if resp.get("type") == "error":
             raise ProtocolError(resp.get("code", "UNKNOWN"), resp.get("detail", ""))
         return resp

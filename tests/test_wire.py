@@ -11,6 +11,7 @@ from qmoney.qstate import Basis, VerifyOutcome, symbols_from_string
 from qmoney.wire import (
     MAX_LINE_BYTES,
     MAX_MINT_QUBITS,
+    MAX_SESSION_HANDLES,
     MintServer,
     ProtocolError,
     RemoteMint,
@@ -180,6 +181,19 @@ class TestRobustness:
         try:
             resp = raw.send_line(json.dumps({"v": 1, "type": "teleport"}))
             assert resp["code"] == "BAD_REQUEST"
+            assert resp["detail"] == "unknown message type 'teleport'"
+        finally:
+            raw.close()
+
+    # a type that is not a string is no key of the server's dispatch table
+    @pytest.mark.parametrize("mtype", [[], {}, 7, None, True],
+                             ids=["list", "object", "number", "null", "true"])
+    def test_non_string_type_is_unknown(self, server, mtype):
+        raw = RawClient(server)
+        try:
+            resp = raw.send_line(json.dumps({"v": 1, "type": mtype}))
+            assert resp["code"] == "BAD_REQUEST"
+            assert resp["detail"] == f"unknown message type {mtype!r}"
         finally:
             raw.close()
 
@@ -311,6 +325,25 @@ class TestRobustness:
         finally:
             raw.close()
 
+    def test_session_handles_are_bounded(self, server):
+        with client_for(server) as c:
+            serial, first = c.mint_bill(1)
+            for _ in range(MAX_SESSION_HANDLES - 1):
+                c.mint_bill(1)
+            for refused in ({"type": "mint", "n": 1}, {"type": "claim", "serial": serial}):
+                with pytest.raises(ProtocolError) as err:
+                    c.request(refused)
+                assert err.value.code == "TOO_MANY_HANDLES"
+            assert server.mint.registry.live_count() == MAX_SESSION_HANDLES
+            # a verify swaps one handle for another and is never refused
+            outcome, first, _ = c.verify(serial, first)
+            assert outcome is VerifyOutcome.VALID
+            c.release(first)
+            assert c.mint_bill(1)
+            with pytest.raises(ProtocolError) as err:
+                c.mint_bill(1)
+            assert err.value.code == "TOO_MANY_HANDLES"
+
     def test_stop_is_prompt(self):
         srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
         srv.start()
@@ -362,3 +395,174 @@ class TestRemoteAttack:
             assert transcript.queries_used == 2
         finally:
             client.close()
+
+
+# A scripted session against a seeded server: each request line and the
+# exact reply line it gets (None: a blank line gets no reply).  The
+# replies were recorded from the server and must not change by a byte.
+_S = b"WQM-d76d4330f1446beab0c11fdecb91ce37"  # minted by the first request
+_P = b"WQM-5bc8fbbcbde5c0994164d8399f767c45"  # planted "1+" bill, handle 1
+_H = b"0.7071067811865476"
+PINNED_SESSION = [
+    (b'{"v": 1, "type": "mint", "n": 2}',
+     b'{"type": "minted", "serial": "' + _S + b'", "handle": 2}'),
+    (b'{"v": 1, "type": "verify", "serial": "' + _S + b'", "handle": 2}',
+     b'{"type": "verified", "result": "VALID", "handle": 3}'),
+    (b'{"v": 1, "type": "claim", "serial": "' + _P + b'"}',
+     b'{"type": "claimed", "serial": "' + _P + b'", "handle": 4, "n": 2}'),
+    (b'{"v": 1, "type": "apply_x", "handle": 4, "qubit": 0}',
+     b'{"type": "ok", "handle": 4}'),
+    (b'{"v": 1, "type": "verify", "serial": "' + _P + b'", "handle": 4}',
+     b'{"type": "verified", "result": "INVALID", "handle": 5}'),
+    (b'{"v": 1, "type": "apply_x", "handle": 5, "qubit": 0}',
+     b'{"type": "ok", "handle": 5}'),
+    (b'{"v": 1, "type": "measure", "handle": 5, "qubit": 0, "basis": "Z"}',
+     b'{"type": "measured", "bit": 1, "handle": 5}'),
+    (b'{"v": 1, "type": "measure", "handle": 5, "qubit": 1, "basis": "X"}',
+     b'{"type": "measured", "bit": 0, "handle": 5}'),
+    (b'{"v": 1, "type": "apply_u", "handle": 3, "qubit": 1, "u": [[' + _H + b', 0.0], ['
+     + _H + b', 0.0], [' + _H + b', 0.0], [-' + _H + b', 0.0]]}',
+     b'{"type": "ok", "handle": 3}'),
+    (b'{"v": 1, "type": "release", "handle": 3}',
+     b'{"type": "ok", "handle": 3}'),
+    (b'{"v": 1, "type": "mint", "n": 1}',
+     b'{"type": "minted", "serial": "WQM-5f2dd97f1cfb10f62827688de6a16a3b", "handle": 6}'),
+    (b'  ', None),
+    (b'{"v": 1, "type": "verify", "serial": "WQM-' + b"f" * 32 + b'", "handle": 5}',
+     b'{"type": "error", "code": "UNKNOWN_SERIAL", "detail": "no bill with serial WQM-'
+     + b"f" * 32 + b'"}'),
+    (b'{"v": 1, "type": "apply_x", "handle": 1, "qubit": 0}',
+     b'{"type": "error", "code": "HANDLE_NOT_OWNED", '
+     b'"detail": "handle 1 is not owned by this session"}'),
+    (b'{"v": 1, "type": "verify", "serial": "' + _S + b'", "handle": 6}',
+     b'{"type": "error", "code": "DIMENSION_MISMATCH", '
+     b'"detail": "handle 6 holds 1 qubits, expected 2"}'),
+    (b'{"v": 1, "type": "apply_u", "handle": 6, "qubit": 0, "u": [[1, 0], [1, 0], [0, 0], [1, 0]]}',
+     b'{"type": "error", "code": "NON_UNITARY", '
+     b'"detail": "matrix is not unitary within tolerance"}'),
+    (b'{"v": 2, "type": "mint", "n": 1}',
+     b'{"type": "error", "code": "UNSUPPORTED_VERSION", '
+     b'"detail": "this server speaks version 1"}'),
+    (b'{"type": "mint", "n": 1}',
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "missing protocol version field \'v\'"}'),
+    (b'not json',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not a JSON object"}'),
+    (b'[1, 2]',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "message must be a JSON object"}'),
+    (b'{"v": 1, "type": "teleport"}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "unknown message type \'teleport\'"}'),
+    (b'{"v": 1, "type": "t\\u00e9l\\u00e9"}',
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "unknown message type \'t\\u00e9l\\u00e9\'"}'),
+    (b'{"v": 1, "type": []}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "unknown message type []"}'),
+    (b'{"v": 1, "type": null}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "unknown message type None"}'),
+    (b'{"v": 1, "type": "mint", "n": true}',
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "field \'n\' must be an integer from 1 to 65536"}'),
+    (b'{"v": 1, "type": "mint", "n": 65537}',
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "field \'n\' must be an integer from 1 to 65536"}'),
+    (b'{"v": 1, "type": "claim", "serial": 7}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "field \'serial\' must be a string"}'),
+    (b'{"v": 1, "type": "apply_x", "handle": 5, "qubit": 2}',
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "qubit index 2 out of range for n=2"}'),
+    (b'{"v": 1, "type": "apply_x", "handle": 5}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "field \'qubit\' must be an integer"}'),
+    (b'{"v": 1, "type": "measure", "handle": 5, "qubit": 0, "basis": "Y"}',
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "field \'basis\' must be \\"Z\\" or \\"X\\""}'),
+    (b'{"v": 1, "type": "apply_u", "handle": 5, "qubit": 0, "u": [1, 0]}',
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "field \'u\' must be four [re, im] pairs, row-major"}'),
+    (b'{"v": 1, "type": "release", "handle": "5"}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "field \'handle\' must be an integer"}'),
+    (b'\xff\xfe',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not valid UTF-8"}'),
+    (b'[' * 100000 + b']' * 100000,
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line nests too deeply"}'),
+    (b'x' * (MAX_LINE_BYTES + 1),
+     b'{"type": "error", "code": "BAD_REQUEST", '
+     b'"detail": "request line longer than 1048576 bytes"}'),
+]
+
+
+class TestReplyBytes:
+    def test_scripted_session_replies_are_pinned(self, monkeypatch):
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(5)),
+                         MintPolicy.RETURN_ALWAYS, random.Random(5))
+        planted, _ = srv.mint.add_bill(symbols_from_string("1+"))
+        assert planted.serial.encode() == _P
+        srv.start()
+        sock = socket.create_connection(srv.address, timeout=5)
+        replies = sock.makefile("rb")
+
+        def exchange(request):
+            sock.sendall(request + b"\n")
+            return replies.readline().rstrip(b"\n")
+
+        try:
+            for request, reply in PINNED_SESSION:
+                if reply is None:
+                    sock.sendall(request + b"\n")
+                else:
+                    assert exchange(request) == reply, request[:100]
+            # the mint consumes the session's handle behind its back
+            srv.mint.registry.release(StateHandle(5))
+            assert exchange(b'{"v": 1, "type": "apply_x", "handle": 5, "qubit": 0}') == (
+                b'{"type": "error", "code": "HANDLE_CONSUMED", '
+                b'"detail": "handle 5 was already consumed"}')
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(srv.mint, "mint_bill", broken)
+            assert exchange(b'{"v": 1, "type": "mint", "n": 1}') == (
+                b'{"type": "error", "code": "INTERNAL", "detail": "request failed: RuntimeError"}')
+        finally:
+            sock.close()
+            srv.stop()
+
+    def test_client_request_lines_are_pinned(self):
+        # a canned server: each reply is queued before the request it
+        # answers, and the request lines are read back afterwards
+        listener = socket.create_server(("127.0.0.1", 0))
+        client = RemoteMint(*listener.getsockname())
+        conn, _ = listener.accept()
+        requests = conn.makefile("rb")
+        s = 2**-0.5
+        calls = [
+            (lambda: client.mint_bill(2), b'{"type": "minted", "serial": "' + _S + b'", "handle": 2}',
+             b'{"v": 1, "type": "mint", "n": 2}'),
+            (lambda: client.claim(_S.decode()),
+             b'{"type": "claimed", "serial": "' + _S + b'", "handle": 3, "n": 2}',
+             b'{"v": 1, "type": "claim", "serial": "' + _S + b'"}'),
+            (lambda: client.apply_x(3, 1), b'{"type": "ok", "handle": 3}',
+             b'{"v": 1, "type": "apply_x", "handle": 3, "qubit": 1}'),
+            (lambda: client.apply_unitary(3, 0, ((s, s), (s, -s))), b'{"type": "ok", "handle": 3}',
+             b'{"v": 1, "type": "apply_u", "handle": 3, "qubit": 0, "u": [[' + _H + b', 0.0], ['
+             + _H + b', 0.0], [' + _H + b', 0.0], [-' + _H + b', 0.0]]}'),
+            (lambda: client.measure(3, 0, Basis.X), b'{"type": "measured", "bit": 1, "handle": 3}',
+             b'{"v": 1, "type": "measure", "handle": 3, "qubit": 0, "basis": "X"}'),
+            (lambda: client.verify(_S.decode(), 3),
+             b'{"type": "verified", "result": "INVALID", "handle": 4}',
+             b'{"v": 1, "type": "verify", "serial": "' + _S + b'", "handle": 3}'),
+            (lambda: client.release(4), b'{"type": "ok", "handle": 4}',
+             b'{"v": 1, "type": "release", "handle": 4}'),
+            (lambda: client.request({"type": "télé", "x": [float("nan"), None, True]}),
+             b'{"type": "ok", "handle": 4}',
+             b'{"v": 1, "type": "t\\u00e9l\\u00e9", "x": [NaN, null, true]}'),
+        ]
+        try:
+            for call, reply, request in calls:
+                conn.sendall(reply + b"\n")
+                call()
+                assert requests.readline() == request + b"\n"
+        finally:
+            client.close()
+            requests.close()
+            conn.close()
+            listener.close()

@@ -1,0 +1,165 @@
+"""Wire fuzzer: random request lines against a loopback MintServer.
+
+Each example is one session that sends raw bytes (invalid UTF-8
+included) and JSON objects with random `v`, `type` and fields, some of
+them naming the session's real handles and serials.  Every non-blank
+line must get exactly one reply, a JSON object that is never an
+INTERNAL error; the server must still mint afterwards, and a closed
+session must leave no state behind.
+"""
+
+import json
+import random
+import socket
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from support import random_unitary
+
+from qmoney.mint import Mint, MintPolicy
+from qmoney.wire import MintServer
+
+TYPES = ("mint", "claim", "verify", "apply_x", "apply_u", "measure", "release")
+FIELDS = ("v", "type", "n", "serial", "handle", "qubit", "basis", "u")
+# sent after every line; its reply comes after all of that line's replies
+SENTINEL_HANDLE = -7777777
+SENTINEL = json.dumps({"v": 1, "type": "release", "handle": SENTINEL_HANDLE}).encode()
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+raw_lines = st.binary(max_size=40).map(lambda b: b.replace(b"\n", b""))
+
+
+@pytest.fixture(scope="module")
+def server():
+    srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(3)),
+                     MintPolicy.RETURN_ALWAYS, random.Random(3))
+    srv.start()
+    yield srv
+    srv.stop()
+
+
+def _json_line(data, handles, serials) -> bytes:
+    """A JSON object whose fields are each left out, random, or (most
+    often) well formed: a real handle or serial when the session has
+    one, and a bill size of at most 6 or out of range, so that no example
+    mints a large bill (a random JSON value is rarely an integer in
+    range)."""
+    msg = {}
+    for name in FIELDS:
+        # hypothesis favours small integers: make them the well-formed case
+        mode = data.draw(st.integers(0, 19))
+        if mode == 19:
+            continue
+        if mode >= 17:
+            value = data.draw(json_values.filter(lambda x: x != SENTINEL_HANDLE))
+        elif name == "n" and mode == 16:
+            value = data.draw(st.integers(min_value=2**16 + 1, max_value=2**70) | st.integers(-1, 0))
+        elif name == "v":
+            value = 1
+        elif name == "type":
+            value = data.draw(st.sampled_from(TYPES))
+        elif name == "n":
+            value = data.draw(st.integers(1, 6))
+        elif name == "handle":
+            value = data.draw(st.sampled_from(sorted(handles)) if handles else st.integers(-1, 9))
+        elif name == "serial":
+            value = data.draw(st.sampled_from(serials) if serials else st.text(max_size=8))
+        elif name == "qubit":
+            value = data.draw(st.integers(-1, 6))
+        elif name == "basis":
+            value = data.draw(st.sampled_from(["Z", "X"]))
+        else:
+            u = random_unitary(random.Random(data.draw(st.integers(0, 2**32))))
+            value = [[z.real, z.imag] for row in u for z in row]
+        msg[name] = value
+    extra = data.draw(st.dictionaries(st.text(max_size=4).filter(lambda k: k not in FIELDS),
+                                      json_values, max_size=2))
+    msg.update(extra)
+    # json.dumps writes NaN and Infinity bare, as the server accepts them
+    return json.dumps(msg).encode()
+
+
+def _is_blank(line: bytes) -> bool:
+    # the server skips a line that decodes to whitespace only
+    try:
+        return not line.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
+
+
+def _is_sentinel(reply) -> bool:
+    return reply.get("code") == "HANDLE_NOT_OWNED" and str(SENTINEL_HANDLE) in reply["detail"]
+
+
+def _track(request: bytes, reply: dict, handles: set, serials: list) -> None:
+    """Follow the session's handles and serials through one reply."""
+    kind = reply["type"]
+    if kind in ("minted", "claimed"):
+        handles.add(reply["handle"])
+        if kind == "minted":
+            serials.append(reply["serial"])
+    elif kind == "verified":
+        handles.discard(json.loads(request)["handle"])
+        if reply["handle"] is not None:
+            handles.add(reply["handle"])
+    elif kind == "ok" and json.loads(request)["type"] == "release":
+        handles.discard(reply["handle"])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_every_line_gets_one_reply(server, data):
+    registry = server.mint.registry
+    before = registry.live_count()
+    sock = socket.create_connection(server.address, timeout=5)
+    # a blank line and the sentinel go out back to back; Nagle's
+    # algorithm would hold the sentinel for the server's delayed ACK
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    replies = sock.makefile("rb")
+    handles: set[int] = set()
+    serials: list[str] = []
+    try:
+        for _ in range(data.draw(st.integers(1, 12))):
+            if data.draw(st.integers(0, 3)):
+                line = _json_line(data, handles, serials)
+            else:
+                line = data.draw(raw_lines)
+            # one exchange at a time: a reply sent while the one before
+            # is unacknowledged would wait for the client's delayed ACK
+            sock.sendall(line + b"\n")
+            if not _is_blank(line):
+                reply = json.loads(replies.readline())
+                assert isinstance(reply, dict) and not _is_sentinel(reply), (line, reply)
+                assert reply["type"] != "error" or reply["code"] != "INTERNAL", (line, reply)
+                _track(line, reply, handles, serials)
+            # the next reply answers the sentinel, so the line got no other
+            sock.sendall(SENTINEL + b"\n")
+            reply = json.loads(replies.readline())
+            assert _is_sentinel(reply), (line, reply)
+        sock.sendall(json.dumps({"v": 1, "type": "mint", "n": 1}).encode() + b"\n")
+        assert json.loads(replies.readline())["type"] == "minted"
+    finally:
+        replies.close()
+        sock.close()
+        # the session's handler thread releases its handles when it sees
+        # EOF.  Wait for that here, also when hypothesis stops an example
+        # part way (a draw past its buffer raises StopTest), so that the
+        # next example reads its `before` with no old session left.
+        deadline = time.monotonic() + 5
+        while registry.live_count() != before and time.monotonic() < deadline:
+            time.sleep(0.002)
+    assert registry.live_count() == before
