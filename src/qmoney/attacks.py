@@ -201,42 +201,51 @@ def baseline_attack(
     raise ValueError(f"{kind} is not a baseline strategy")
 
 
-def analytic_pass_prob(kind: StrategyKind, n: int) -> float:
-    """Closed-form pass probability of a baseline counterfeit, obtained
-    by exhaustive per-qubit enumeration and raised to the n-th power."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if kind is StrategyKind.GUESS_RANDOM_SYMBOLS:
-        rate = _enumerate_guess_rate()
-    elif kind is StrategyKind.MEASURE_RANDOM_BASIS_COPY:
-        rate = _enumerate_measure_copy_rate()
-    else:
-        raise ValueError("adaptive attack success is not a per-qubit power law")
-    return rate**n
-
-
 def _overlap_sq(a: QubitSymbol, b: QubitSymbol) -> float:
     ua, ub = symbol_amplitudes(a), symbol_amplitudes(b)
     ip = ua[0].conjugate() * ub[0] + ua[1].conjugate() * ub[1]
     return abs(ip) ** 2
 
 
-def _enumerate_guess_rate() -> float:
+# |<a|b>|^2 for every pair of symbols a, b: the 4x4 overlap table
+_OVERLAP_SQ = {a: {b: _overlap_sq(a, b) for b in QubitSymbol} for a in QubitSymbol}
+
+
+def _guess_rate() -> float:
     # uniform true symbol x uniform guess
     total = 0.0
     for true in QubitSymbol:
         for guess in QubitSymbol:
-            total += _overlap_sq(true, guess)
+            total += _OVERLAP_SQ[true][guess]
     return total / 16.0
 
 
-def _enumerate_measure_copy_rate() -> float:
+def _measure_copy_rate() -> float:
     # uniform true symbol x uniform measurement basis x Born outcome
     total = 0.0
     for true in QubitSymbol:
         for basis in Basis:
             for bit in (0, 1):
                 outcome_sym = symbol_for(basis, bit)
-                p_outcome = _overlap_sq(outcome_sym, true)
-                total += 0.5 * p_outcome * _overlap_sq(true, outcome_sym)
+                p_outcome = _OVERLAP_SQ[outcome_sym][true]
+                total += 0.5 * p_outcome * _OVERLAP_SQ[true][outcome_sym]
     return total / 4.0
+
+
+# per-qubit pass rates of the baselines, computed once
+_PER_QUBIT_RATE = {
+    StrategyKind.GUESS_RANDOM_SYMBOLS: _guess_rate(),
+    StrategyKind.MEASURE_RANDOM_BASIS_COPY: _measure_copy_rate(),
+}
+
+
+def analytic_pass_prob(kind: StrategyKind, n: int) -> float:
+    """Closed-form pass probability of a baseline counterfeit: the
+    per-qubit rate from exhaustive enumeration, raised to the n-th power."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    try:
+        rate = _PER_QUBIT_RATE[kind]
+    except KeyError:
+        raise ValueError("adaptive attack success is not a per-qubit power law") from None
+    return rate**n

@@ -2,9 +2,13 @@
 #
 # Every trial gets its own RNG stream derived from (seed, n, trial
 # index) by hashing, so trials are order-independent and the output
-# depends on the seed alone.  Trials run in index order in one thread:
-# a trial is a few tens of microseconds of pure Python, so a thread pool
-# only adds contention for the GIL.
+# depends on the seed alone.  An adaptive-attack trial is computed
+# exactly from its symbol draws, with no mint; a baseline trial goes
+# through the mint (`mint_trial`), which stays the reference for both.
+# Seeding the stream is most of an adaptive trial's cost, and a
+# baseline trial is a few tens of microseconds of pure Python, so trials
+# run in index order in one thread: a thread pool only adds contention
+# for the GIL.
 
 from __future__ import annotations
 
@@ -101,7 +105,36 @@ def trial_rng(seed: int, n: int, index: int) -> random.Random:
 
 
 def run_trial(strategy: StrategyKind, policy: str, n: int, rng: random.Random) -> tuple[bool, int]:
-    """One independent trial with a fresh bill; returns (success, queries)."""
+    """One independent trial with a fresh bill; returns (success, queries).
+
+    Adaptive-attack trials are computed exactly, with the result that
+    `mint_trial` gives on the same stream.  Each of the attack's verify
+    queries is deterministic: a flipped X-basis qubit still matches its
+    symbol up to a phase (VALID), and a flipped Z-basis qubit is
+    orthogonal to it (INVALID).  A returning mint hands every bill back,
+    so the attack learns all n symbols in n queries; a destroying mint
+    eats the bill at its first Z-basis symbol.  That kernel draws what
+    `Mint.mint_bill` draws, the serial and then the symbols in
+    `random_symbols` order, and stops at the first Z-basis one: symbol
+    index `int(d * 4) < 2`, which is `d < 0.5` since `d * 4` is exact.
+    """
+    if strategy is StrategyKind.ADAPTIVE_ORACLE:
+        if policy == MintPolicy.DESTROY_ON_INVALID:
+            rng.getrandbits(128)  # the serial
+            draw = rng.random
+            for i in range(n):
+                if draw() < 0.5:
+                    return False, i + 1
+            return True, n
+        if policy == MintPolicy.RETURN_ALWAYS:
+            return True, n
+    # baselines, and an unknown policy, which the mint rejects
+    return mint_trial(strategy, policy, n, rng)
+
+
+def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: random.Random) -> tuple[bool, int]:
+    """`run_trial` through a fresh mint, bill and session: the reference
+    that `run_trial`'s adaptive kernel is tested against."""
     registry = StateRegistry()
     mint = Mint(registry, rng)
     secret, handle = mint.mint_bill(n, rng=rng)

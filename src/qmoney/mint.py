@@ -64,8 +64,9 @@ class StateHandle(NamedTuple):
     id: int
 
 
-@dataclass(frozen=True)
-class BillSecret:
+class BillSecret(NamedTuple):
+    # a NamedTuple for the reason StateHandle is one: every mint_bill
+    # builds one
     serial: str
     symbols: tuple[QubitSymbol, ...]
     denomination: str = "$20"

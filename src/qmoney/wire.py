@@ -106,6 +106,11 @@ def _parse_unitary(raw):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # TCP_NODELAY: a reply to the second of two pipelined requests
+    # would otherwise wait for the client to acknowledge the first, a
+    # delayed ACK of about 40 ms
+    disable_nagle_algorithm = True
+
     def handle(self):
         server: "MintServer" = self.server.owner  # type: ignore[attr-defined]
         owned: set[int] = set()

@@ -8,6 +8,7 @@ from qmoney.attacks import (
     AttackConsistencyError,
     LocalSession,
     StrategyKind,
+    _overlap_sq,
     adaptive_attack,
     analytic_pass_prob,
     baseline_attack,
@@ -16,8 +17,10 @@ from qmoney.attacks import (
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import (
     Basis,
+    QubitSymbol,
     VerifyOutcome,
     fidelity_to_symbols,
+    symbol_for,
     symbols_from_string,
 )
 
@@ -289,3 +292,24 @@ class TestAnalyticPassProb:
     def test_adaptive_rejected(self):
         with pytest.raises(ValueError):
             analytic_pass_prob(StrategyKind.ADAPTIVE_ORACLE, 4)
+
+    def test_rates_equal_the_enumeration(self):
+        # the per-qubit loops analytic_pass_prob once ran on every call,
+        # kept here as its oracle: the CSV's analytic_rate bytes hang on
+        # the exact float
+        guess = 0.0
+        for true in QubitSymbol:
+            for g in QubitSymbol:
+                guess += _overlap_sq(true, g)
+        guess /= 16.0
+        copy = 0.0
+        for true in QubitSymbol:
+            for basis in Basis:
+                for bit in (0, 1):
+                    outcome_sym = symbol_for(basis, bit)
+                    p_outcome = _overlap_sq(outcome_sym, true)
+                    copy += 0.5 * p_outcome * _overlap_sq(true, outcome_sym)
+        copy /= 4.0
+        for n in range(1, 17):
+            assert analytic_pass_prob(StrategyKind.GUESS_RANDOM_SYMBOLS, n) == guess**n
+            assert analytic_pass_prob(StrategyKind.MEASURE_RANDOM_BASIS_COPY, n) == copy**n

@@ -8,9 +8,11 @@ from qmoney.harness import (
     ExperimentConfig,
     ResultRow,
     analytic_success_rate,
+    mint_trial,
     read_results_csv,
     render_csv,
     run_experiment,
+    run_trial,
     trial_rng,
     write_results,
 )
@@ -72,6 +74,23 @@ class TestRunExperiment:
             run_experiment(small_config(n_values=[]))
         with pytest.raises(ValueError):
             run_experiment(small_config(policy="shred-everything"))
+
+
+class TestAdaptiveKernel:
+    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    def test_kernel_equals_mint_path(self, policy):
+        # the mint path is the reference; each trial's stream is built
+        # twice, so that both paths read the same draws
+        for n in range(1, 9):
+            for index in range(2000):
+                kernel = run_trial(StrategyKind.ADAPTIVE_ORACLE, policy, n, trial_rng(11, n, index))
+                reference = mint_trial(StrategyKind.ADAPTIVE_ORACLE, policy, n,
+                                       trial_rng(11, n, index))
+                assert kernel == reference, (policy, n, index)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            run_trial(StrategyKind.ADAPTIVE_ORACLE, "shred-everything", 2, trial_rng(1, 2, 0))
 
 
 class TestTrialRng:

@@ -90,6 +90,15 @@ class TestMintBill:
         secret, _ = mint.mint_bill(2, denomination="$1000000")
         assert secret.denomination == "$1000000"
 
+    def test_secret_is_immutable(self, mint):
+        secret, _ = mint.mint_bill(2)
+        assert secret.denomination == "$20"
+        assert secret.n == 2
+        for field in ("serial", "symbols", "denomination", "n"):
+            with pytest.raises(AttributeError):
+                setattr(secret, field, getattr(secret, field))
+        assert mint.secret(secret.serial) is secret
+
 
 class TestVerify:
     @pytest.mark.parametrize("policy", MintPolicy.ALL)

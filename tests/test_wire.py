@@ -353,6 +353,31 @@ class TestRobustness:
         assert time.monotonic() - t0 < 0.3
         assert not srv._thread.is_alive()
 
+    def test_pipelined_pair_is_not_delayed(self, server):
+        # A client that sends two requests before reading gets both
+        # replies at once.  With Nagle's algorithm on at the server, the
+        # second reply waited about 40 ms for the client's delayed ACK
+        # of the first.  The test's socket sets TCP_NODELAY, so that
+        # only the server's side is under test.
+        request = b'{"v": 1, "type": "mint", "n": 1}\n'
+        with (socket.create_connection(server.address, timeout=5) as sock,
+              sock.makefile("rb") as replies):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # past the first exchanges, which Linux acknowledges at once
+            for _ in range(20):
+                sock.sendall(request)
+                replies.readline()
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                sock.sendall(request)
+                sock.sendall(request)
+                assert json.loads(replies.readline())["type"] == "minted"
+                assert json.loads(replies.readline())["type"] == "minted"
+                times.append(time.perf_counter() - t0)
+        # the median, so that one slice lost to the scheduler does not fail it
+        assert sorted(times)[2] < 0.005, times
+
     def test_connect_failure_is_transport_error(self):
         with pytest.raises(TransportError):
             RemoteMint("127.0.0.1", 1, timeout=0.5)
