@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--out", required=True)
     p_sw.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sw.add_argument("--workers", type=int, default=1,
-                      help="deprecated and ignored: trials always run in one thread")
+                      help="deprecated and ignored: trials are spread over the CPUs "
+                           "this process may run on")
 
     p_srv = sub.add_parser("serve", help="run the networked mint")
     p_srv.add_argument("--addr", required=True, help="host:port to bind")
@@ -244,8 +245,8 @@ def _cmd_experiment_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if config.workers != 1:
-        print("warning: --workers is deprecated and ignored; trials run in one thread",
-              file=sys.stderr)
+        print("warning: --workers is deprecated and ignored; trials are spread over the CPUs "
+              "this process may run on", file=sys.stderr)
     try:
         rows = run_experiment(config)
     except OSError as exc:

@@ -1,7 +1,15 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from qmoney import harness
 from qmoney.attacks import StrategyKind
 from qmoney.harness import (
     CSV_HEADER,
@@ -62,10 +70,17 @@ class TestRunExperiment:
         b = run_experiment(small_config())
         assert a == b
 
-    def test_parallelism_does_not_change_output(self):
-        a = render_csv(run_experiment(small_config(workers=1)))
-        b = render_csv(run_experiment(small_config(workers=4)))
-        assert a == b
+    def test_parallelism_does_not_change_output(self, split):
+        # trials 1, 2 and 3 leave some of the three ranges empty, and 50
+        # and 257 split unevenly
+        for strategy in StrategyKind:
+            for policy in MintPolicy.ALL:
+                for trials in (1, 2, 3, 50, 257):
+                    config = small_config(strategy=strategy, policy=policy, n_values=[1, 3, 8],
+                                          trials=trials, seed=trials)
+                    assert render_csv(run_experiment(config)) == one_process_csv(config), (
+                        strategy, policy, trials)
+        assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -74,6 +89,275 @@ class TestRunExperiment:
             run_experiment(small_config(n_values=[]))
         with pytest.raises(ValueError):
             run_experiment(small_config(policy="shred-everything"))
+
+
+def drop_pool():
+    for w in harness._pool:
+        if w.conn is not None:
+            w.discard()
+    harness._pool.clear()
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """run_experiment split three ways, the parent and two workers,
+    whatever CPUs the runner has, starting from no workers."""
+    drop_pool()
+    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1, 2])
+    yield
+    drop_pool()
+
+
+def one_process_csv(config):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_cpus", lambda: [0])
+        return render_csv(run_experiment(config))
+
+
+def csv_and_workers(config):
+    return render_csv(run_experiment(config)), len(harness._pool)
+
+
+def guess_config(seed, trials=300):
+    return small_config(strategy=StrategyKind.GUESS_RANDOM_SYMBOLS, n_values=[4],
+                        trials=trials, seed=seed)
+
+
+def exited(pid, timeout=10.0):
+    """True once pid has exited; an orphan that init has not reaped yet
+    counts as exited."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return True
+        except (ProcessLookupError, FileNotFoundError):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+class TestWorkers:
+    def test_worker_counts_its_range(self, split):
+        run_experiment(guess_config(1))
+        worker = harness._pool[0]
+        task = (StrategyKind.MEASURE_RANDOM_BASIS_COPY, MintPolicy.RETURN_ALWAYS, 5, 9)
+        assert worker.post((*task, 10, 70))
+        assert worker.conn.poll(10)
+        assert worker.answer() == harness._count(*task, 10, 70)
+
+    def test_late_answer_is_dropped(self, split):
+        run_experiment(guess_config(1))
+        worker = harness._pool[0]
+        os.kill(worker.process.pid, signal.SIGSTOP)
+        try:
+            # the first call posts a range that the stopped worker owes;
+            # the second finds it still owing and gives it none
+            for seed in (2, 3):
+                config = guess_config(seed)
+                assert render_csv(run_experiment(config)) == one_process_csv(config)
+            assert worker.owed is not None
+        finally:
+            os.kill(worker.process.pid, signal.SIGCONT)
+        assert worker.conn.poll(10)  # the late answer, for seed 2
+        for seed in (4, 5):
+            config = guess_config(seed)
+            assert render_csv(run_experiment(config)) == one_process_csv(config)
+        assert harness._pool[0] is worker and worker.conn is not None
+
+    def test_worker_exception_is_raised_in_parent(self, split, monkeypatch):
+        parent, real = os.getpid(), harness.run_trial
+
+        def run_trial(*args):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("trial failed in a worker")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        # the parent's own range takes far longer than the worker's answer
+        with pytest.raises(ZeroDivisionError, match="^trial failed in a worker$"):
+            run_experiment(guess_config(1, trials=3000))
+
+    def test_unpicklable_exception_keeps_type_name_and_message(self, split, monkeypatch):
+        class LocalError(Exception):
+            pass
+
+        parent, real = os.getpid(), harness.run_trial
+
+        def run_trial(*args):
+            if os.getpid() != parent:
+                raise LocalError("trial failed in a worker")
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        with pytest.raises(RuntimeError, match="^LocalError: trial failed in a worker$"):
+            run_experiment(guess_config(1, trials=3000))
+
+    def test_killed_worker_is_replaced(self, split):
+        run_experiment(guess_config(1))
+        worker = harness._pool[0]
+        os.kill(worker.process.pid, signal.SIGKILL)
+        worker.process.join(10)
+        assert not worker.process.is_alive()
+        for seed in (2, 3):
+            config = guess_config(seed)
+            assert render_csv(run_experiment(config)) == one_process_csv(config)
+        assert worker.conn is None
+        assert worker not in harness._pool and len(harness._pool) == 2
+
+    def test_worker_dying_mid_range_is_counted_by_parent(self, split, monkeypatch):
+        parent, real = os.getpid(), harness.run_trial
+
+        def run_trial(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        config = guess_config(1, trials=3000)
+        assert render_csv(run_experiment(config)) == one_process_csv(config)
+
+    def test_broken_pipe_is_counted_by_parent(self, split):
+        import multiprocessing
+
+        run_experiment(guess_config(1))
+        worker = harness._pool[0]
+        pid, old = worker.process.pid, worker.conn
+        worker.conn, peer = multiprocessing.Pipe()
+        peer.close()
+        try:
+            for seed in (2, 3):
+                config = guess_config(seed)
+                assert render_csv(run_experiment(config)) == one_process_csv(config)
+        finally:
+            old.close()
+        assert exited(pid)
+        assert worker not in harness._pool and len(harness._pool) == 2
+
+    def test_forked_process_forks_its_own_workers(self, split):
+        config = guess_config(1)
+        expected = one_process_csv(config)
+        run_experiment(config)
+        parents_workers = {w.process.pid for w in harness._pool}
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                exact = render_csv(run_experiment(config)) == expected
+                mine = {w.process.pid for w in harness._pool}
+                code = 0 if exact and len(mine) == 2 and not mine & parents_workers else 2
+                drop_pool()
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert render_csv(run_experiment(config)) == expected
+        assert {w.process.pid for w in harness._pool} == parents_workers
+
+    def test_held_pool_means_counting_in_process(self, split):
+        config = guess_config(1)
+        with harness._pool_lock:
+            assert render_csv(run_experiment(config)) == one_process_csv(config)
+        assert harness._pool == []
+
+    def test_daemonic_process_counts_in_process(self, split):
+        import multiprocessing
+
+        config = guess_config(1)
+        expected = one_process_csv(config)
+        # a multiprocessing pool's processes are daemonic and may not fork
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(csv_and_workers, (config,)) == (expected, 0)
+
+    def test_two_threads_get_exact_rows(self, split):
+        csvs = {}
+
+        def sweep(seed):
+            csvs[seed] = [render_csv(run_experiment(guess_config(seed))) for _ in range(5)]
+
+        threads = [threading.Thread(target=sweep, args=(seed,)) for seed in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        for seed in (1, 2):
+            assert csvs[seed] == [one_process_csv(guess_config(seed))] * 5
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Starts the workers, prints their pids, then runs a sweep too long to end.
+SWEEP_FOREVER = """
+import sys
+from qmoney import cli, harness
+harness._cpus = lambda: [0, 1, 2]
+harness.run_experiment(harness.ExperimentConfig(
+    strategy=harness.StrategyKind.GUESS_RANDOM_SYMBOLS, policy="return-always",
+    n_values=[1], trials=10, seed=1))
+print(*(w.process.pid for w in harness._pool), flush=True)
+cli.main(["experiment", "sweep", "--strategy", "measure-copy", "--n", "8",
+          "--trials", "100000000", "--seed", "1", "--out", sys.argv[1]])
+"""
+
+
+class TestWorkerLifetime:
+    @pytest.fixture
+    def sweep(self, tmp_path):
+        """A child interpreter in a sweep, and its workers' pids; whatever
+        is left of them is killed afterwards."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen([sys.executable, "-c", SWEEP_FOREVER, str(tmp_path / "r.csv")],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=env, start_new_session=True)
+        workers = []
+        try:
+            workers.extend(int(pid) for pid in proc.stdout.readline().split())
+            assert len(workers) == 2
+            time.sleep(0.5)  # well into the sweep
+            yield proc, workers
+        finally:
+            for pid in (proc.pid, *workers):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.communicate()
+
+    def test_ctrl_c_prints_one_traceback(self, sweep):
+        proc, workers = sweep
+        # a terminal's Ctrl-C signals the whole process group
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode != 0
+        assert err.count("Traceback") == 1 and "KeyboardInterrupt" in err
+        assert all(exited(pid) for pid in workers)
+
+    def test_workers_exit_with_their_parent(self, sweep):
+        proc, workers = sweep
+        proc.kill()
+        proc.communicate(timeout=30)
+        assert all(exited(pid) for pid in workers)
+
+
+def test_import_starts_no_worker():
+    probe = (
+        "import os, sys, qmoney\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    children = True\n"
+        "except ChildProcessError:\n"
+        "    children = False\n"
+        "print('multiprocessing' in sys.modules, children)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False", "False"]
 
 
 class TestAdaptiveKernel:
