@@ -7,23 +7,25 @@
 # through the mint (`mint_trial`), which stays the reference for both.
 #
 # A trial is pure Python and holds the GIL, so `run_experiment` spreads
-# each n's trial indices over the CPUs this process may run on, in
-# contiguous ranges: the parent counts the first, and forked workers,
-# started on first use, kept, and pinned one to a CPU, count the
-# others.  Counts are integer sums, so the rows do not depend on the
-# split.  The parent never waits on a late worker: once its own range
-# is done it counts the worker's range too, from the top, until the
-# worker's answer arrives, and a worker that still owes an answer gets
-# no new range until that late answer has been read and dropped.  With
-# one CPU, no "fork" start method, a call from a worker, or a second
-# thread while another holds the workers, the parent counts every trial
-# itself.
+# each n's trial indices over the CPUs this process may run on, in one
+# contiguous range per forked worker; the workers are started on first
+# use, kept, and pinned one to a CPU.  Counts are integer sums, so the
+# rows do not depend on the split.  The two ends meet in a window of
+# shared slots, one per trial, tagged with a generation that each call
+# bumps: a worker counts its range from the bottom up, writing into
+# each slot its count so far, and the parent counts the same range from
+# the top down, marking each slot taken, until it reaches a slot the
+# worker wrote.  Neither waits for the other, at most one trial per
+# worker is counted twice, and a late worker's slots carry an old
+# generation and do not count.  A worker sends nothing back but the
+# exception of a trial that raised.  With one CPU, no "fork" start
+# method, a call from a worker, or a second thread while another holds
+# the workers, the parent counts every trial itself.
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -210,34 +212,84 @@ def _count(strategy: StrategyKind, policy: str, n: int, seed: int, lo: int, hi: 
 
 
 def _count_split(workers, strategy, policy, n, seed, trials) -> tuple[int, int]:
-    """`_count` over [0, trials), split into one contiguous range per
-    process: the parent's first, then one per worker."""
-    bounds = [trials * k // (len(workers) + 1) for k in range(len(workers) + 2)]
+    """`_count` over [0, trials), one window of slots at a time, each
+    window in one contiguous range per worker, counted by the worker
+    from the bottom and by the caller from the top.  The first range is
+    twice as long as the others, because the caller starts there."""
     task = (strategy, policy, n, seed)
-    posted = [(w if lo < hi and w.post((*task, lo, hi)) else None, lo, hi)
-              for w, lo, hi in zip(workers, bounds[1:], bounds[2:])]
-    successes, queries = _count(*task, bounds[0], bounds[1])
-    for w, lo, hi in posted:
-        s, q = _count(*task, lo, hi) if w is None else _take_over(w, task, lo, hi)
-        successes += s
-        queries += q
+    if not workers:
+        return _count(*task, 0, trials)
+    k, step = len(workers), len(_slots) - 1
+    successes = queries = 0
+    for lo in range(0, trials, step):
+        hi = min(lo + step, trials)
+        bounds = [lo] + [lo + (hi - lo) * j // (k + 1) for j in range(2, k + 2)]
+        gen = _next_gen()
+        base = lo - 1  # trial i's slot is _slots[i - base]
+        posted = [(w if a < b and w.post((gen, *task, a, b, base)) else None, a, b)
+                  for w, a, b in zip(workers, bounds, bounds[1:])]
+        for w, a, b in posted:
+            s, q = _count(*task, a, b) if w is None else _meet(w, gen, task, a, b, base)
+            successes += s
+            queries += q
     return successes, queries
 
 
-def _take_over(worker: "_Worker", task, lo: int, hi: int) -> tuple[int, int]:
-    """The worker's count of [lo, hi), or the parent's own if that is done
-    first: the parent counts from the top down and checks the worker's
-    pipe between trials."""
+def _meet(worker: "_Worker", gen: int, task, lo: int, hi: int, base: int) -> tuple[int, int]:
+    """The count of [lo, hi), which `worker` counts from lo up: the caller
+    counts from hi down, marking each slot taken, until it reaches one the
+    worker wrote, which holds the worker's count of the trials below it.
+    A slot of an earlier generation the caller counts past."""
     strategy, policy, n, seed = task
+    taken = gen << _GEN_SHIFT
+    slots = _slots
     successes = queries = 0
     for index in range(hi - 1, lo - 1, -1):
-        answer = worker.answer()
-        if answer is not None:
-            return answer
+        word = slots[index - base]
+        if word >> _GEN_SHIFT == gen:
+            s = word >> _QUERY_BITS & _ERROR
+            if s == _ERROR:
+                raise worker.error(gen)
+            return successes + s, queries + (word & _MAX_QUERIES)
+        slots[index - base] = taken
         ok, used = run_trial(strategy, policy, n, trial_rng(seed, n, index))
         successes += ok
         queries += used
     return successes, queries
+
+
+# A slot is one aligned 64-bit word, stored and loaded whole: the
+# generation of the call that wrote it, and then, from a worker, the
+# successes and queries of its range up to and including the slot's
+# trial, or _ERROR successes for a trial that raised.  A worker whose
+# queries outgrow the field stops there, and the caller counts the rest.
+_QUERY_BITS = 27
+_SUCCESS_BITS = 17  # successes <= _WINDOW < _ERROR
+_GEN_SHIFT = _QUERY_BITS + _SUCCESS_BITS
+_MAX_QUERIES = (1 << _QUERY_BITS) - 1
+_ERROR = (1 << _SUCCESS_BITS) - 1
+# Slots in the shared window: trials of one row beyond it run as the
+# next window.  Only the slots a row uses are ever touched.
+_WINDOW = 1 << 16
+
+
+def _new_window(slots: int) -> memoryview:
+    """An anonymous shared mapping as 64-bit words: the generation, then
+    `slots` result slots, all zero."""
+    import mmap  # here, so that importing qmoney does not load it
+
+    return memoryview(mmap.mmap(-1, 8 * (slots + 1))).cast("Q")
+
+
+def _next_gen() -> int:
+    """A new generation, published in word 0 of the window.  A worker's
+    slots of an earlier one no longer count, and the worker stops."""
+    gen = _slots[0] + 1
+    if gen >> (64 - _GEN_SHIFT):  # wrapped: no slot may carry a reused one
+        _slots.obj[:] = bytes(_slots.nbytes)
+        gen = 1
+    _slots[0] = gen
+    return gen
 
 
 def _cpus() -> list[int]:
@@ -248,13 +300,14 @@ def _cpus() -> list[int]:
         return list(range(os.cpu_count() or 1))
 
 
-# The workers, the pid of the process that forked them, and the lock
-# that one run_experiment call holds while it uses them.
+# The workers, the pid of the process that forked them, the window they
+# share with it, and the lock that one run_experiment call holds while
+# it uses them.
 _pool: list["_Worker"] = []
 _pool_pid: int | None = None
+_slots: memoryview | None = None
 _pool_lock = threading.Lock()
 _in_worker = False
-_tags = itertools.count()
 
 
 @contextmanager
@@ -274,11 +327,12 @@ def _borrowed_workers():
 def _workers(cpus: list[int]) -> list["_Worker"]:
     """A live worker for each of `cpus`, forking those missing; fewer if
     the "fork" start method is not available or a fork fails."""
-    global _pool, _pool_pid
+    global _pool, _pool_pid, _slots
     if _pool_pid != os.getpid():
-        # forked from the process that started the pool: its pipes are
-        # that process's to use
+        # forked from the process that started the pool: its pipes and
+        # its window are that process's to use
         _forget_pool()
+        _slots = _new_window(_WINDOW)
         _pool_pid = os.getpid()
     _pool = [w for w in _pool if w.conn is not None]
     try:
@@ -301,15 +355,10 @@ def _forget_pool() -> None:
 
 
 class _Worker:
-    """A forked process that counts the trial ranges sent down its pipe.
+    """A forked process that counts the trial ranges sent down its pipe
+    into the shared window, and sends back only the exceptions."""
 
-    `owed` is the sequence tag of the range whose answer has not been
-    read yet.  A worker that owes an answer gets no new range; the
-    answer, when it comes, is dropped unless the parent is still waiting
-    for it.
-    """
-
-    __slots__ = ("process", "conn", "owed")
+    __slots__ = ("process", "conn")
 
     def __init__(self, cpu: int):
         import multiprocessing  # here, so that importing qmoney does not load it
@@ -320,72 +369,56 @@ class _Worker:
                                    daemon=True)
         self.process.start()
         child_end.close()
-        self.owed = None
+        # a post never waits: a worker a pipe's buffer of posts behind
+        # (stopped, say) fails the send, and is replaced
+        os.set_blocking(self.conn.fileno(), False)
 
-    def post(self, task) -> bool:
-        """Send a range; False if the worker still owes an answer or is gone."""
-        self._read()  # drop a late answer that has arrived
-        if self.owed is not None or self.conn is None:
+    def post(self, message) -> bool:
+        """Send a range; False if the worker is gone."""
+        if self.conn is None:
             return False
-        tag = next(_tags)
         try:
-            self.conn.send((tag, *task))
+            self.conn.send(message)
         except OSError:
             self.discard()
             return False
-        self.owed = tag
         return True
 
-    def answer(self) -> tuple[int, int] | None:
-        """The answer to the range just posted, if it has arrived; a
-        worker's exception is raised here."""
-        reply = self._read()
-        if reply is None:
-            return None
-        counts, error = reply
-        if error is not None:
-            raise error
-        return counts
-
-    def _read(self):
-        """(counts, error) of the owed answer if it has arrived, else None;
-        a worker that died, or whose pipe broke, is discarded."""
-        if self.owed is None:
-            return None
-        try:
-            if not self.conn.poll():
-                return None
-            tag, counts, error = self.conn.recv()
-        except BaseException as exc:
-            # a dead worker, or a message cut short: the pipe is done for
-            self.discard()
-            if isinstance(exc, (EOFError, OSError)):
-                return None
-            raise
-        if tag != self.owed:
-            self.discard()
-            return None
-        self.owed = None
-        return counts, error
+    def error(self, gen: int) -> BaseException:
+        """The exception the worker raised in call `gen`, which it sent
+        before it marked the slot; one from an earlier call that no
+        caller read is dropped."""
+        while True:
+            sent, exc = self.conn.recv()
+            if sent == gen:
+                return exc
 
     def discard(self) -> None:
         """Close the pipe and stop the process; the next call forks a new one."""
         self.conn.close()
         self.conn = None
-        self.owed = None
         self.process.kill()
         self.process.join()
 
 
 # Trials a worker counts between checks that its parent is alive.
 _CHUNK = 64
+# Seconds a worker watches for the next post before it blocks in recv.
+# Between the rows of a sweep a worker waited 70 us at the median and
+# under 0.75 ms at the 99th percentile (the benchmark's mc-sweep rows
+# and criterion 3's windows, 2-vCPU VM); a blocked recv took 80 us at
+# the median to wake, and over 1 ms at the 90th percentile.
+_SPIN_S = 0.002
 
 
 def _serve(conn, parent_end, cpu: int) -> None:
-    """A worker's loop on its own CPU: count each range it is sent, and
-    exit when the parent's end of the pipe closes or the parent dies."""
+    """A worker's loop on its own CPU: count each range it is sent, from
+    the bottom up, until the caller's count from the top reaches it or
+    the caller moves on, and exit when the parent's end of the pipe
+    closes or the parent dies."""
     global _in_worker
     import signal
+    import time
 
     # Ctrl-C reaches the whole process group; the parent reports it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -398,31 +431,44 @@ def _serve(conn, parent_end, cpu: int) -> None:
         os.sched_setaffinity(0, {cpu})
     except (AttributeError, OSError):  # no such call, or no such CPU
         pass
+    slots = _slots
     parent = os.getppid()
     while True:
         try:
-            tag, strategy, policy, n, seed, lo, hi = conn.recv()
+            gen, strategy, policy, n, seed, lo, hi, base = conn.recv()
         except (EOFError, OSError):
             return
-        try:
-            successes = queries = 0
-            for start in range(lo, hi, _CHUNK):
-                if os.getppid() != parent:
-                    return  # orphaned in mid-range
-                s, q = _count(strategy, policy, n, seed, start, min(start + _CHUNK, hi))
-                successes += s
-                queries += q
-            reply = (tag, (successes, queries), None)
-        except Exception as exc:
+        tag = gen << _GEN_SHIFT
+        successes = queries = 0
+        for index in range(lo, hi):
+            if slots[0] != gen or slots[index - base] >> _GEN_SHIFT == gen:
+                break  # the caller has moved on, or counted the rest
+            if (index - lo) % _CHUNK == 0 and os.getppid() != parent:
+                return  # orphaned in mid-range
             try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # sent as its type's name and its message
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            reply = (tag, None, exc)
-        try:
-            conn.send(reply)
-        except OSError:
-            return
+                ok, used = run_trial(strategy, policy, n, trial_rng(seed, n, index))
+            except Exception as exc:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # sent as its type's name and its message
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                try:
+                    conn.send((gen, exc))
+                except OSError:
+                    return
+                slots[index - base] = tag | _ERROR << _QUERY_BITS
+                break
+            successes += ok
+            queries += used
+            if queries > _MAX_QUERIES:
+                break
+            slots[index - base] = tag | successes << _QUERY_BITS | queries
+        # A sweep posts its rows back to back: catch the next post
+        # without the wake-up of a blocked recv.  The caller publishes a
+        # generation just before it sends the post.
+        deadline = time.monotonic() + _SPIN_S
+        while not (slots[0] != gen and conn.poll()) and time.monotonic() < deadline:
+            pass
 
 
 def render_csv(rows: list[ResultRow]) -> str:

@@ -12,6 +12,7 @@ import logging
 import random
 import socket
 import socketserver
+import struct
 import threading
 from collections import Counter
 
@@ -325,6 +326,14 @@ class RemoteMint:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {host}:{port}: {exc}") from exc
+        # the kernel times each receive and send out, so a silent server
+        # is still caught, without the poll() that Python's own socket
+        # timeout makes before every call
+        self._sock.settimeout(None)
+        if timeout is not None:
+            limit = struct.pack("@ll", int(timeout), int(timeout % 1 * 1e6))
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
+            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
         self._replies = self._sock.makefile("rb")
         self.sent_counts: Counter[str] = Counter()
 
@@ -347,15 +356,30 @@ class RemoteMint:
         try:
             self._sock.sendall((_encode(msg) + "\n").encode())
             line = self._replies.readline()
+        except BlockingIOError as exc:  # SO_SNDTIMEO ran out
+            raise TransportError("timed out sending the request") from exc
         except OSError as exc:
             raise TransportError(f"connection failed: {exc}") from exc
-        if not line:
-            raise TransportError("server closed the connection")
+        if not line.endswith(b"\n"):
+            # SO_RCVTIMEO ran out, or the server closed the connection:
+            # either way readline() returns what it had
+            raise TransportError("server closed the connection" if self._closed()
+                                 else "timed out reading the reply")
         # json.loads is slower on bytes than a decode and loads on str
         resp = json.loads(line.decode())
         if resp.get("type") == "error":
             raise ProtocolError(resp.get("code", "UNKNOWN"), resp.get("detail", ""))
         return resp
+
+    def _closed(self) -> bool:
+        """Whether the server has closed the connection (rather than not
+        yet answered)."""
+        try:
+            return self._sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
+        except BlockingIOError:
+            return False
+        except OSError:
+            return True
 
     # -- protocol operations ---------------------------------------------
 

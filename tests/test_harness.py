@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -70,17 +71,21 @@ class TestRunExperiment:
         b = run_experiment(small_config())
         assert a == b
 
-    def test_parallelism_does_not_change_output(self, split):
+    def test_parallelism_does_not_change_output(self, split, monkeypatch):
         # trials 1, 2 and 3 leave some of the three ranges empty, and 50
-        # and 257 split unevenly
-        for strategy in StrategyKind:
-            for policy in MintPolicy.ALL:
-                for trials in (1, 2, 3, 50, 257):
-                    config = small_config(strategy=strategy, policy=policy, n_values=[1, 3, 8],
-                                          trials=trials, seed=trials)
-                    assert render_csv(run_experiment(config)) == one_process_csv(config), (
-                        strategy, policy, trials)
-        assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
+        # and 257 split unevenly; with a window of 40 slots, 41 and 83
+        # run as two and three windows
+        for window, counts in ((None, (1, 2, 3, 50, 257)), (40, (41, 2 * 40 + 3))):
+            if window is not None:
+                small_window(monkeypatch, window)
+            for strategy in StrategyKind:
+                for policy in MintPolicy.ALL:
+                    for trials in counts:
+                        config = small_config(strategy=strategy, policy=policy,
+                                              n_values=[1, 3, 8], trials=trials, seed=trials)
+                        assert render_csv(run_experiment(config)) == one_process_csv(config), (
+                            strategy, policy, trials)
+            assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -106,6 +111,23 @@ def split(monkeypatch):
     monkeypatch.setattr(harness, "_cpus", lambda: [0, 1, 2])
     yield
     drop_pool()
+
+
+def small_window(monkeypatch, slots):
+    """Workers forked from here on share a window of `slots` slots."""
+    drop_pool()
+    monkeypatch.setattr(harness, "_slots", harness._new_window(slots))
+    monkeypatch.setattr(harness, "_pool_pid", os.getpid())
+
+
+def written(slot, gen, timeout=10.0):
+    """True once the window's `slot` carries generation `gen`."""
+    deadline = time.monotonic() + timeout
+    while harness._slots[slot] >> harness._GEN_SHIFT != gen:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
 
 
 def one_process_csv(config):
@@ -144,28 +166,79 @@ class TestWorkers:
         run_experiment(guess_config(1))
         worker = harness._pool[0]
         task = (StrategyKind.MEASURE_RANDOM_BASIS_COPY, MintPolicy.RETURN_ALWAYS, 5, 9)
-        assert worker.post((*task, 10, 70))
-        assert worker.conn.poll(10)
-        assert worker.answer() == harness._count(*task, 10, 70)
+        gen, base = harness._next_gen(), 3  # trial i in slot i - 3
+        assert worker.post((gen, *task, 10, 70, base))
+        slots = harness._slots
+        assert written(69 - base, gen)
+        # each slot holds the count of the range up to its trial
+        for i in range(10, 70):
+            s, q = harness._count(*task, 10, i + 1)
+            assert slots[i - base] == gen << harness._GEN_SHIFT | s << harness._QUERY_BITS | q
+        # nothing outside the range was written
+        assert slots[70 - base] >> harness._GEN_SHIFT != gen
+        assert slots[9 - base] >> harness._GEN_SHIFT != gen
 
-    def test_late_answer_is_dropped(self, split):
+    def test_worker_skips_a_range_the_caller_has_moved_on_from(self, split):
         run_experiment(guess_config(1))
         worker = harness._pool[0]
+        task = (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, 4, 9)
+        slots, base = harness._slots, -1
         os.kill(worker.process.pid, signal.SIGSTOP)
         try:
-            # the first call posts a range that the stopped worker owes;
-            # the second finds it still owing and gives it none
-            for seed in (2, 3):
-                config = guess_config(seed)
-                assert render_csv(run_experiment(config)) == one_process_csv(config)
-            assert worker.owed is not None
+            stale = harness._next_gen()
+            assert worker.post((stale, *task, 0, 60, base))
+            harness._next_gen()
         finally:
             os.kill(worker.process.pid, signal.SIGCONT)
-        assert worker.conn.poll(10)  # the late answer, for seed 2
-        for seed in (4, 5):
+        # a later range shows that the worker has read the stale one
+        gen = harness._next_gen()
+        assert worker.post((gen, *task, 100, 110, base))
+        assert written(109 - base, gen)
+        assert not any(w >> harness._GEN_SHIFT == stale for w in slots[0 - base:60 - base].tolist())
+
+    def test_generation_wraps_to_a_clean_window(self, split, monkeypatch):
+        small_window(monkeypatch, 400)
+        slots = harness._slots
+        slots[0] = (1 << (64 - harness._GEN_SHIFT)) - 1  # the last generation
+        # left from an earlier use of generation 2, in the first slot the
+        # caller reads: trial 199, the top of the first worker's range
+        slots[199 + 1] = 2 << harness._GEN_SHIFT | 7
+        assert harness._next_gen() == 1
+        config = guess_config(2)  # 300 trials, in generation 2
+        assert render_csv(run_experiment(config)) == one_process_csv(config)
+
+    def test_stale_generation_is_ignored(self, split, monkeypatch):
+        parent, real = os.getpid(), harness.run_trial
+        counted = Counter()  # trials by n, in each process
+
+        def run_trial(strategy, policy, n, rng):
+            counted[n] += 1
+            if os.getpid() != parent and n == 5 and counted[n] == 100:
+                os.kill(os.getpid(), signal.SIGSTOP)  # in mid-range of the first call
+            if os.getpid() == parent and n == 6 and counted[n] == 50:
+                for w in harness._pool:
+                    os.kill(w.process.pid, signal.SIGCONT)  # in the last call
+            return real(strategy, policy, n, rng)
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        configs = [small_config(strategy=StrategyKind.GUESS_RANDOM_SYMBOLS, n_values=[n],
+                                trials=3000, seed=seed)
+                   for n, seed in ((5, 1), (4, 2), (4, 3), (6, 4))]
+        expected = [one_process_csv(config) for config in configs]
+        counted.clear()
+        pids = []
+        try:
+            for config, csv in zip(configs, expected):
+                assert render_csv(run_experiment(config)) == csv
+                pids = pids or [w.process.pid for w in harness._pool]
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGCONT)
+        # the stopped workers were kept, and count again
+        assert [w.process.pid for w in harness._pool] == pids
+        for seed in (5, 6):
             config = guess_config(seed)
             assert render_csv(run_experiment(config)) == one_process_csv(config)
-        assert harness._pool[0] is worker and worker.conn is not None
 
     def test_worker_exception_is_raised_in_parent(self, split, monkeypatch):
         parent, real = os.getpid(), harness.run_trial
@@ -194,6 +267,27 @@ class TestWorkers:
         monkeypatch.setattr(harness, "run_trial", run_trial)
         with pytest.raises(RuntimeError, match="^LocalError: trial failed in a worker$"):
             run_experiment(guess_config(1, trials=3000))
+
+    def test_unread_exception_of_an_earlier_call_is_dropped(self, split, monkeypatch):
+        parent, real = os.getpid(), harness.run_trial
+
+        def run_trial(strategy, policy, n, rng):
+            if os.getpid() != parent and n in (5, 6):
+                raise (ValueError if n == 5 else KeyError)("trial failed in a worker")
+            return real(strategy, policy, n, rng)
+
+        monkeypatch.setattr(harness, "run_trial", run_trial)
+        run_experiment(guess_config(1))
+        worker = harness._pool[0]
+        # a call whose caller never reads the worker's ValueError
+        gen = harness._next_gen()
+        assert worker.post((gen, StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS,
+                            5, 1, 0, 10, -1))
+        assert written(1, gen)  # marked as an error
+        config = small_config(strategy=StrategyKind.GUESS_RANDOM_SYMBOLS, n_values=[6],
+                              trials=3000, seed=2)
+        with pytest.raises(KeyError, match="trial failed in a worker"):
+            run_experiment(config)
 
     def test_killed_worker_is_replaced(self, split):
         run_experiment(guess_config(1))

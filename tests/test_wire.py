@@ -382,6 +382,30 @@ class TestRobustness:
         with pytest.raises(TransportError):
             RemoteMint("127.0.0.1", 1, timeout=0.5)
 
+    def test_silent_server_times_out(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = RemoteMint(*listener.getsockname(), timeout=0.2)
+            peer, _ = listener.accept()  # and never answers
+            try:
+                t0 = time.monotonic()
+                with pytest.raises(TransportError, match="^timed out reading the reply$"):
+                    client.mint_bill(4)
+                assert 0.15 < time.monotonic() - t0 < 5
+            finally:
+                client.close()
+                peer.close()
+
+    def test_closed_connection_is_not_a_timeout(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = RemoteMint(*listener.getsockname(), timeout=5)
+            peer, _ = listener.accept()
+            peer.close()
+            try:
+                with pytest.raises(TransportError, match="^server closed the connection$"):
+                    client.mint_bill(4)
+            finally:
+                client.close()
+
 
 class TestRemoteAttack:
     def test_matches_local_attack(self, server):
