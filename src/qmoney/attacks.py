@@ -33,6 +33,12 @@ class StrategyKind(Enum):
     MEASURE_RANDOM_BASIS_COPY = "measure-copy"
 
 
+# members as module globals, for baseline_attack (see qstate's _VALID)
+_GUESS = StrategyKind.GUESS_RANDOM_SYMBOLS
+_MEASURE_COPY = StrategyKind.MEASURE_RANDOM_BASIS_COPY
+_Z, _X = Basis.Z, Basis.X
+
+
 class AttackConsistencyError(RuntimeError):
     """The simulator produced a probabilistic branch where the attack's
     correctness argument requires a deterministic one."""
@@ -184,18 +190,20 @@ def baseline_attack(
     counterfeit is the canonical submission; the damaged original is
     exposed for completeness but not used in the headline statistics.
     """
-    if kind is StrategyKind.GUESS_RANDOM_SYMBOLS:
+    if kind is _GUESS:
         symbols = random_symbols(rng, n)
         copy = registry.register(SumOfProductsState.from_symbols(symbols))
         return copy, handle
-    if kind is StrategyKind.MEASURE_RANDOM_BASIS_COPY:
+    if kind is _MEASURE_COPY:
         if handle is None:
             raise ValueError("measure-copy needs the genuine bill")
+        # the names the loop uses, looked up once
+        draw, measure, z, x = rng.random, registry.measure, _Z, _X
         observed = []
+        append = observed.append
         for i in range(n):
-            basis = Basis.Z if rng.random() < 0.5 else Basis.X
-            bit = registry.measure(handle, i, basis, rng)
-            observed.append(symbol_for(basis, bit))
+            basis = z if draw() < 0.5 else x
+            append(basis.symbols[measure(handle, i, basis, rng)])  # symbol_for(basis, bit)
         copy = registry.register(SumOfProductsState.from_symbols(observed))
         return copy, handle
     raise ValueError(f"{kind} is not a baseline strategy")

@@ -12,14 +12,8 @@ import os
 import random
 import sys
 
-from .attacks import (
-    AttackConsistencyError,
-    LocalSession,
-    StrategyKind,
-    adaptive_attack,
-    analytic_pass_prob,
-)
-from .harness import ExperimentConfig, run_experiment, trial_rng, run_trial
+from .attacks import AttackConsistencyError, LocalSession, StrategyKind, adaptive_attack
+from .harness import ExperimentConfig, run_experiment
 from .mint import DatabaseFormatError, Mint, MintPolicy, UnknownSerialError
 from .wire import MintServer, ProtocolError, TransportError, remote_adaptive_attack
 
@@ -182,19 +176,19 @@ def _cmd_attack_baseline(args) -> int:
     if args.n < 1 or args.trials < 1:
         print("error: --n and --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    strategy = _BASELINE_CHOICES[args.strategy]
-    successes = 0
-    for index in range(args.trials):
-        ok, _ = run_trial(strategy, MintPolicy.RETURN_ALWAYS, args.n,
-                          trial_rng(args.seed, args.n, index))
-        successes += ok
-    empirical = successes / args.trials
-    analytic = analytic_pass_prob(strategy, args.n)
+    # one sweep row: the counterfeit against a returning mint
+    (row,) = run_experiment(ExperimentConfig(
+        strategy=_BASELINE_CHOICES[args.strategy],
+        policy=MintPolicy.RETURN_ALWAYS,
+        n_values=[args.n],
+        trials=args.trials,
+        seed=args.seed,
+    ))
     print(f"strategy : {args.strategy}")
     print(f"n        : {args.n}")
     print(f"trials   : {args.trials}")
-    print(f"empirical: {empirical!r}")
-    print(f"analytic : {analytic!r}")
+    print(f"empirical: {row.success_rate!r}")
+    print(f"analytic : {row.analytic_rate!r}")
     return EXIT_OK
 
 

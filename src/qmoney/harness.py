@@ -3,8 +3,10 @@
 # Every trial gets its own RNG stream derived from (seed, n, trial
 # index) by hashing, so trials are order-independent and the output
 # depends on the seed alone.  An adaptive-attack trial is computed
-# exactly from its symbol draws, with no mint; a baseline trial goes
-# through the mint (`mint_trial`), which stays the reference for both.
+# exactly from its symbol draws, with no mint, and a row of them against
+# a returning mint, which reads no draw, in closed form; a baseline
+# trial goes through the mint (`mint_trial`), which stays the reference
+# for both.
 #
 # A trial is pure Python and holds the GIL, so `run_experiment` spreads
 # each n's trial indices over the CPUs this process may run on, in one
@@ -24,13 +26,13 @@
 
 from __future__ import annotations
 
+import _random
 import csv
 import io
 import json
 import math
 import os
 import pickle
-import random
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -103,24 +105,30 @@ class ResultRow:
         }
 
 
+# members as module globals, for the trial paths (see qstate's _VALID)
+_ADAPTIVE = StrategyKind.ADAPTIVE_ORACLE
+_VALID = VerifyOutcome.VALID
+
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
 _MIX_C = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
 
-def trial_rng(seed: int, n: int, index: int) -> random.Random:
+def trial_rng(seed: int, n: int, index: int) -> _random.Random:
     """Independent per-trial stream from a fixed mix of (seed, n, index).
 
     The multipliers are the splitmix64 constants; the Mersenne Twister
     seeding scrambles the mix further.  Streams are stable across runs
-    and platforms.
+    and platforms.  The generator is `random.Random`'s C base: seeded
+    with an int it gives the same stream, and it is seeded once, where
+    `random.Random(mix)` seeds in `__new__` and again in `__init__`.
+    A trial reads only `random()` and `getrandbits()`.
     """
-    mix = (seed * _MIX_A + n * _MIX_B + index * _MIX_C) & _U64
-    return random.Random(mix)
+    return _random.Random((seed * _MIX_A + n * _MIX_B + index * _MIX_C) & _U64)
 
 
-def run_trial(strategy: StrategyKind, policy: str, n: int, rng: random.Random) -> tuple[bool, int]:
+def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
     """One independent trial with a fresh bill; returns (success, queries).
 
     Adaptive-attack trials are computed exactly, with the result that
@@ -134,7 +142,7 @@ def run_trial(strategy: StrategyKind, policy: str, n: int, rng: random.Random) -
     `random_symbols` order, and stops at the first Z-basis one: symbol
     index `int(d * 4) < 2`, which is `d < 0.5` since `d * 4` is exact.
     """
-    if strategy is StrategyKind.ADAPTIVE_ORACLE:
+    if strategy is _ADAPTIVE:
         if policy == MintPolicy.DESTROY_ON_INVALID:
             rng.getrandbits(128)  # the serial
             draw = rng.random
@@ -148,20 +156,20 @@ def run_trial(strategy: StrategyKind, policy: str, n: int, rng: random.Random) -
     return mint_trial(strategy, policy, n, rng)
 
 
-def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: random.Random) -> tuple[bool, int]:
+def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
     """`run_trial` through a fresh mint, bill and session: the reference
     that `run_trial`'s adaptive kernel is tested against."""
     registry = StateRegistry()
     mint = Mint(registry, rng)
     secret, handle = mint.mint_bill(n, rng=rng)
-    if strategy is StrategyKind.ADAPTIVE_ORACLE:
+    if strategy is _ADAPTIVE:
         session = LocalSession(mint, policy, rng)
         transcript, _ = adaptive_attack(session, secret.serial, handle, n)
         success = transcript.bill_recovered and transcript.learned == list(secret.symbols)
         return success, transcript.queries_used
     copy, _ = baseline_attack(strategy, registry, handle, n, rng)
     res = mint.verify(secret.serial, copy, policy, rng)
-    return res.outcome is VerifyOutcome.VALID, 1
+    return res.outcome is _VALID, 1
 
 
 def analytic_success_rate(strategy: StrategyKind, policy: str, n: int) -> float:
@@ -215,7 +223,11 @@ def _count_split(workers, strategy, policy, n, seed, trials) -> tuple[int, int]:
     """`_count` over [0, trials), one window of slots at a time, each
     window in one contiguous range per worker, counted by the worker
     from the bottom and by the caller from the top.  The first range is
-    twice as long as the others, because the caller starts there."""
+    twice as long as the others, because the caller starts there.  A
+    row whose every trial is the same is counted in closed form."""
+    if strategy is _ADAPTIVE and policy == MintPolicy.RETURN_ALWAYS:
+        # every such trial is (True, n) and reads no draw: seed no stream
+        return trials, n * trials
     task = (strategy, policy, n, seed)
     if not workers:
         return _count(*task, 0, trials)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import random
 import re
-import threading
+from _thread import RLock
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,9 +59,14 @@ class StateHandle(NamedTuple):
     """Opaque id into a state registry; live until consumed, never copied.
 
     A NamedTuple, not a frozen dataclass, because one is built on every
-    request and a tuple is the cheapest immutable, hashable value."""
+    request and a tuple is the cheapest immutable, hashable value.  The
+    hot paths build it, BillSecret and VerifyResult with `_tuple_new`,
+    which skips the generated Python `__new__`."""
 
     id: int
+
+
+_tuple_new = tuple.__new__
 
 
 class BillSecret(NamedTuple):
@@ -95,6 +100,10 @@ class MintPolicy:
         return policy
 
 
+# a member as a module global, for the hot path (see qstate's _VALID)
+_VALID = VerifyOutcome.VALID
+
+
 class VerifyResult(NamedTuple):
     # a NamedTuple for the reason StateHandle is one
     outcome: VerifyOutcome
@@ -118,11 +127,14 @@ class StateRegistry:
     its own database with it too.  Holding it, the mint calls
     `consume_locked` and `register_locked`, so that issuing a bill takes
     the lock once and a verify twice: a Monte Carlo trial builds a fresh
-    mint and registry and is dominated by such fixed costs.
+    mint and registry and is dominated by such fixed costs.  For the
+    same reason every lookup tries the dict hit first and leaves telling
+    a consumed handle from an unknown one to the miss.
     """
 
     def __init__(self):
-        self.lock = threading.RLock()
+        # the C lock itself: threading.RLock is a Python function that returns it
+        self.lock = RLock()
         self._states: dict[int, SumOfProductsState] = {}
         self._next_id = 1
 
@@ -133,18 +145,22 @@ class StateRegistry:
     def register_locked(self, state: SumOfProductsState) -> StateHandle:
         """`register` for a caller that holds `lock`."""
         hid = self._next_id
-        self._next_id += 1
+        self._next_id = hid + 1
         self._states[hid] = state
-        return StateHandle(hid)
+        return _tuple_new(StateHandle, (hid,))
 
     def _live_state(self, handle: StateHandle) -> SumOfProductsState:
         # caller holds the lock
         try:
             return self._states[handle.id]
         except KeyError:
-            if 0 < handle.id < self._next_id:
-                raise HandleConsumedError(f"handle {handle.id} was already consumed") from None
-            raise UnknownHandleError(f"unknown handle {handle.id}") from None
+            raise self._gone(handle) from None
+
+    def _gone(self, handle: StateHandle) -> MintError:
+        """The error for a handle that holds no state."""
+        if 0 < handle.id < self._next_id:
+            return HandleConsumedError(f"handle {handle.id} was already consumed")
+        return UnknownHandleError(f"unknown handle {handle.id}")
 
     def is_live(self, handle: StateHandle) -> bool:
         with self.lock:
@@ -160,12 +176,17 @@ class StateRegistry:
 
     def consume_locked(self, handle: StateHandle, expected_n: int | None = None) -> SumOfProductsState:
         """`consume` for a caller that holds `lock`."""
-        state = self._live_state(handle)
+        states = self._states
+        hid = handle.id
+        try:
+            state = states[hid]
+        except KeyError:
+            raise self._gone(handle) from None
         if expected_n is not None and state.n != expected_n:
             raise DimensionMismatchError(
-                f"handle {handle.id} holds {state.n} qubits, expected {expected_n}"
+                f"handle {hid} holds {state.n} qubits, expected {expected_n}"
             )
-        del self._states[handle.id]
+        del states[hid]
         return state
 
     def release(self, handle: StateHandle) -> None:
@@ -181,8 +202,11 @@ class StateRegistry:
 
     def measure(self, handle: StateHandle, i: int, basis, rng: random.Random) -> int:
         with self.lock:
-            bit, _ = self._live_state(handle).measure_qubit(i, basis, rng.random())
-            return bit
+            try:
+                state = self._states[handle.id]
+            except KeyError:
+                raise self._gone(handle) from None
+            return state.measure_qubit(i, basis, rng.random())[0]
 
     def inspect(self, handle: StateHandle) -> SumOfProductsState:
         """The live state itself, for tests and diagnostics to read; not
@@ -211,20 +235,15 @@ class Mint:
     """
 
     def __init__(self, registry: StateRegistry | None = None, rng: random.Random | None = None):
-        self.registry = registry if registry is not None else StateRegistry()
+        if registry is None:
+            registry = StateRegistry()
+        self.registry = registry
         self._rng = rng if rng is not None else random.Random()
-        self._lock = self.registry.lock
+        self._lock = registry.lock
         self._bills: dict[str, BillSecret] = {}
         self._stats: dict[str, QueryStats] = {}
 
     # -- issuance ---------------------------------------------------------
-
-    def _fresh_serial(self, rng: random.Random) -> str:
-        for _ in range(3):
-            serial = "WQM-" + format(rng.getrandbits(128), "032x")
-            if serial not in self._bills:
-                return serial
-        raise MintError("serial collision persisted after 3 attempts")
 
     def mint_bill(
         self, n: int, denomination: str = "$20", rng: random.Random | None = None
@@ -247,14 +266,20 @@ class Mint:
         self, symbols, n: int, denomination: str, rng: random.Random | None
     ) -> tuple[BillSecret, StateHandle]:
         # symbols=None draws n of them, after the serial, so seeded mints
-        # keep their bills
-        rng = rng if rng is not None else self._rng
+        # keep their bills; a serial gets three draws to be fresh
+        if rng is None:
+            rng = self._rng
+        bills = self._bills
         with self._lock:
-            serial = self._fresh_serial(rng)
+            for _ in range(3):
+                serial = f"WQM-{rng.getrandbits(128):032x}"
+                if serial not in bills:
+                    break
+            else:
+                raise MintError("serial collision persisted after 3 attempts")
             if symbols is None:
                 symbols = random_symbols(rng, n)
-            secret = BillSecret(serial=serial, symbols=symbols, denomination=denomination)
-            self._bills[serial] = secret
+            secret = bills[serial] = _tuple_new(BillSecret, (serial, symbols, denomination))
             self._stats[serial] = QueryStats()
             return secret, self.registry.register_locked(SumOfProductsState.from_symbols(symbols))
 
@@ -269,14 +294,10 @@ class Mint:
 
     def secret(self, serial: str) -> BillSecret:
         with self._lock:
-            return self._secret(serial)
-
-    def _secret(self, serial: str) -> BillSecret:
-        # caller holds the lock
-        try:
-            return self._bills[serial]
-        except KeyError:
-            raise UnknownSerialError(f"no bill with serial {serial}") from None
+            try:
+                return self._bills[serial]
+            except KeyError:
+                raise UnknownSerialError(f"no bill with serial {serial}") from None
 
     def serials(self) -> list[str]:
         with self._lock:
@@ -298,27 +319,32 @@ class Mint:
         policy: str = MintPolicy.RETURN_ALWAYS,
         rng: random.Random | None = None,
     ) -> VerifyResult:
-        MintPolicy.check(policy)
-        rng = rng if rng is not None else self._rng
+        if policy not in MintPolicy.ALL:
+            MintPolicy.check(policy)
+        if rng is None:
+            rng = self._rng
         registry = self.registry
         with self._lock:
-            secret = self._secret(serial)
-            state = registry.consume_locked(handle, secret.n)
+            try:
+                symbols = self._bills[serial].symbols
+            except KeyError:
+                raise UnknownSerialError(f"no bill with serial {serial}") from None
+            state = registry.consume_locked(handle, len(symbols))
         # the projection runs outside the lock, so a large bill does not
         # hold up other sessions; a destroying mint drops an INVALID
         # bill, so it asks for no residue
         outcome, post, p = state.measure_projector_detail(
-            secret.symbols, rng.random(), residue=policy == MintPolicy.RETURN_ALWAYS
+            symbols, rng.random(), policy == MintPolicy.RETURN_ALWAYS
         )
         with self._lock:
             st = self._stats[serial]
             st.total += 1
-            if outcome is VerifyOutcome.VALID:
+            if outcome is _VALID:
                 st.valid += 1
             else:
                 st.invalid += 1
             new_handle = None if post is None else registry.register_locked(post)
-        return VerifyResult(outcome, new_handle, p == 0.0 or p == 1.0)
+        return _tuple_new(VerifyResult, (outcome, new_handle, p == 0.0 or p == 1.0))
 
     def duplicate_handle_attempt(self, handle: StateHandle) -> None:
         self.registry.duplicate_attempt(handle)

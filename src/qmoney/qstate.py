@@ -36,6 +36,16 @@
 # term); only tests measure the residues of two or more terms that an
 # INVALID after a general unitary leaves.
 #
+# Constant factors: a Monte Carlo trial builds two or three states of a
+# few qubits, so there the fixed cost per call is the cost.
+# `from_symbols` builds a state and its term without `__init__`'s
+# checks.  `inner_with_symbols`, the one-term `measure_qubit` and the
+# overlaps of `norm_sq` and `compress` write out `_dot` and
+# `clamp_probability` instead of calling them: the same operations in
+# the same order, with a symbol's conjugated amplitudes cached on it
+# (`bra`), so the same bits.  `compress` of one term is one
+# renormalization.
+#
 # DenseState is immutable: every operation returns a new state, which
 # keeps it an independent reference.
 
@@ -49,12 +59,14 @@ import numpy as np
 
 # Norm / probability tolerance: values within ATOL of 0 or 1 are exact.
 ATOL = 1e-9
+_NEAR_ONE = 1.0 - ATOL
 # Terms with coefficient magnitude below this are dropped.
 PRUNE_TOL = 1e-12
 # Dense backend is a desk-scale oracle only.
 DENSE_MAX_QUBITS = 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_sqrt = math.sqrt
 
 
 class Basis(Enum):
@@ -90,8 +102,12 @@ _AMPLITUDES = {
 
 for _sym in QubitSymbol:
     # cached on the members: Enum.__hash__ is Python code, so a dict
-    # keyed by members costs a call per lookup in the hot loops
+    # keyed by members costs a call per lookup in the hot loops.  `bra`
+    # holds the conjugated amplitudes, which is the first operand of
+    # every overlap `_dot` takes; conjugation is exact, so an overlap
+    # with a cached bra gives the same bits.
     _sym.amplitudes = _AMPLITUDES[_sym]
+    _sym.bra = tuple(a.conjugate() for a in _sym.amplitudes)
 
 # a basis's outcome vectors are the symbols' own amplitude tuples, so a
 # qubit measured onto a reference symbol holds that symbol's factor again
@@ -99,6 +115,7 @@ Basis.Z.symbols = (QubitSymbol.ZERO, QubitSymbol.ONE)
 Basis.X.symbols = (QubitSymbol.PLUS, QubitSymbol.MINUS)
 for _basis in Basis:
     _basis.vectors = tuple(sym.amplitudes for sym in _basis.symbols)
+    _basis.bras = tuple(sym.bra for sym in _basis.symbols)
 
 
 def symbol_amplitudes(sym: QubitSymbol) -> tuple[complex, complex]:
@@ -111,12 +128,18 @@ def symbol_for(basis: Basis, bit: int) -> QubitSymbol:
 
 
 _SYMBOL_ORDER = tuple(QubitSymbol)
+_ZERO, _ONE, _PLUS, _MINUS = _SYMBOL_ORDER
 
 
 def random_symbols(rng, n: int) -> tuple[QubitSymbol, ...]:
-    """n uniform conjugate-coding symbols, one rng.random() draw each."""
+    """n uniform conjugate-coding symbols, one rng.random() draw each.
+
+    Draw d picks `_SYMBOL_ORDER[int(d * 4)]`.  Since d * 4 is exact,
+    comparing d with the quarters picks the same symbol, for less.
+    """
     draw = rng.random
-    return tuple([_SYMBOL_ORDER[int(draw() * 4)] for _ in range(n)])
+    return tuple([(_ZERO if d < 0.25 else _ONE) if (d := draw()) < 0.5
+                  else (_PLUS if d < 0.75 else _MINUS) for _ in range(n)])
 
 
 def symbols_from_string(text: str) -> tuple[QubitSymbol, ...]:
@@ -136,6 +159,12 @@ def symbols_to_string(symbols) -> str:
 class VerifyOutcome(Enum):
     VALID = "VALID"
     INVALID = "INVALID"
+
+
+# the members as module globals, for the hot paths: EnumType defines
+# __getattr__, so reading a member off its class is a slow lookup
+_VALID = VerifyOutcome.VALID
+_INVALID = VerifyOutcome.INVALID
 
 
 class NonUnitaryError(ValueError):
@@ -187,7 +216,8 @@ HADAMARD = (
 class ProductTerm:
     """One product term: a complex coefficient times n unit-norm factors.
 
-    The state that owns a term updates it in place.
+    The state that owns a term updates it in place.  A term built from a
+    fresh factor list skips `__init__` (`_new`, then both slots).
     """
 
     __slots__ = ("coeff", "factors")
@@ -197,6 +227,9 @@ class ProductTerm:
         self.factors: list[tuple[complex, complex]] = (
             factors if type(factors) is list else list(factors)
         )
+
+
+_new = object.__new__
 
 
 class SumOfProductsState:
@@ -233,12 +266,19 @@ class SumOfProductsState:
 
     @classmethod
     def from_symbols(cls, symbols) -> "SumOfProductsState":
-        symbols = tuple(symbols)
+        # a product state is normalized by construction: no __init__ checks
+        if type(symbols) is not tuple:
+            symbols = tuple(symbols)
         if not symbols:
             raise ValueError("symbol sequence must be nonempty")
-        state = cls(len(symbols), [ProductTerm(1.0 + 0.0j, [s.amplitudes for s in symbols])],
-                    check=False)
+        term = _new(ProductTerm)
+        term.coeff = 1.0 + 0.0j
+        term.factors = [s.amplitudes for s in symbols]
+        state = _new(cls)
+        state.n = len(symbols)
+        state.terms = [term]
         state._ref = symbols
+        state._dirty = set()
         return state
 
     @classmethod
@@ -268,8 +308,8 @@ class SumOfProductsState:
             total += abs(tj.coeff) ** 2
             for tk in terms[j + 1 :]:
                 ov = tj.coeff.conjugate() * tk.coeff
-                for fj, fk in pairs(tj.factors, tk.factors):
-                    ov *= _dot(fj, fk)
+                for (a0, a1), (b0, b1) in pairs(tj.factors, tk.factors):
+                    ov *= a0.conjugate() * b0 + a1.conjugate() * b1  # _dot
                     if ov == 0:
                         break
                 total += 2 * ov.real
@@ -277,28 +317,32 @@ class SumOfProductsState:
 
     def inner_with_symbols(self, target) -> complex:
         """<target|psi> where target is a symbol sequence."""
-        target = tuple(target)
+        if type(target) is not tuple:
+            target = tuple(target)
         if len(target) != self.n:
             raise ValueError(f"dimension mismatch: state n={self.n}, target length {len(target)}")
+        # each factor overlap is `_dot(target[k].amplitudes, factor)`,
+        # written out with the cached bra
+        total = 0.0 + 0.0j
         if target is self._ref:
             # off the dirty qubits every factor is the target's own
             idx = sorted(self._dirty)
-            total = 0.0 + 0.0j
             for t in self.terms:
                 amp = t.coeff
                 f = t.factors
                 for k in idx:
-                    amp *= _dot(target[k].amplitudes, f[k])
+                    b0, b1 = target[k].bra
+                    f0, f1 = f[k]
+                    amp *= b0 * f0 + b1 * f1
                     if amp == 0:
                         break
                 total += amp
             return total
-        tfactors = [s.amplitudes for s in target]
-        total = 0.0 + 0.0j
         for t in self.terms:
             amp = t.coeff
-            for tv, fv in zip(tfactors, t.factors):
-                amp *= _dot(tv, fv)
+            for s, (f0, f1) in zip(target, t.factors):
+                b0, b1 = s.bra
+                amp *= b0 * f0 + b1 * f1
                 if amp == 0:
                     break
             total += amp
@@ -344,24 +388,34 @@ class SumOfProductsState:
 
     def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "SumOfProductsState"]:
         """Born-rule measurement of qubit i; consumes exactly one draw."""
-        self._check_index(i)
-        b0, b1 = basis.vectors
+        if not 0 <= i < self.n:
+            raise IndexError(f"qubit index {i} out of range for n={self.n}")
         terms = self.terms
         if len(terms) == 1:
             # the branch amplitude is the term's own overlap; the same
-            # expressions as the general path below, so the same bits
+            # expressions as the general path below, so the same bits:
+            # `_dot(b, f)` and `clamp_probability`, written out
             t = terms[0]
-            f = t.factors[i]
-            c = t.coeff * _dot(b0, f)
-            p0 = clamp_probability(abs(c) ** 2)
-            if draw < p0:
-                bit, bvec, p = 0, b0, p0
+            f = t.factors
+            f0, f1 = f[i]
+            coeff = t.coeff
+            (u0, u1), bra1 = basis.bras
+            c = coeff * (u0 * f0 + u1 * f1)
+            p = abs(c) ** 2
+            if p < ATOL:
+                p = 0.0
+            elif p > _NEAR_ONE:
+                p = 1.0
+            if draw < p:
+                bit = 0
             else:
-                bit, bvec, p = 1, b1, 1.0 - p0
-                c = t.coeff * _dot(b1, f)
-            t.coeff = c * (1.0 / math.sqrt(p))
-            t.factors[i] = bvec
+                bit, p = 1, 1.0 - p
+                u0, u1 = bra1
+                c = coeff * (u0 * f0 + u1 * f1)
+            t.coeff = c * (1.0 / _sqrt(p))
+            f[i] = bvec = basis.vectors[bit]
         else:
+            b0, b1 = basis.vectors
             before = [(t.coeff, t.factors[i]) for t in terms]
             # the norm needs no overlap on qubit i: every term holds b0 there
             self._project(i, b0, before)
@@ -395,9 +449,14 @@ class SumOfProductsState:
         or None when `residue` is false, in which case it is never built
         and the state is left to be dropped.
         """
-        target = tuple(target)
+        if type(target) is not tuple:
+            target = tuple(target)
         c = self.inner_with_symbols(target)
-        p = clamp_probability(abs(c) ** 2)
+        p = abs(c) ** 2  # clamp_probability, written out
+        if p < ATOL:
+            p = 0.0
+        elif p > _NEAR_ONE:
+            p = 1.0
         if draw < p:
             if target is self._ref:
                 # any term's list is the target but for the dirty qubits
@@ -408,33 +467,47 @@ class SumOfProductsState:
                 factors = [s.amplitudes for s in target]
                 self._ref = target
             self._dirty.clear()
-            self.terms = [ProductTerm(1.0 + 0.0j, factors)]
-            return VerifyOutcome.VALID, self, p
+            term = _new(ProductTerm)
+            term.coeff = 1.0 + 0.0j
+            term.factors = factors
+            self.terms = [term]
+            return _VALID, self, p
         if not residue:
-            return VerifyOutcome.INVALID, None, p
-        scale = 1.0 / math.sqrt(1.0 - p)
+            return _INVALID, None, p
+        scale = 1.0 / _sqrt(1.0 - p)
         for t in self.terms:
             t.coeff *= scale
         if abs(c) >= PRUNE_TOL:
             if target is not self._ref:
                 # the new term breaks the reference invariant
                 self._ref = None
-            self.terms.append(ProductTerm(-c * scale, [s.amplitudes for s in target]))
-        return VerifyOutcome.INVALID, self.compress(), p
+            term = _new(ProductTerm)
+            term.coeff = -c * scale
+            term.factors = [s.amplitudes for s in target]
+            self.terms.append(term)
+        return _INVALID, self.compress(), p
 
     def compress(self) -> "SumOfProductsState":
         """Drop negligible terms, merge colinear ones, renormalize."""
+        terms = self.terms
+        if len(terms) == 1:
+            # what the loops below do with one term, written out
+            t = terms[0]
+            if abs(t.coeff) < PRUNE_TOL:
+                raise ValueError("compression eliminated all terms; state had zero norm")
+            t.coeff *= 1.0 / _sqrt(abs(t.coeff) ** 2)
+            return self
         merged: list[ProductTerm] = []
-        pairs = self._pairing() if len(self.terms) > 1 else zip
-        for t in self.terms:
+        pairs = self._pairing()
+        for t in terms:
             if abs(t.coeff) < PRUNE_TOL:
                 continue
             for m in merged:
                 phase = 1.0 + 0.0j
                 colinear = True
-                for fm, ft in pairs(m.factors, t.factors):
-                    ov = _dot(fm, ft)
-                    if abs(ov) < 1.0 - ATOL:
+                for (a0, a1), (b0, b1) in pairs(m.factors, t.factors):
+                    ov = a0.conjugate() * b0 + a1.conjugate() * b1  # _dot
+                    if abs(ov) < _NEAR_ONE:
                         colinear = False
                         break
                     phase *= ov

@@ -102,6 +102,13 @@ class TestAttackBaseline:
         analytic = float(out.split("analytic :")[1].strip())
         assert analytic == pytest.approx(0.5625, abs=1e-12)
 
+    def test_rate_lines_are_pinned(self, capsys):
+        # the bytes of the serial trial loop this command used to run
+        code, out, _ = run_cli(capsys, "attack", "baseline", "--strategy", "measure-copy",
+                               "--n", "2", "--trials", "500", "--seed", "5")
+        assert code == EXIT_OK
+        assert out.splitlines()[-2:] == ["empirical: 0.582", "analytic : 0.5624999999999997"]
+
 
 class TestExperimentSweep:
     def test_byte_identical_reruns(self, capsys, tmp_path):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -478,6 +480,65 @@ class TestTrialRng:
     def test_streams_are_independent(self):
         draws = {trial_rng(7, 4, i).random() for i in range(100)}
         assert len(draws) == 100
+
+    def test_same_stream_as_random_random(self):
+        # seed * _MIX_A alone is the mix when n = index = 0, so inverting
+        # _MIX_A gives mixes under 2^32: a one-word Mersenne Twister key
+        u64 = 1 << 64
+        inverse = pow(harness._MIX_A, -1, u64)
+        cases = [(mix * inverse % u64, 0, 0) for mix in (0, 1, 12345, (1 << 32) - 1)]
+        cases += [(seed, n, i) for seed in (303, 404) for n in (1, 8) for i in (0, 1, 999)]
+        mixes = []
+        for seed, n, i in cases:
+            mixes.append((seed * harness._MIX_A + n * harness._MIX_B + i * harness._MIX_C) % u64)
+            lean, reference = trial_rng(seed, n, i), random.Random(mixes[-1])
+            assert lean.getrandbits(128) == reference.getrandbits(128), (seed, n, i)
+            assert [lean.random() for _ in range(20)] == [reference.random() for _ in range(20)]
+        assert sum(m < 1 << 32 for m in mixes) == 4 and sum(m > 1 << 63 for m in mixes) >= 4
+
+
+# SHA-256 of the bytes b"%d,%d;" % (success, queries) over trials 0..1999
+# of mint_trial at seed 303, as the mint path gave them before it was
+# made lean.  The policy changes no baseline outcome.  The pinned CSVs
+# below hold only each row's sums, which flips that cancel leave alone.
+MINT_TRIAL_DIGESTS = {
+    (StrategyKind.GUESS_RANDOM_SYMBOLS, 1): "56eab3d092a800a46b7267466ae01157ebf63c615d98fafaf7f49681df1bd7cf",
+    (StrategyKind.GUESS_RANDOM_SYMBOLS, 2): "76037da18767f679f9f6965acc762f8c82c6a937607b6b9cd83bf60f1202676e",
+    (StrategyKind.GUESS_RANDOM_SYMBOLS, 4): "c8c9c849aee37a726a397013b05611872b8a15aa039e72c721513a9de1736116",
+    (StrategyKind.GUESS_RANDOM_SYMBOLS, 8): "b4734b46275370265ab09855a3f1509908f59f100baea5401ebc6f25c8d90912",
+    (StrategyKind.MEASURE_RANDOM_BASIS_COPY, 1): "2b30d18de5f471656ab3ae69c3949391ac395ae7fe78d605cad618672c72c730",
+    (StrategyKind.MEASURE_RANDOM_BASIS_COPY, 2): "895e23278d6ea372a8edc1b575e4ae01e884cc9fa0f072c0cdba688bbf8e4fbc",
+    (StrategyKind.MEASURE_RANDOM_BASIS_COPY, 4): "d599c00cad8c2034fa151d94a7320ef2054f412cbc2d213df585b5bfd8a1099d",
+    (StrategyKind.MEASURE_RANDOM_BASIS_COPY, 8): "d54cfe69b9e55fde6f8af608340d0538bd1bbc30a2b36024d5086712c6ff9e91",
+}
+
+
+@pytest.mark.parametrize("policy", MintPolicy.ALL)
+def test_mint_trials_are_pinned(policy):
+    for (strategy, n), expected in MINT_TRIAL_DIGESTS.items():
+        digest = hashlib.sha256()
+        for index in range(2000):
+            digest.update(b"%d,%d;" % mint_trial(strategy, policy, n, trial_rng(303, n, index)))
+        assert digest.hexdigest() == expected, (strategy, policy, n)
+
+
+def test_adaptive_return_always_rows_in_closed_form():
+    def counted_trial_by_trial(config):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_count_split", lambda workers, strategy, policy, n, seed, trials:
+                       harness._count(strategy, policy, n, seed, 0, trials))
+            return render_csv(run_experiment(config))
+
+    def no_stream(*args):
+        raise AssertionError("a closed-form row seeded a trial stream")
+
+    for n in (1, 3, 8):
+        for trials in (1, 50, 257):
+            config = small_config(n_values=[n], trials=trials, seed=trials)
+            expected = counted_trial_by_trial(config)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(harness, "trial_rng", no_stream)
+                assert render_csv(run_experiment(config)) == expected, (n, trials)
 
 
 class TestWriteResults:

@@ -14,6 +14,7 @@ from qmoney.mint import (
     Mint,
     MintPolicy,
     NoCloningError,
+    QueryStats,
     StateHandle,
     StateRegistry,
     UnknownHandleError,
@@ -176,6 +177,13 @@ class TestVerify:
             mint.verify("WQM-" + "0" * 32, handle)
         assert mint.registry.is_live(handle)
 
+    def test_unknown_policy_leaves_handle_live(self, mint):
+        secret, handle = mint.mint_bill(2)
+        with pytest.raises(ValueError, match="shred-everything"):
+            mint.verify(secret.serial, handle, "shred-everything")
+        assert mint.registry.is_live(handle)
+        assert mint.stats(secret.serial).total == 0
+
     def test_dimension_mismatch_leaves_handle_live(self, mint):
         secret, _ = mint.mint_bill(4)
         wrong = mint.registry.register(SumOfProductsState.from_string("0"))
@@ -191,6 +199,14 @@ class TestVerify:
         st = mint.stats(secret.serial)
         assert st.total == 4
         assert st.total == st.valid + st.invalid
+
+    def test_fresh_bill_stats_are_zero(self, mint):
+        secret, _ = mint.mint_bill(3)
+        assert mint.stats(secret.serial) == QueryStats(0, 0, 0)
+
+    def test_stats_of_unknown_serial(self, mint):
+        with pytest.raises(UnknownSerialError):
+            mint.stats("WQM-" + "0" * 32)
 
     def test_verify_atomic_under_races(self, mint):
         secret, handle = mint.mint_bill(2)

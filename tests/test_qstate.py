@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qmoney.qstate import (
     dense_fidelity,
     fidelity,
     fidelity_to_symbols,
+    random_symbols,
     symbol_amplitudes,
     symbol_for,
     symbols_from_string,
@@ -64,6 +66,16 @@ class TestSymbols:
         assert QubitSymbol.MINUS.basis is Basis.X and QubitSymbol.MINUS.bit == 1
         for sym in QubitSymbol:
             assert symbol_for(sym.basis, sym.bit) is sym
+
+    def test_random_symbols_pick_the_quarter_of_each_draw(self):
+        # draw d picks symbol int(d * 4), at the quarters' edges too
+        edges = [0.0, 0.25, 0.5, 0.75]
+        draws = edges + [math.nextafter(e, 0.0) for e in edges[1:] + [1.0]]
+        rng = random.Random(8)
+        draws += [rng.random() for _ in range(10_000)]
+        stream = types.SimpleNamespace(random=iter(draws).__next__)
+        order = tuple(QubitSymbol)
+        assert random_symbols(stream, len(draws)) == tuple(order[int(d * 4)] for d in draws)
 
     def test_string_round_trip(self):
         syms = symbols_from_string("01+-")
@@ -373,6 +385,24 @@ class TestCompress:
         c = s.compress()
         assert len(c.terms) == 1
         assert fidelity(c, SumOfProductsState.from_string("0")) >= 1 - ATOL
+
+    @pytest.mark.parametrize("coeff", [0.3 - 1.1j, 2e-12 + 0j])
+    def test_one_term_path_matches_general_path(self, coeff):
+        # an unnormalized coefficient, so the renormalization shows; the
+        # general path prunes the zero term and leaves the same bits
+        factors = [QubitSymbol.PLUS.amplitudes, (0.6 + 0j, 0.8j)]
+        one = SumOfProductsState(2, [ProductTerm(coeff, list(factors))], check=False)
+        general = SumOfProductsState(
+            2, [ProductTerm(coeff, list(factors)), ProductTerm(0j, list(factors))], check=False
+        )
+        (t,), (t_g,) = one.compress().terms, general.compress().terms
+        assert repr(t.coeff) == repr(t_g.coeff)
+
+    def test_zero_norm_rejected_on_both_paths(self):
+        for terms in ([ProductTerm(1e-13 + 0j, [(1 + 0j, 0j)])],
+                      [ProductTerm(1e-13 + 0j, [(1 + 0j, 0j)]), ProductTerm(0j, [(0j, 1 + 0j)])]):
+            with pytest.raises(ValueError, match="zero norm"):
+                SumOfProductsState(1, terms, check=False).compress()
 
     def test_colinear_merge(self):
         zero = ((1 + 0j, 0j),)
