@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .mint import Mint, MintPolicy, StateHandle, StateRegistry
+from .mint import Mint, MintPolicy, StateHandle, StateRegistry, _tuple_new
 from .qstate import (
     Basis,
     QubitSymbol,
@@ -33,10 +33,11 @@ class StrategyKind(Enum):
     MEASURE_RANDOM_BASIS_COPY = "measure-copy"
 
 
-# members as module globals, for baseline_attack (see qstate's _VALID)
+# members as module globals, for the attacks' loops (see qstate's _VALID)
 _GUESS = StrategyKind.GUESS_RANDOM_SYMBOLS
 _MEASURE_COPY = StrategyKind.MEASURE_RANDOM_BASIS_COPY
 _Z, _X = Basis.Z, Basis.X
+_INVALID = VerifyOutcome.INVALID
 
 
 class AttackConsistencyError(RuntimeError):
@@ -45,7 +46,8 @@ class AttackConsistencyError(RuntimeError):
 
 
 class AttackRecord(NamedTuple):
-    # a NamedTuple, like StateHandle, because one is built per query
+    # a NamedTuple, like StateHandle, because one is built per query,
+    # with `_tuple_new`
     qubit: int
     outcome: VerifyOutcome
     # None only for the round on which a destroying mint ate the bill.
@@ -130,36 +132,35 @@ def adaptive_attack(session, serial: str, handle, n: int, order=None):
     transcript = AttackTranscript(serial=serial)
     # symbol learned for each qubit, None until its round
     learned_by_qubit: list[QubitSymbol | None] = [None] * n
+    append = transcript.records.append
 
-    for i in rounds:
+    for used, i in enumerate(rounds, 1):
         handle = session.apply_x(handle, i)
         outcome, returned, deterministic = session.verify(serial, handle)
-        transcript.queries_used += 1
         if deterministic is False:
-            raise AttackConsistencyError(
-                f"verification query {transcript.queries_used} hit a probabilistic branch"
-            )
-        if outcome is VerifyOutcome.INVALID and returned is None:
-            # destroying mint: the bill is gone, the attack is over
-            transcript.records.append(AttackRecord(i, outcome, None))
-            transcript.learned = [s for s in learned_by_qubit if s is not None]
-            transcript.bill_recovered = False
-            return transcript, None
-        handle = returned
-        if outcome is VerifyOutcome.INVALID:
+            raise AttackConsistencyError(f"verification query {used} hit a probabilistic branch")
+        if outcome is _INVALID:
+            if returned is None:
+                # destroying mint: the bill is gone, the attack is over
+                append(_tuple_new(AttackRecord, (i, outcome, None)))
+                transcript.queries_used = used
+                transcript.learned = [s for s in learned_by_qubit if s is not None]
+                transcript.bill_recovered = False
+                return transcript, None
             # Z eigenstate: undo the flip, then read the bit in Z
-            handle = session.apply_x(handle, i)
-            bit, handle = session.measure(handle, i, Basis.Z)
-            sym = symbol_for(Basis.Z, bit)
+            handle = session.apply_x(returned, i)
+            bit, handle = session.measure(handle, i, _Z)
+            sym = _Z.symbols[bit]  # symbol_for(_Z, bit)
         else:
             # X eigenstate: the bill came back undamaged; read the sign
-            bit, handle = session.measure(handle, i, Basis.X)
-            sym = symbol_for(Basis.X, bit)
+            bit, handle = session.measure(returned, i, _X)
+            sym = _X.symbols[bit]
             # re-preparation in `sym` is a no-op: the measurement already
             # collapsed the qubit onto the secret symbol
-        transcript.records.append(AttackRecord(i, outcome, sym))
+        append(_tuple_new(AttackRecord, (i, outcome, sym)))
         learned_by_qubit[i] = sym
 
+    transcript.queries_used = n
     transcript.learned = learned_by_qubit
     transcript.bill_recovered = True
     return transcript, handle

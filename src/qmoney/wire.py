@@ -4,6 +4,10 @@
 # hold nothing but handle ids, scoped to their session.  That keeps the
 # information available to a remote attacker exactly what a physical
 # counterfeiter would have: classical answers plus possession of bills.
+#
+# A line, request or reply, is one JSON object with nothing after it; a
+# request line that does not parse (a number past CPython's digit limit
+# included) gets BAD_REQUEST.  The C codec is built once, at import.
 
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ import socketserver
 import struct
 import threading
 from collections import Counter
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .attacks import adaptive_attack
 from .mint import (
@@ -25,6 +30,7 @@ from .mint import (
     StateHandle,
     UnknownHandleError,
     UnknownSerialError,
+    _tuple_new,
 )
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
 
@@ -42,9 +48,16 @@ MAX_LINE_BYTES = 2**20
 # most handles one session may hold at once; `mint` and `claim` beyond
 # it are refused, so one client cannot fill the server's memory
 MAX_SESSION_HANDLES = 2**10
-# one encoder for every line sent: json.dumps builds a new one per call.
-# The text is the same as json.dumps gives; no message is circular.
-_encode = json.JSONEncoder(check_circular=False).encode
+# the codec: the C encoder with the arguments JSONEncoder.iterencode
+# passes for json.dumps's defaults, so the same text, less the circular
+# check (no message is circular); the C scanner, without json.loads's
+# regex matches and Python frames
+_iterencode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                             None, ": ", ", ", False, False, True)
+_scan = json.JSONDecoder().scan_once
+# a wire string's Enum member: Enum(value) is a Python call
+_BASES = {b.value: b for b in Basis}
+_OUTCOMES = {o.value: o for o in VerifyOutcome}
 
 
 class ProtocolError(Exception):
@@ -64,23 +77,19 @@ def _error(code: str, detail: str = "") -> dict:
     return {"type": "error", "code": code, "detail": detail}
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but true/false is not a number on the wire
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _owned_handle(msg: dict, owned: set[int]) -> int:
+def _owned_handle(msg: dict, owned: set[int]) -> StateHandle:
     hid = msg.get("handle")
-    if not _is_int(hid):
+    # `type(...) is int` is false for a bool: true/false is not a number
+    if type(hid) is not int:
         raise ProtocolError("BAD_REQUEST", "field 'handle' must be an integer")
     if hid not in owned:
         raise ProtocolError("HANDLE_NOT_OWNED", f"handle {hid} is not owned by this session")
-    return hid
+    return _tuple_new(StateHandle, (hid,))
 
 
 def _qubit(msg: dict) -> int:
     i = msg.get("qubit")
-    if not _is_int(i):
+    if type(i) is not int:
         raise ProtocolError("BAD_REQUEST", "field 'qubit' must be an integer")
     return i
 
@@ -141,7 +150,7 @@ class _Handler(socketserver.StreamRequestHandler):
             head = self.rfile.readline(MAX_LINE_BYTES + 1)
 
     def _send(self, obj: dict) -> None:
-        self.request.sendall((_encode(obj) + "\n").encode())
+        self.request.sendall(("".join(_iterencode(obj, 0)) + "\n").encode())
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -203,12 +212,15 @@ class MintServer:
             return _error("INTERNAL", f"request failed: {type(exc).__name__}")
 
     def _dispatch(self, line: str, owned: set[int]) -> dict:
+        # the line is stripped, so the value must end where it does
         try:
-            msg = json.loads(line)
-        except json.JSONDecodeError:
+            msg, end = _scan(line, 0)
+        except (StopIteration, ValueError):  # no value, bad JSON, int digit limit
             return _error("BAD_REQUEST", "line is not a JSON object")
         except RecursionError:
             return _error("BAD_REQUEST", "line nests too deeply")
+        if end != len(line):
+            return _error("BAD_REQUEST", "line is not a JSON object")
         if not isinstance(msg, dict):
             return _error("BAD_REQUEST", "message must be a JSON object")
         version = msg.get("v")
@@ -240,7 +252,7 @@ class MintServer:
 
     def _do_mint(self, msg: dict, owned: set[int]) -> dict:
         n = msg.get("n")
-        if not _is_int(n) or not 1 <= n <= MAX_MINT_QUBITS:
+        if type(n) is not int or not 1 <= n <= MAX_MINT_QUBITS:
             raise ProtocolError(
                 "BAD_REQUEST", f"field 'n' must be an integer from 1 to {MAX_MINT_QUBITS}"
             )
@@ -270,41 +282,41 @@ class MintServer:
         serial = msg.get("serial")
         if not isinstance(serial, str):
             raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
-        hid = _owned_handle(msg, owned)
-        res = self.mint.verify(serial, StateHandle(hid), self.policy, self._rng)
-        owned.discard(hid)
+        handle = _owned_handle(msg, owned)
+        res = self.mint.verify(serial, handle, self.policy, self._rng)
+        owned.discard(handle.id)
         new_hid = None
         if res.handle is not None:
             new_hid = res.handle.id
             owned.add(new_hid)
-        return {"type": "verified", "result": res.outcome.value, "handle": new_hid}
+        # `_value_` is the member's own attribute; `.value` is a property
+        return {"type": "verified", "result": res.outcome._value_, "handle": new_hid}
 
     def _do_apply_x(self, msg: dict, owned: set[int]) -> dict:
-        hid = _owned_handle(msg, owned)
-        self.mint.registry.apply_pauli_x(StateHandle(hid), _qubit(msg))
-        return {"type": "ok", "handle": hid}
+        handle = _owned_handle(msg, owned)
+        self.mint.registry.apply_pauli_x(handle, _qubit(msg))
+        return {"type": "ok", "handle": handle.id}
 
     def _do_apply_u(self, msg: dict, owned: set[int]) -> dict:
-        hid = _owned_handle(msg, owned)
+        handle = _owned_handle(msg, owned)
         u = _parse_unitary(msg.get("u"))
-        self.mint.registry.apply_unitary(StateHandle(hid), _qubit(msg), u)
-        return {"type": "ok", "handle": hid}
+        self.mint.registry.apply_unitary(handle, _qubit(msg), u)
+        return {"type": "ok", "handle": handle.id}
 
     def _do_measure(self, msg: dict, owned: set[int]) -> dict:
-        hid = _owned_handle(msg, owned)
-        basis_name = msg.get("basis")
-        if basis_name not in ("Z", "X"):
-            raise ProtocolError("BAD_REQUEST", "field 'basis' must be \"Z\" or \"X\"")
-        bit = self.mint.registry.measure(
-            StateHandle(hid), _qubit(msg), Basis(basis_name), self._rng
-        )
-        return {"type": "measured", "bit": bit, "handle": hid}
+        handle = _owned_handle(msg, owned)
+        try:
+            basis = _BASES[msg.get("basis")]
+        except (KeyError, TypeError):  # TypeError: a list or object
+            raise ProtocolError("BAD_REQUEST", "field 'basis' must be \"Z\" or \"X\"") from None
+        bit = self.mint.registry.measure(handle, _qubit(msg), basis, self._rng)
+        return {"type": "measured", "bit": bit, "handle": handle.id}
 
     def _do_release(self, msg: dict, owned: set[int]) -> dict:
-        hid = _owned_handle(msg, owned)
-        self.mint.registry.release(StateHandle(hid))
-        owned.discard(hid)
-        return {"type": "ok", "handle": hid}
+        handle = _owned_handle(msg, owned)
+        self.mint.registry.release(handle)
+        owned.discard(handle.id)
+        return {"type": "ok", "handle": handle.id}
 
     _OPS = {
         "mint": _do_mint,
@@ -354,7 +366,7 @@ class RemoteMint:
         msg = {"v": PROTOCOL_VERSION, **msg}
         self.sent_counts[msg.get("type", "?")] += 1
         try:
-            self._sock.sendall((_encode(msg) + "\n").encode())
+            self._sock.sendall(("".join(_iterencode(msg, 0)) + "\n").encode())
             line = self._replies.readline()
         except BlockingIOError as exc:  # SO_SNDTIMEO ran out
             raise TransportError("timed out sending the request") from exc
@@ -365,8 +377,14 @@ class RemoteMint:
             # either way readline() returns what it had
             raise TransportError("server closed the connection" if self._closed()
                                  else "timed out reading the reply")
-        # json.loads is slower on bytes than a decode and loads on str
-        resp = json.loads(line.decode())
+        # the object must end at the newline; UnicodeDecodeError is a ValueError
+        try:
+            text = line.decode()
+            resp, end = _scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            raise TransportError("malformed reply") from None
+        if end != len(text) - 1 or type(resp) is not dict:
+            raise TransportError("malformed reply")
         if resp.get("type") == "error":
             raise ProtocolError(resp.get("code", "UNKNOWN"), resp.get("detail", ""))
         return resp
@@ -394,7 +412,7 @@ class RemoteMint:
     def verify(self, serial: str, handle: int):
         resp = self.request({"type": "verify", "serial": serial, "handle": handle})
         # branch determinism is server-internal; unobservable remotely
-        return VerifyOutcome(resp["result"]), resp["handle"], None
+        return _OUTCOMES[resp["result"]], resp["handle"], None
 
     def apply_x(self, handle: int, i: int) -> int:
         return self.request({"type": "apply_x", "handle": handle, "qubit": i})["handle"]
@@ -404,9 +422,7 @@ class RemoteMint:
         return self.request({"type": "apply_u", "handle": handle, "qubit": i, "u": flat})["handle"]
 
     def measure(self, handle: int, i: int, basis: Basis) -> tuple[int, int]:
-        resp = self.request(
-            {"type": "measure", "handle": handle, "qubit": i, "basis": basis.value}
-        )
+        resp = self.request({"type": "measure", "handle": handle, "qubit": i, "basis": basis._value_})
         return resp["bit"], resp["handle"]
 
     def release(self, handle: int) -> None:

@@ -395,6 +395,26 @@ class TestRobustness:
                 client.close()
                 peer.close()
 
+    @pytest.mark.parametrize("reply", [
+        b'\xff{"type": "ok", "handle": 3}', b'not json', b'[1, 2]',
+        b'{"type": "ok", "handle": 3} x', b'{} {}', b'[' * 100000 + b']' * 100000,
+    ], ids=["not-utf8", "not-json", "array", "trailing-data", "two-objects", "deep"])
+    def test_malformed_reply_is_transport_error(self, reply):
+        # a canned server: each reply is queued before the request
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = RemoteMint(*listener.getsockname(), timeout=5)
+            peer, _ = listener.accept()
+            try:
+                peer.sendall(reply + b"\n")
+                with pytest.raises(TransportError, match="^malformed reply$"):
+                    client.apply_x(3, 1)
+                # the session reads the next reply as the next request's
+                peer.sendall(b'{"type": "ok", "handle": 3}\n')
+                assert client.apply_x(3, 1) == 3
+            finally:
+                client.close()
+                peer.close()
+
     def test_closed_connection_is_not_a_timeout(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             client = RemoteMint(*listener.getsockname(), timeout=5)
@@ -497,6 +517,17 @@ PINNED_SESSION = [
      b'"detail": "missing protocol version field \'v\'"}'),
     (b'not json',
      b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not a JSON object"}'),
+    (b'{"v": 1, "type": "mint", "n": 1} x',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not a JSON object"}'),
+    (b'{} {}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not a JSON object"}'),
+    (b'\xef\xbb\xbf{"v": 1, "type": "mint", "n": 1}',  # a UTF-8 BOM first
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not a JSON object"}'),
+    # past CPython's 4300-digit limit for converting a numeral to an int
+    (b'{"v": 1, "type": "mint", "n": ' + b"9" * 4301 + b'}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not a JSON object"}'),
+    (b'{"v": ' + b"9" * 4301 + b', "type": "mint", "n": 1}',
+     b'{"type": "error", "code": "BAD_REQUEST", "detail": "line is not a JSON object"}'),
     (b'[1, 2]',
      b'{"type": "error", "code": "BAD_REQUEST", "detail": "message must be a JSON object"}'),
     (b'{"v": 1, "type": "teleport"}',
@@ -572,6 +603,35 @@ class TestReplyBytes:
             assert exchange(b'{"v": 1, "type": "mint", "n": 1}') == (
                 b'{"type": "error", "code": "INTERNAL", "detail": "request failed: RuntimeError"}')
         finally:
+            sock.close()
+            srv.stop()
+
+    def test_destroying_verify_reply_is_pinned(self):
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(5)),
+                         MintPolicy.DESTROY_ON_INVALID, random.Random(5))
+        srv.mint.add_bill(symbols_from_string("1+"))
+        srv.start()
+        sock = socket.create_connection(srv.address, timeout=5)
+        replies = sock.makefile("rb")
+        session = [
+            (b'{"v": 1, "type": "claim", "serial": "' + _P + b'"}',
+             b'{"type": "claimed", "serial": "' + _P + b'", "handle": 2, "n": 2}'),
+            (b'{"v": 1, "type": "verify", "serial": "' + _P + b'", "handle": 2}',
+             b'{"type": "verified", "result": "VALID", "handle": 3}'),
+            (b'{"v": 1, "type": "apply_x", "handle": 3, "qubit": 0}',
+             b'{"type": "ok", "handle": 3}'),
+            (b'{"v": 1, "type": "verify", "serial": "' + _P + b'", "handle": 3}',
+             b'{"type": "verified", "result": "INVALID", "handle": null}'),
+            (b'{"v": 1, "type": "apply_x", "handle": 3, "qubit": 0}',
+             b'{"type": "error", "code": "HANDLE_NOT_OWNED", '
+             b'"detail": "handle 3 is not owned by this session"}'),
+        ]
+        try:
+            for request, reply in session:
+                sock.sendall(request + b"\n")
+                assert replies.readline() == reply + b"\n", request
+        finally:
+            replies.close()
             sock.close()
             srv.stop()
 

@@ -10,6 +10,7 @@ session must leave no state behind.
 
 import json
 import random
+import re
 import socket
 import time
 
@@ -28,12 +29,19 @@ FIELDS = ("v", "type", "n", "serial", "handle", "qubit", "basis", "u")
 SENTINEL_HANDLE = -7777777
 SENTINEL = json.dumps({"v": 1, "type": "release", "handle": SENTINEL_HANDLE}).encode()
 
+# an integer past CPython's 4300-digit limit for int/str conversion,
+# which json.dumps cannot write: drawn as a marked string of its digits
+# (longer than any other drawn string), written out bare by _json_line
+LONG_INT = "long-int:"
+long_ints = st.builds(lambda sign, digits: LONG_INT + sign + "9" * digits,
+                      st.sampled_from(["", "-"]), st.integers(4301, 5000))
 json_scalars = (
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2**70), max_value=2**70)
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=8)
+    | long_ints
 )
 json_values = st.recursive(
     json_scalars,
@@ -90,7 +98,7 @@ def _json_line(data, handles, serials) -> bytes:
                                       json_values, max_size=2))
     msg.update(extra)
     # json.dumps writes NaN and Infinity bare, as the server accepts them
-    return json.dumps(msg).encode()
+    return re.sub(f'"{LONG_INT}(-?9+)"', r"\1", json.dumps(msg)).encode()
 
 
 def _is_blank(line: bytes) -> bool:
