@@ -30,10 +30,6 @@ _BASELINE_CHOICES = {
 _STRATEGY_CHOICES = {"adaptive": StrategyKind.ADAPTIVE_ORACLE, **_BASELINE_CHOICES}
 
 
-def _rng_from_seed(seed: int | None) -> random.Random:
-    return random.Random(seed) if seed is not None else random.Random()
-
-
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
@@ -113,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mint_new(args) -> int:
-    rng = _rng_from_seed(args.seed)
+    rng = random.Random(args.seed)
     if args.n < 1 or args.count < 1:
         print("error: --n and --count must be >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -134,21 +130,25 @@ def _cmd_mint_new(args) -> int:
     return EXIT_OK
 
 
-def _write_transcript(path, transcript) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(transcript.to_dict(), fh, indent=2)
-        fh.write("\n")
-
-
-def _report_attack(transcript) -> None:
+def _finish_attack(transcript, transcript_path) -> int:
+    """Report an attack, write its transcript if asked, and give the exit code."""
     print(f"serial        : {transcript.serial}")
     print(f"queries used  : {transcript.queries_used}")
     print(f"learned       : {transcript.learned_string() or '(nothing)'}")
     print(f"bill recovered: {'yes' if transcript.bill_recovered else 'no'}")
+    if transcript_path:
+        try:
+            with open(transcript_path, "w", encoding="utf-8") as fh:
+                json.dump(transcript.to_dict(), fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write {transcript_path}: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
+    return EXIT_OK if transcript.bill_recovered else EXIT_ATTACK_FAILED
 
 
 def _cmd_attack_adaptive(args) -> int:
-    rng = _rng_from_seed(args.seed)
+    rng = random.Random(args.seed)
     try:
         mint = Mint.load_db(args.db, rng=rng)
         secret = mint.secret(args.serial)
@@ -162,14 +162,7 @@ def _cmd_attack_adaptive(args) -> int:
     except AttackConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    _report_attack(transcript)
-    if args.transcript:
-        try:
-            _write_transcript(args.transcript, transcript)
-        except OSError as exc:
-            print(f"error: cannot write {args.transcript}: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-    return EXIT_OK if transcript.bill_recovered else EXIT_ATTACK_FAILED
+    return _finish_attack(transcript, args.transcript)
 
 
 def _cmd_attack_baseline(args) -> int:
@@ -207,14 +200,7 @@ def _cmd_attack_remote(args) -> int:
     except (TransportError, ProtocolError, AttackConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    _report_attack(transcript)
-    if args.transcript:
-        try:
-            _write_transcript(args.transcript, transcript)
-        except OSError as exc:
-            print(f"error: cannot write {args.transcript}: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-    return EXIT_OK if transcript.bill_recovered else EXIT_ATTACK_FAILED
+    return _finish_attack(transcript, args.transcript)
 
 
 def _cmd_experiment_sweep(args) -> int:
@@ -260,7 +246,7 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    rng = _rng_from_seed(args.seed)
+    rng = random.Random(args.seed)
     try:
         mint = Mint.load_db(args.db, rng=rng) if args.db else Mint(rng=rng)
     except (OSError, DatabaseFormatError) as exc:

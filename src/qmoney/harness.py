@@ -19,10 +19,11 @@
 # the top down, marking each slot taken, until it reaches a slot the
 # worker wrote.  Neither waits for the other, at most one trial per
 # worker is counted twice, and a late worker's slots carry an old
-# generation and do not count.  A worker sends nothing back but the
-# exception of a trial that raised.  With one CPU, no "fork" start
-# method, a call from a worker, or a second thread while another holds
-# the workers, the parent counts every trial itself.
+# generation and do not count.  A worker sends nothing back: one whose
+# trial raises stops there, and the parent counts that trial itself,
+# and so raises what it raises.  With one CPU, no "fork" start method,
+# or a second thread while another holds the workers, the parent counts
+# every trial itself.
 
 from __future__ import annotations
 
@@ -32,10 +33,9 @@ import io
 import json
 import math
 import os
-import pickle
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .attacks import (
     LocalSession,
@@ -89,20 +89,6 @@ class ResultRow:
     std_error: float
     analytic_rate: float | None
     seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "strategy": self.strategy,
-            "policy": self.policy,
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_rate": self.success_rate,
-            "mean_queries": self.mean_queries,
-            "std_error": self.std_error,
-            "analytic_rate": self.analytic_rate,
-            "seed": self.seed,
-        }
 
 
 # members as module globals, for the trial paths (see qstate's _VALID)
@@ -238,20 +224,23 @@ def _count_split(workers, strategy, policy, n, seed, trials) -> tuple[int, int]:
         bounds = [lo] + [lo + (hi - lo) * j // (k + 1) for j in range(2, k + 2)]
         gen = _next_gen()
         base = lo - 1  # trial i's slot is _slots[i - base]
-        posted = [(w if a < b and w.post((gen, *task, a, b, base)) else None, a, b)
-                  for w, a, b in zip(workers, bounds, bounds[1:])]
-        for w, a, b in posted:
-            s, q = _count(*task, a, b) if w is None else _meet(w, gen, task, a, b, base)
+        for w, a, b in zip(workers, bounds, bounds[1:]):
+            if a < b:
+                w.post((gen, *task, a, b, base))
+        for a, b in zip(bounds, bounds[1:]):
+            s, q = _meet(gen, task, a, b, base)
             successes += s
             queries += q
     return successes, queries
 
 
-def _meet(worker: "_Worker", gen: int, task, lo: int, hi: int, base: int) -> tuple[int, int]:
-    """The count of [lo, hi), which `worker` counts from lo up: the caller
-    counts from hi down, marking each slot taken, until it reaches one the
-    worker wrote, which holds the worker's count of the trials below it.
-    A slot of an earlier generation the caller counts past."""
+def _meet(gen: int, task, lo: int, hi: int, base: int) -> tuple[int, int]:
+    """The count of [lo, hi), which a worker may be counting from lo up:
+    the caller counts from hi down, marking each slot taken, until it
+    reaches one the worker wrote in call `gen`, which holds the worker's
+    count of the trials below it.  Every other slot the caller counts
+    past, so a trial that raised in the worker, or a range whose worker
+    is gone, is counted here, and a trial that raises here raises."""
     strategy, policy, n, seed = task
     taken = gen << _GEN_SHIFT
     slots = _slots
@@ -259,9 +248,7 @@ def _meet(worker: "_Worker", gen: int, task, lo: int, hi: int, base: int) -> tup
     for index in range(hi - 1, lo - 1, -1):
         word = slots[index - base]
         if word >> _GEN_SHIFT == gen:
-            s = word >> _QUERY_BITS & _ERROR
-            if s == _ERROR:
-                raise worker.error(gen)
+            s = word >> _QUERY_BITS & _MAX_SUCCESSES
             return successes + s, queries + (word & _MAX_QUERIES)
         slots[index - base] = taken
         ok, used = run_trial(strategy, policy, n, trial_rng(seed, n, index))
@@ -273,13 +260,13 @@ def _meet(worker: "_Worker", gen: int, task, lo: int, hi: int, base: int) -> tup
 # A slot is one aligned 64-bit word, stored and loaded whole: the
 # generation of the call that wrote it, and then, from a worker, the
 # successes and queries of its range up to and including the slot's
-# trial, or _ERROR successes for a trial that raised.  A worker whose
-# queries outgrow the field stops there, and the caller counts the rest.
+# trial.  A worker whose queries outgrow the field stops there, and the
+# caller counts the rest.
 _QUERY_BITS = 27
-_SUCCESS_BITS = 17  # successes <= _WINDOW < _ERROR
+_SUCCESS_BITS = 17  # successes <= _WINDOW <= _MAX_SUCCESSES
 _GEN_SHIFT = _QUERY_BITS + _SUCCESS_BITS
 _MAX_QUERIES = (1 << _QUERY_BITS) - 1
-_ERROR = (1 << _SUCCESS_BITS) - 1
+_MAX_SUCCESSES = (1 << _SUCCESS_BITS) - 1
 # Slots in the shared window: trials of one row beyond it run as the
 # next window.  Only the slots a row uses are ever touched.
 _WINDOW = 1 << 16
@@ -319,7 +306,6 @@ _pool: list["_Worker"] = []
 _pool_pid: int | None = None
 _slots: memoryview | None = None
 _pool_lock = threading.Lock()
-_in_worker = False
 
 
 @contextmanager
@@ -327,7 +313,7 @@ def _borrowed_workers():
     """The workers for one run_experiment call; none if the parent is to
     count every trial itself."""
     cpus = _cpus()
-    if len(cpus) < 2 or _in_worker or not _pool_lock.acquire(blocking=False):
+    if len(cpus) < 2 or not _pool_lock.acquire(blocking=False):
         yield []
         return
     try:
@@ -351,7 +337,8 @@ def _workers(cpus: list[int]) -> list["_Worker"]:
         while len(_pool) < len(cpus):
             _pool.append(_Worker(cpus[len(_pool)]))
     except (ValueError, OSError, AssertionError):
-        # AssertionError: multiprocessing lets no daemonic process fork
+        # AssertionError: multiprocessing lets no daemonic process, such
+        # as a worker, fork
         pass
     return _pool[:len(cpus)]
 
@@ -368,7 +355,7 @@ def _forget_pool() -> None:
 
 class _Worker:
     """A forked process that counts the trial ranges sent down its pipe
-    into the shared window, and sends back only the exceptions."""
+    into the shared window, and sends nothing back."""
 
     __slots__ = ("process", "conn")
 
@@ -376,7 +363,7 @@ class _Worker:
         import multiprocessing  # here, so that importing qmoney does not load it
 
         ctx = multiprocessing.get_context("fork")  # ValueError where there is no fork
-        self.conn, child_end = ctx.Pipe()
+        child_end, self.conn = ctx.Pipe(duplex=False)
         self.process = ctx.Process(target=_serve, args=(child_end, self.conn, cpu),
                                    daemon=True)
         self.process.start()
@@ -395,15 +382,6 @@ class _Worker:
             self.discard()
             return False
         return True
-
-    def error(self, gen: int) -> BaseException:
-        """The exception the worker raised in call `gen`, which it sent
-        before it marked the slot; one from an earlier call that no
-        caller read is dropped."""
-        while True:
-            sent, exc = self.conn.recv()
-            if sent == gen:
-                return exc
 
     def discard(self) -> None:
         """Close the pipe and stop the process; the next call forks a new one."""
@@ -425,16 +403,14 @@ _SPIN_S = 0.002
 
 def _serve(conn, parent_end, cpu: int) -> None:
     """A worker's loop on its own CPU: count each range it is sent, from
-    the bottom up, until the caller's count from the top reaches it or
-    the caller moves on, and exit when the parent's end of the pipe
-    closes or the parent dies."""
-    global _in_worker
+    the bottom up, until the caller's count from the top reaches it, the
+    caller moves on, or a trial raises, and exit when the parent's end of
+    the pipe closes or the parent dies."""
     import signal
     import time
 
     # Ctrl-C reaches the whole process group; the parent reports it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _in_worker = True
     parent_end.close()
     _forget_pool()
     # Unpinned, a woken worker was often run on the CPU of the parent
@@ -459,17 +435,8 @@ def _serve(conn, parent_end, cpu: int) -> None:
                 return  # orphaned in mid-range
             try:
                 ok, used = run_trial(strategy, policy, n, trial_rng(seed, n, index))
-            except Exception as exc:
-                try:
-                    pickle.loads(pickle.dumps(exc))
-                except Exception:  # sent as its type's name and its message
-                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                try:
-                    conn.send((gen, exc))
-                except OSError:
-                    return
-                slots[index - base] = tag | _ERROR << _QUERY_BITS
-                break
+            except Exception:
+                break  # left unwritten: the caller counts this trial itself
             successes += ok
             queries += used
             if queries > _MAX_QUERIES:
@@ -501,7 +468,7 @@ def write_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
     if fmt == "csv":
         text = render_csv(rows)
     elif fmt == "json":
-        text = json.dumps([r.to_dict() for r in rows], indent=2) + "\n"
+        text = json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -399,6 +399,9 @@ class Mint:
             denomination = entry.get("denomination", "$20")
             if not isinstance(serial, str) or not SERIAL_PATTERN.match(serial):
                 raise DatabaseFormatError(f"{path}: bills[{idx}].serial {serial!r} is malformed")
+            for field, value in (("symbols", symbols_text), ("denomination", denomination)):
+                if not isinstance(value, str):
+                    raise DatabaseFormatError(f"{path}: bills[{idx}].{field} must be a string")
             try:
                 symbols = symbols_from_string(symbols_text)
             except ValueError as exc:

@@ -170,6 +170,8 @@ _INVALID = VerifyOutcome.INVALID
 class NonUnitaryError(ValueError):
     """Raised when a supplied 2x2 matrix is not unitary."""
 
+    code = "NON_UNITARY"
+
 
 def _dot(u, v) -> complex:
     # <u|v> for 2-vectors stored as tuples; every factor overlap goes here

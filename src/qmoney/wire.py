@@ -23,13 +23,12 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .attacks import adaptive_attack
 from .mint import (
-    DimensionMismatchError,
     HandleConsumedError,
     Mint,
+    MintError,
     MintPolicy,
     StateHandle,
     UnknownHandleError,
-    UnknownSerialError,
     _tuple_new,
 )
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
@@ -239,14 +238,8 @@ class MintServer:
             return op(self, msg, owned)
         except ProtocolError as exc:
             return _error(exc.code, exc.detail)
-        except UnknownSerialError as exc:
-            return _error("UNKNOWN_SERIAL", str(exc))
-        except HandleConsumedError as exc:
-            return _error("HANDLE_CONSUMED", str(exc))
-        except DimensionMismatchError as exc:
-            return _error("DIMENSION_MISMATCH", str(exc))
-        except NonUnitaryError as exc:
-            return _error("NON_UNITARY", str(exc))
+        except (MintError, NonUnitaryError) as exc:  # before ValueError: NonUnitaryError is one
+            return _error(exc.code, str(exc))
         except (IndexError, ValueError) as exc:
             return _error("BAD_REQUEST", str(exc))
 

@@ -46,6 +46,19 @@ class TestMintNew:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    @pytest.mark.parametrize("field, value", [("symbols", [0]), ("denomination", ["x"])],
+                             ids=["symbols", "denomination"])
+    def test_non_string_field_in_db(self, capsys, tmp_path, field, value):
+        db = tmp_path / "m.json"
+        entry = {"serial": "WQM-" + "a" * 32, "denomination": "$20", "symbols": "01"}
+        entry[field] = value
+        db.write_text(json.dumps({"version": 1, "bills": [entry]}))
+        before = db.read_bytes()
+        code, out, err = run_cli(capsys, "mint", "new", "--n", "2", "--db", str(db))
+        assert code == EXIT_FAILURE
+        assert err.splitlines() == [f"error: {db}: bills[0].{field} must be a string"]
+        assert out == "" and db.read_bytes() == before
+
 
 class TestAttackAdaptive:
     def test_mint_then_attack(self, capsys, tmp_path):

@@ -74,20 +74,24 @@ class TestRunExperiment:
         assert a == b
 
     def test_parallelism_does_not_change_output(self, split, monkeypatch):
-        # trials 1, 2 and 3 leave some of the three ranges empty, and 50
-        # and 257 split unevenly; with a window of 40 slots, 41 and 83
-        # run as two and three windows
-        for window, counts in ((None, (1, 2, 3, 50, 257)), (40, (41, 2 * 40 + 3))):
-            if window is not None:
+        # split three ways, and two ways, where the one worker's range is
+        # the whole window; trials 1, 2 and 3 leave some of the three
+        # ranges empty, and 50 and 257 split unevenly; with a window of 40
+        # slots, 41 and 83 run as two and three windows
+        for cpus in ([0, 1, 2], [0, 1]):
+            monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+            for window, counts in ((harness._WINDOW, (1, 2, 3, 50, 257)),
+                                   (40, (41, 2 * 40 + 3))):
                 small_window(monkeypatch, window)
-            for strategy in StrategyKind:
-                for policy in MintPolicy.ALL:
-                    for trials in counts:
-                        config = small_config(strategy=strategy, policy=policy,
-                                              n_values=[1, 3, 8], trials=trials, seed=trials)
-                        assert render_csv(run_experiment(config)) == one_process_csv(config), (
-                            strategy, policy, trials)
-            assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
+                for strategy in StrategyKind:
+                    for policy in MintPolicy.ALL:
+                        for trials in counts:
+                            config = small_config(strategy=strategy, policy=policy,
+                                                  n_values=[1, 3, 8], trials=trials, seed=trials)
+                            assert render_csv(run_experiment(config)) == one_process_csv(config), (
+                                cpus, strategy, policy, trials)
+                assert len(harness._pool) == len(cpus) - 1
+                assert all(w.conn is not None for w in harness._pool)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -243,53 +247,39 @@ class TestWorkers:
             assert render_csv(run_experiment(config)) == one_process_csv(config)
 
     def test_worker_exception_is_raised_in_parent(self, split, monkeypatch):
-        parent, real = os.getpid(), harness.run_trial
-
-        def run_trial(*args):
-            if os.getpid() != parent:
-                raise ZeroDivisionError("trial failed in a worker")
-            return real(*args)
-
-        monkeypatch.setattr(harness, "run_trial", run_trial)
-        # the parent's own range takes far longer than the worker's answer
-        with pytest.raises(ZeroDivisionError, match="^trial failed in a worker$"):
-            run_experiment(guess_config(1, trials=3000))
-
-    def test_unpicklable_exception_keeps_type_name_and_message(self, split, monkeypatch):
-        class LocalError(Exception):
+        class LocalError(Exception):  # a local class, which pickle cannot carry
             pass
 
-        parent, real = os.getpid(), harness.run_trial
+        real = harness.trial_rng
 
-        def run_trial(*args):
-            if os.getpid() != parent:
-                raise LocalError("trial failed in a worker")
-            return real(*args)
+        def trial_rng(seed, n, index):
+            if index == 2500:  # in mid-range of the second worker
+                raise LocalError(f"trial {index} failed")
+            return real(seed, n, index)
 
-        monkeypatch.setattr(harness, "run_trial", run_trial)
-        with pytest.raises(RuntimeError, match="^LocalError: trial failed in a worker$"):
+        monkeypatch.setattr(harness, "trial_rng", trial_rng)
+        with pytest.raises(LocalError, match="^trial 2500 failed$") as info:
             run_experiment(guess_config(1, trials=3000))
+        assert info.traceback[-1].name == "trial_rng"
+        assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
 
-    def test_unread_exception_of_an_earlier_call_is_dropped(self, split, monkeypatch):
-        parent, real = os.getpid(), harness.run_trial
+    def test_worker_only_failure_leaves_exact_row(self, split, monkeypatch):
+        parent, real = os.getpid(), harness.trial_rng
 
-        def run_trial(strategy, policy, n, rng):
-            if os.getpid() != parent and n in (5, 6):
-                raise (ValueError if n == 5 else KeyError)("trial failed in a worker")
-            return real(strategy, policy, n, rng)
+        def trial_rng(seed, n, index):
+            # one trial in the middle of each worker's range, and the
+            # bottom of the second one
+            if os.getpid() != parent and index in (1000, 2000, 2500):
+                raise ZeroDivisionError("trial failed in a worker")
+            return real(seed, n, index)
 
-        monkeypatch.setattr(harness, "run_trial", run_trial)
-        run_experiment(guess_config(1))
-        worker = harness._pool[0]
-        # a call whose caller never reads the worker's ValueError
-        gen = harness._next_gen()
-        assert worker.post((gen, StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS,
-                            5, 1, 0, 10, -1))
-        assert written(1, gen)  # marked as an error
-        config = small_config(strategy=StrategyKind.GUESS_RANDOM_SYMBOLS, n_values=[6],
-                              trials=3000, seed=2)
-        with pytest.raises(KeyError, match="trial failed in a worker"):
-            run_experiment(config)
+        monkeypatch.setattr(harness, "trial_rng", trial_rng)
+        pids = []
+        for seed in (1, 2, 3):
+            config = guess_config(seed, trials=3000)
+            assert render_csv(run_experiment(config)) == one_process_csv(config)
+            pids = pids or [w.process.pid for w in harness._pool]
+        assert len(pids) == 2 and [w.process.pid for w in harness._pool] == pids
 
     def test_killed_worker_is_replaced(self, split):
         run_experiment(guess_config(1))

@@ -327,6 +327,16 @@ class TestPersistence:
         with pytest.raises(DatabaseFormatError, match="serial"):
             Mint.load_db(path)
 
+    @pytest.mark.parametrize("field, value", [("symbols", [0]), ("denomination", ["x"])],
+                             ids=["symbols", "denomination"])
+    def test_non_string_field(self, tmp_path, field, value):
+        path = tmp_path / "db.json"
+        entry = {"serial": "WQM-" + "a" * 32, "denomination": "$20", "symbols": "01"}
+        entry[field] = value
+        path.write_text(json.dumps({"version": 1, "bills": [entry]}))
+        with pytest.raises(DatabaseFormatError, match=rf"bills\[0\]\.{field} must be a string"):
+            Mint.load_db(path)
+
     def test_large_bills_round_trip(self, tmp_path):
         mint = Mint(rng=random.Random(9))
         for _ in range(5):
