@@ -247,6 +247,19 @@ class TestWorkers:
             assert render_csv(run_experiment(config)) == one_process_csv(config)
 
     def test_worker_exception_is_raised_in_parent(self, split, monkeypatch):
+        real = harness.trial_rng
+
+        def trial_rng(seed, n, index):
+            if index == 2500:  # in mid-range of the second worker
+                raise ZeroDivisionError(f"trial {index} failed")
+            return real(seed, n, index)
+
+        monkeypatch.setattr(harness, "trial_rng", trial_rng)
+        with pytest.raises(ZeroDivisionError, match="^trial 2500 failed$"):
+            run_experiment(guess_config(1, trials=3000))
+        assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
+
+    def test_unpicklable_exception_keeps_type_name_and_message(self, split, monkeypatch):
         class LocalError(Exception):  # a local class, which pickle cannot carry
             pass
 
