@@ -22,7 +22,6 @@ from .mint import (
     BillSecret,
     Mint,
     MintPolicy,
-    StateHandle,
     StateRegistry,
 )
 from .attacks import (
@@ -50,7 +49,6 @@ __all__ = [
     "BillSecret",
     "Mint",
     "MintPolicy",
-    "StateHandle",
     "StateRegistry",
     "AttackTranscript",
     "LocalSession",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .mint import Mint, MintPolicy, StateHandle, StateRegistry, _tuple_new
+from .mint import Mint, MintPolicy, StateRegistry, _tuple_new
 from .qstate import (
     Basis,
     QubitSymbol,
@@ -46,8 +46,7 @@ class AttackConsistencyError(RuntimeError):
 
 
 class AttackRecord(NamedTuple):
-    # a NamedTuple, like StateHandle, because one is built per query,
-    # with `_tuple_new`
+    # a NamedTuple built with `_tuple_new`, one per query (see mint.py)
     qubit: int
     outcome: VerifyOutcome
     # None only for the round on which a destroying mint ate the bill.
@@ -92,19 +91,19 @@ class LocalSession:
         self.policy = MintPolicy.check(policy)
         self.rng = rng if rng is not None else random.Random()
 
-    def verify(self, serial: str, handle: StateHandle):
+    def verify(self, serial: str, handle: int):
         # a VerifyResult is the (outcome, handle, deterministic) triple
         return self.mint.verify(serial, handle, self.policy, self.rng)
 
-    def apply_x(self, handle: StateHandle, i: int) -> StateHandle:
+    def apply_x(self, handle: int, i: int) -> int:
         self.mint.registry.apply_pauli_x(handle, i)
         return handle
 
-    def apply_unitary(self, handle: StateHandle, i: int, u) -> StateHandle:
+    def apply_unitary(self, handle: int, i: int, u) -> int:
         self.mint.registry.apply_unitary(handle, i, u)
         return handle
 
-    def measure(self, handle: StateHandle, i: int, basis: Basis) -> tuple[int, StateHandle]:
+    def measure(self, handle: int, i: int, basis: Basis) -> tuple[int, int]:
         bit = self.mint.registry.measure(handle, i, basis, self.rng)
         return bit, handle
 
@@ -166,7 +165,7 @@ def adaptive_attack(session, serial: str, handle, n: int, order=None):
     return transcript, handle
 
 
-def forge_copies(registry: StateRegistry, learned, count: int) -> list[StateHandle]:
+def forge_copies(registry: StateRegistry, learned, count: int) -> list[int]:
     """Prepare `count` fresh copies of the learned symbol sequence."""
     learned = tuple(learned)
     if not learned:
@@ -181,10 +180,10 @@ def forge_copies(registry: StateRegistry, learned, count: int) -> list[StateHand
 def baseline_attack(
     kind: StrategyKind,
     registry: StateRegistry,
-    handle: StateHandle | None,
+    handle: int | None,
     n: int,
     rng: random.Random,
-) -> tuple[StateHandle, StateHandle | None]:
+) -> tuple[int, int | None]:
     """Produce a counterfeit without querying the mint.
 
     Returns (counterfeit handle, damaged original handle or None).  The

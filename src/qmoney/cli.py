@@ -23,17 +23,17 @@ EXIT_USAGE = 2
 EXIT_ATTACK_FAILED = 3
 
 _POLICY_CHOICES = list(MintPolicy.ALL)
-_BASELINE_CHOICES = {
-    "guess": StrategyKind.GUESS_RANDOM_SYMBOLS,
-    "measure-copy": StrategyKind.MEASURE_RANDOM_BASIS_COPY,
-}
-_STRATEGY_CHOICES = {"adaptive": StrategyKind.ADAPTIVE_ORACLE, **_BASELINE_CHOICES}
+_STRATEGY_CHOICES = sorted(kind.value for kind in StrategyKind)
+_BASELINE_CHOICES = [v for v in _STRATEGY_CHOICES if v != StrategyKind.ADAPTIVE_ORACLE.value]
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
+    # str.isdigit() also accepts non-ASCII digits, which int() reads or rejects
+    if not sep or not (port.isascii() and port.isdigit()):
         raise ValueError(f"address must be host:port, got {text!r}")
+    if int(port) > 65535:
+        raise ValueError(f"port must be from 0 to 65535, got {port}")
     return host or "127.0.0.1", int(port)
 
 
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ad.add_argument("--transcript", default=None, help="write the attack transcript as JSON")
 
     p_bl = attack_sub.add_parser("baseline", help="no-oracle counterfeiting baselines")
-    p_bl.add_argument("--strategy", choices=sorted(_BASELINE_CHOICES), required=True)
+    p_bl.add_argument("--strategy", choices=_BASELINE_CHOICES, required=True)
     p_bl.add_argument("--n", type=int, required=True)
     p_bl.add_argument("--trials", type=int, required=True)
     p_bl.add_argument("--seed", type=int, required=True)
@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="Monte Carlo sweeps")
     exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
     p_sw = exp_sub.add_parser("sweep", help="sweep a strategy over bill sizes")
-    p_sw.add_argument("--strategy", choices=sorted(_STRATEGY_CHOICES), required=True)
+    p_sw.add_argument("--strategy", choices=_STRATEGY_CHOICES, required=True)
     p_sw.add_argument("--policy", choices=_POLICY_CHOICES, default=MintPolicy.RETURN_ALWAYS)
     p_sw.add_argument("--n", required=True, help="comma-separated bill sizes, e.g. 1,2,4,8")
     p_sw.add_argument("--trials", type=int, required=True)
@@ -171,7 +171,7 @@ def _cmd_attack_baseline(args) -> int:
         return EXIT_USAGE
     # one sweep row: the counterfeit against a returning mint
     (row,) = run_experiment(ExperimentConfig(
-        strategy=_BASELINE_CHOICES[args.strategy],
+        strategy=StrategyKind(args.strategy),
         policy=MintPolicy.RETURN_ALWAYS,
         n_values=[args.n],
         trials=args.trials,
@@ -210,7 +210,7 @@ def _cmd_experiment_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = ExperimentConfig(
-        strategy=_STRATEGY_CHOICES[args.strategy],
+        strategy=StrategyKind(args.strategy),
         policy=args.policy,
         n_values=n_values,
         trials=args.trials,

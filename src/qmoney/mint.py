@@ -1,7 +1,8 @@
 # The mint: bill issuance, the secret database, and the verification
-# oracle.  Quantum states live in a registry behind linearly-owned
-# handles; a handle is consumed exactly once and never duplicated, which
-# is how the simulation honors no-cloning at the API boundary.
+# oracle.  Quantum states live in a registry; a handle is the registry's
+# int id for one of them.  The registry consumes each id exactly once and
+# never copies its state, which is how the simulation honors no-cloning
+# at the API boundary.
 
 from __future__ import annotations
 
@@ -55,23 +56,14 @@ class DatabaseFormatError(ValueError):
     """Secret database file could not be parsed."""
 
 
-class StateHandle(NamedTuple):
-    """Opaque id into a state registry; live until consumed, never copied.
-
-    A NamedTuple, not a frozen dataclass, because one is built on every
-    request and a tuple is the cheapest immutable, hashable value.  The
-    hot paths build it, BillSecret and VerifyResult with `_tuple_new`,
-    which skips the generated Python `__new__`."""
-
-    id: int
-
-
+# BillSecret, VerifyResult and the attacks' AttackRecord are NamedTuples,
+# not frozen dataclasses, because the hot paths build one per bill or per
+# query and a tuple is the cheapest immutable value.  Those paths build
+# them with `_tuple_new`, which skips the generated Python `__new__`.
 _tuple_new = tuple.__new__
 
 
 class BillSecret(NamedTuple):
-    # a NamedTuple for the reason StateHandle is one: every mint_bill
-    # builds one
     serial: str
     symbols: tuple[QubitSymbol, ...]
     denomination: str = "$20"
@@ -105,9 +97,9 @@ _VALID = VerifyOutcome.VALID
 
 
 class VerifyResult(NamedTuple):
-    # a NamedTuple for the reason StateHandle is one
     outcome: VerifyOutcome
-    handle: StateHandle | None
+    # the residue's handle; None when the mint kept the bill
+    handle: int | None
     # True when the projector probability was exactly 0 or 1; used by the
     # adaptive attack's consistency guard.  None when unobservable
     # (remote sessions).
@@ -115,7 +107,8 @@ class VerifyResult(NamedTuple):
 
 
 class StateRegistry:
-    """Holds the actual quantum states; callers only ever see handles.
+    """Holds the actual quantum states; callers only ever see handles,
+    the int ids it hands out.
 
     All mutations take the registry lock, and consume-then-act is atomic,
     so concurrent callers can never obtain two live handles to one state.
@@ -138,35 +131,35 @@ class StateRegistry:
         self._states: dict[int, SumOfProductsState] = {}
         self._next_id = 1
 
-    def register(self, state: SumOfProductsState) -> StateHandle:
+    def register(self, state: SumOfProductsState) -> int:
         with self.lock:
             return self.register_locked(state)
 
-    def register_locked(self, state: SumOfProductsState) -> StateHandle:
+    def register_locked(self, state: SumOfProductsState) -> int:
         """`register` for a caller that holds `lock`."""
         hid = self._next_id
         self._next_id = hid + 1
         self._states[hid] = state
-        return _tuple_new(StateHandle, (hid,))
+        return hid
 
-    def _live_state(self, handle: StateHandle) -> SumOfProductsState:
+    def _live_state(self, handle: int) -> SumOfProductsState:
         # caller holds the lock
         try:
-            return self._states[handle.id]
+            return self._states[handle]
         except KeyError:
             raise self._gone(handle) from None
 
-    def _gone(self, handle: StateHandle) -> MintError:
+    def _gone(self, handle: int) -> MintError:
         """The error for a handle that holds no state."""
-        if 0 < handle.id < self._next_id:
-            return HandleConsumedError(f"handle {handle.id} was already consumed")
-        return UnknownHandleError(f"unknown handle {handle.id}")
+        if 0 < handle < self._next_id:
+            return HandleConsumedError(f"handle {handle} was already consumed")
+        return UnknownHandleError(f"unknown handle {handle}")
 
-    def is_live(self, handle: StateHandle) -> bool:
+    def is_live(self, handle: int) -> bool:
         with self.lock:
-            return handle.id in self._states
+            return handle in self._states
 
-    def consume(self, handle: StateHandle, expected_n: int | None = None) -> SumOfProductsState:
+    def consume(self, handle: int, expected_n: int | None = None) -> SumOfProductsState:
         """Atomically take ownership of the state; the handle dies here.
 
         A dimension mismatch leaves the handle live.
@@ -174,53 +167,52 @@ class StateRegistry:
         with self.lock:
             return self.consume_locked(handle, expected_n)
 
-    def consume_locked(self, handle: StateHandle, expected_n: int | None = None) -> SumOfProductsState:
+    def consume_locked(self, handle: int, expected_n: int | None = None) -> SumOfProductsState:
         """`consume` for a caller that holds `lock`."""
         states = self._states
-        hid = handle.id
         try:
-            state = states[hid]
+            state = states[handle]
         except KeyError:
             raise self._gone(handle) from None
         if expected_n is not None and state.n != expected_n:
             raise DimensionMismatchError(
-                f"handle {hid} holds {state.n} qubits, expected {expected_n}"
+                f"handle {handle} holds {state.n} qubits, expected {expected_n}"
             )
-        del states[hid]
+        del states[handle]
         return state
 
-    def release(self, handle: StateHandle) -> None:
+    def release(self, handle: int) -> None:
         self.consume(handle)
 
-    def apply_pauli_x(self, handle: StateHandle, i: int) -> None:
+    def apply_pauli_x(self, handle: int, i: int) -> None:
         with self.lock:
             self._live_state(handle).apply_pauli_x(i)
 
-    def apply_unitary(self, handle: StateHandle, i: int, u) -> None:
+    def apply_unitary(self, handle: int, i: int, u) -> None:
         with self.lock:
             self._live_state(handle).apply_unitary(i, u)
 
-    def measure(self, handle: StateHandle, i: int, basis, rng: random.Random) -> int:
+    def measure(self, handle: int, i: int, basis, rng: random.Random) -> int:
         with self.lock:
             try:
-                state = self._states[handle.id]
+                state = self._states[handle]
             except KeyError:
                 raise self._gone(handle) from None
             return state.measure_qubit(i, basis, rng.random())[0]
 
-    def inspect(self, handle: StateHandle) -> SumOfProductsState:
+    def inspect(self, handle: int) -> SumOfProductsState:
         """The live state itself, for tests and diagnostics to read; not
         part of the attacker-facing surface.  Later operations on the
         handle change it."""
         with self.lock:
             return self._live_state(handle)
 
-    def duplicate_attempt(self, handle: StateHandle) -> None:
+    def duplicate_attempt(self, handle: int) -> None:
         """Named negative path: cloning a live state always fails."""
         with self.lock:
             self._live_state(handle)
             raise NoCloningError(
-                f"handle {handle.id} holds an unknown quantum state; it cannot be copied"
+                f"handle {handle} holds an unknown quantum state; it cannot be copied"
             )
 
     def live_count(self) -> int:
@@ -247,14 +239,14 @@ class Mint:
 
     def mint_bill(
         self, n: int, denomination: str = "$20", rng: random.Random | None = None
-    ) -> tuple[BillSecret, StateHandle]:
+    ) -> tuple[BillSecret, int]:
         if n < 1:
             raise ValueError("bill size n must be >= 1")
         return self._issue(None, n, denomination, rng)
 
     def add_bill(
         self, symbols, denomination: str = "$20", rng: random.Random | None = None
-    ) -> tuple[BillSecret, StateHandle]:
+    ) -> tuple[BillSecret, int]:
         """Insert a bill with chosen symbols (lab use; issuance normally
         draws them uniformly via mint_bill)."""
         symbols = tuple(symbols)
@@ -264,7 +256,7 @@ class Mint:
 
     def _issue(
         self, symbols, n: int, denomination: str, rng: random.Random | None
-    ) -> tuple[BillSecret, StateHandle]:
+    ) -> tuple[BillSecret, int]:
         # symbols=None draws n of them, after the serial, so seeded mints
         # keep their bills; a serial gets three draws to be fresh
         if rng is None:
@@ -283,7 +275,7 @@ class Mint:
             self._stats[serial] = QueryStats()
             return secret, self.registry.register_locked(SumOfProductsState.from_symbols(symbols))
 
-    def issue_bill_state(self, serial: str) -> StateHandle:
+    def issue_bill_state(self, serial: str) -> int:
         """Hand out a fresh genuine copy of a stored bill's state.
 
         Lab convenience: models the attacker starting with a legitimate
@@ -315,7 +307,7 @@ class Mint:
     def verify(
         self,
         serial: str,
-        handle: StateHandle,
+        handle: int,
         policy: str = MintPolicy.RETURN_ALWAYS,
         rng: random.Random | None = None,
     ) -> VerifyResult:
@@ -346,7 +338,7 @@ class Mint:
             new_handle = None if post is None else registry.register_locked(post)
         return _tuple_new(VerifyResult, (outcome, new_handle, p == 0.0 or p == 1.0))
 
-    def duplicate_handle_attempt(self, handle: StateHandle) -> None:
+    def duplicate_handle_attempt(self, handle: int) -> None:
         self.registry.duplicate_attempt(handle)
 
     # -- persistence ------------------------------------------------------
@@ -372,15 +364,20 @@ class Mint:
     def load_db(
         cls, path, registry: StateRegistry | None = None, rng: random.Random | None = None
     ) -> "Mint":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DatabaseFormatError(f"{path}: not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:  # before JSONDecodeError: both are ValueErrors
+            raise DatabaseFormatError(f"{path}: not UTF-8: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise DatabaseFormatError(f"{path}: not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise DatabaseFormatError(f"{path}: JSON nests too deeply") from None
         if not isinstance(payload, dict):
             raise DatabaseFormatError(f"{path}: top level must be an object")
         version = payload.get("version")
-        if version != DB_VERSION:
+        # `type(...) is int` is false for true and 1.0, which equal 1
+        if type(version) is not int or version != DB_VERSION:
             raise DatabaseFormatError(
                 f"{path}: unsupported database version {version!r}; expected {DB_VERSION}"
             )
@@ -397,7 +394,7 @@ class Mint:
             except KeyError as exc:
                 raise DatabaseFormatError(f"{path}: bills[{idx}] missing field {exc}") from None
             denomination = entry.get("denomination", "$20")
-            if not isinstance(serial, str) or not SERIAL_PATTERN.match(serial):
+            if not isinstance(serial, str) or not SERIAL_PATTERN.fullmatch(serial):
                 raise DatabaseFormatError(f"{path}: bills[{idx}].serial {serial!r} is malformed")
             for field, value in (("symbols", symbols_text), ("denomination", denomination)):
                 if not isinstance(value, str):

@@ -27,9 +27,7 @@ from .mint import (
     Mint,
     MintError,
     MintPolicy,
-    StateHandle,
     UnknownHandleError,
-    _tuple_new,
 )
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
 
@@ -76,14 +74,14 @@ def _error(code: str, detail: str = "") -> dict:
     return {"type": "error", "code": code, "detail": detail}
 
 
-def _owned_handle(msg: dict, owned: set[int]) -> StateHandle:
+def _owned_handle(msg: dict, owned: set[int]) -> int:
     hid = msg.get("handle")
     # `type(...) is int` is false for a bool: true/false is not a number
     if type(hid) is not int:
         raise ProtocolError("BAD_REQUEST", "field 'handle' must be an integer")
     if hid not in owned:
         raise ProtocolError("HANDLE_NOT_OWNED", f"handle {hid} is not owned by this session")
-    return _tuple_new(StateHandle, (hid,))
+    return hid
 
 
 def _qubit(msg: dict) -> int:
@@ -195,7 +193,7 @@ class MintServer:
     def drop_session(self, owned: set[int]) -> None:
         for hid in list(owned):
             try:
-                self.mint.registry.release(StateHandle(hid))
+                self.mint.registry.release(hid)
             except (HandleConsumedError, UnknownHandleError):
                 pass
 
@@ -251,8 +249,8 @@ class MintServer:
             )
         _check_room(owned)
         secret, handle = self.mint.mint_bill(n, rng=self._rng)
-        owned.add(handle.id)
-        return {"type": "minted", "serial": secret.serial, "handle": handle.id}
+        owned.add(handle)
+        return {"type": "minted", "serial": secret.serial, "handle": handle}
 
     def _do_claim(self, msg: dict, owned: set[int]) -> dict:
         # lab extension: hand out a genuine copy of an existing bill so a
@@ -262,11 +260,11 @@ class MintServer:
             raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
         _check_room(owned)
         handle = self.mint.issue_bill_state(serial)
-        owned.add(handle.id)
+        owned.add(handle)
         return {
             "type": "claimed",
             "serial": serial,
-            "handle": handle.id,
+            "handle": handle,
             "n": self.mint.secret(serial).n,
         }
 
@@ -277,24 +275,22 @@ class MintServer:
             raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
         handle = _owned_handle(msg, owned)
         res = self.mint.verify(serial, handle, self.policy, self._rng)
-        owned.discard(handle.id)
-        new_hid = None
+        owned.discard(handle)
         if res.handle is not None:
-            new_hid = res.handle.id
-            owned.add(new_hid)
+            owned.add(res.handle)
         # `_value_` is the member's own attribute; `.value` is a property
-        return {"type": "verified", "result": res.outcome._value_, "handle": new_hid}
+        return {"type": "verified", "result": res.outcome._value_, "handle": res.handle}
 
     def _do_apply_x(self, msg: dict, owned: set[int]) -> dict:
         handle = _owned_handle(msg, owned)
         self.mint.registry.apply_pauli_x(handle, _qubit(msg))
-        return {"type": "ok", "handle": handle.id}
+        return {"type": "ok", "handle": handle}
 
     def _do_apply_u(self, msg: dict, owned: set[int]) -> dict:
         handle = _owned_handle(msg, owned)
         u = _parse_unitary(msg.get("u"))
         self.mint.registry.apply_unitary(handle, _qubit(msg), u)
-        return {"type": "ok", "handle": handle.id}
+        return {"type": "ok", "handle": handle}
 
     def _do_measure(self, msg: dict, owned: set[int]) -> dict:
         handle = _owned_handle(msg, owned)
@@ -303,13 +299,13 @@ class MintServer:
         except (KeyError, TypeError):  # TypeError: a list or object
             raise ProtocolError("BAD_REQUEST", "field 'basis' must be \"Z\" or \"X\"") from None
         bit = self.mint.registry.measure(handle, _qubit(msg), basis, self._rng)
-        return {"type": "measured", "bit": bit, "handle": handle.id}
+        return {"type": "measured", "bit": bit, "handle": handle}
 
     def _do_release(self, msg: dict, owned: set[int]) -> dict:
         handle = _owned_handle(msg, owned)
         self.mint.registry.release(handle)
-        owned.discard(handle.id)
-        return {"type": "ok", "handle": handle.id}
+        owned.discard(handle)
+        return {"type": "ok", "handle": handle}
 
     _OPS = {
         "mint": _do_mint,

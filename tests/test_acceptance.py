@@ -25,7 +25,6 @@ from qmoney.mint import (
     Mint,
     MintPolicy,
     NoCloningError,
-    StateHandle,
     StateRegistry,
 )
 from qmoney.qstate import (
@@ -248,7 +247,7 @@ def test_criterion_6_no_cloning_and_linearity():
                         failures.append(exc.code)
                 if handle is not None:
                     # still inside the session: the handle must be live
-                    assert server.mint.registry.is_live(StateHandle(handle))
+                    assert server.mint.registry.is_live(handle)
                     surviving.append(handle)
         except Exception as exc:  # noqa: BLE001 - surfaced via assertion below
             failures.append(repr(exc))

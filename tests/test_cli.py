@@ -59,6 +59,23 @@ class TestMintNew:
         assert err.splitlines() == [f"error: {db}: bills[0].{field} must be a string"]
         assert out == "" and db.read_bytes() == before
 
+    @pytest.mark.parametrize("raw, message", [
+        (json.dumps({"version": 1, "bills": [
+            {"serial": "WQM-" + "a" * 32 + "\n", "symbols": "01"}]}).encode(), "serial"),
+        (b'{"version": true, "bills": []}', "unsupported database version True"),
+        (b'{"version": 1.0, "bills": []}', "unsupported database version 1.0"),
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b"[" * 100_000, "nests too deeply"),
+    ], ids=["serial-newline", "version-true", "version-float", "not-utf8", "deep"])
+    def test_malformed_db(self, capsys, tmp_path, raw, message):
+        db = tmp_path / "m.json"
+        db.write_bytes(raw)
+        code, out, err = run_cli(capsys, "mint", "new", "--n", "2", "--db", str(db))
+        assert code == EXIT_FAILURE
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {db}: ") and message in line
+        assert out == "" and db.read_bytes() == raw
+
 
 class TestAttackAdaptive:
     def test_mint_then_attack(self, capsys, tmp_path):
@@ -179,3 +196,25 @@ class TestAttackRemote:
     def test_needs_serial_or_n(self, capsys):
         code, _, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:9")
         assert code == EXIT_USAGE
+
+    def test_port_out_of_range(self, capsys):
+        # 70000 would wrap to port 4464 if it reached the socket
+        code, out, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:70000",
+                                 "--n", "2")
+        assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == ["error: port must be from 0 to 65535, got 70000"]
+
+    # Arabic-Indic "12" would reach the socket as port 12
+    @pytest.mark.parametrize("port", ["\u0661\u0662", "\u00b2"], ids=["arabic-indic", "superscript"])
+    def test_port_must_be_ascii_digits(self, capsys, port):
+        addr = f"127.0.0.1:{port}"
+        code, out, err = run_cli(capsys, "attack", "remote", "--addr", addr, "--n", "2")
+        assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == [f"error: address must be host:port, got {addr!r}"]
+
+
+class TestServe:
+    def test_port_out_of_range(self, capsys):
+        code, out, err = run_cli(capsys, "serve", "--addr", "127.0.0.1:99999")
+        assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == ["error: port must be from 0 to 65535, got 99999"]

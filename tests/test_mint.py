@@ -15,7 +15,6 @@ from qmoney.mint import (
     MintPolicy,
     NoCloningError,
     QueryStats,
-    StateHandle,
     StateRegistry,
     UnknownHandleError,
     UnknownSerialError,
@@ -246,7 +245,7 @@ class TestNoCloning:
 
     def test_unknown_handle(self, mint):
         with pytest.raises(UnknownHandleError):
-            mint.duplicate_handle_attempt(StateHandle(999999))
+            mint.duplicate_handle_attempt(999999)
 
 
 class TestRegistryLinearity:
@@ -266,17 +265,17 @@ class TestRegistryLinearity:
         reg.release(h)
         with pytest.raises(HandleConsumedError):
             reg.apply_pauli_x(h, 0)
-        for hid in (-1, 0, h.id + 1):
+        for hid in (-1, 0, h + 1):
             with pytest.raises(UnknownHandleError):
-                reg.apply_pauli_x(StateHandle(hid), 0)
+                reg.apply_pauli_x(hid, 0)
 
     def test_fresh_ids_never_reused(self):
         reg = StateRegistry()
         seen = set()
         for _ in range(50):
             h = reg.register(SumOfProductsState.from_string("0"))
-            assert h.id not in seen
-            seen.add(h.id)
+            assert h not in seen
+            seen.add(h)
             reg.release(h)
 
 
@@ -335,6 +334,31 @@ class TestPersistence:
         entry[field] = value
         path.write_text(json.dumps({"version": 1, "bills": [entry]}))
         with pytest.raises(DatabaseFormatError, match=rf"bills\[0\]\.{field} must be a string"):
+            Mint.load_db(path)
+
+    def test_serial_with_trailing_newline(self, tmp_path):
+        # `$` also matches before a final newline; the whole serial must match
+        path = tmp_path / "db.json"
+        serial = "WQM-" + "a" * 32 + "\n"
+        path.write_text(json.dumps({"version": 1, "bills": [{"serial": serial, "symbols": "01"}]}))
+        with pytest.raises(DatabaseFormatError, match="serial"):
+            Mint.load_db(path)
+
+    # true == 1 and 1.0 == 1, but neither is the integer version
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["true", "float"])
+    def test_version_must_be_an_int(self, tmp_path, version):
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"version": version, "bills": []}))
+        with pytest.raises(DatabaseFormatError, match="version"):
+            Mint.load_db(path)
+
+    @pytest.mark.parametrize("raw, message", [(b"\xff\xfe{}", "not UTF-8"),
+                                              (b"[" * 100_000, "nests too deeply")],
+                             ids=["not-utf8", "deep"])
+    def test_undecodable_file(self, tmp_path, raw, message):
+        path = tmp_path / "db.json"
+        path.write_bytes(raw)
+        with pytest.raises(DatabaseFormatError, match=message):
             Mint.load_db(path)
 
     def test_large_bills_round_trip(self, tmp_path):

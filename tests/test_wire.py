@@ -5,8 +5,8 @@ import time
 
 import pytest
 
-from qmoney.attacks import LocalSession, adaptive_attack
-from qmoney.mint import Mint, MintPolicy, StateHandle
+from qmoney.attacks import LocalSession, adaptive_attack, forge_copies
+from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import Basis, VerifyOutcome, symbols_from_string
 from qmoney.wire import (
     MAX_LINE_BYTES,
@@ -67,6 +67,21 @@ class TestProtocol:
             outcome, new_handle, _ = c.verify(serial, handle)
             assert outcome is VerifyOutcome.VALID
             assert isinstance(new_handle, int) and new_handle != handle
+
+    def test_handles_are_plain_ints(self, server):
+        # a handle is the registry's id, the value a session holds on
+        # the wire; no wrapper type anywhere
+        mint = server.mint
+        secret, minted = mint.mint_bill(3)
+        claimed = mint.issue_bill_state(secret.serial)
+        residue = mint.verify(secret.serial, minted).handle
+        handles = [minted, claimed, residue, *forge_copies(mint.registry, secret.symbols, 2)]
+        with client_for(server) as c:
+            serial, remote = c.mint_bill(3)
+            handles.append(remote)
+            handles.append(c.verify(serial, remote)[1])
+            handles.append(c.claim(serial)[0])
+        assert [type(h) for h in handles] == [int] * len(handles)
 
     def test_full_attack_round(self, server):
         # flip a planted Z-eigenstate qubit, verify, recover, read the bit
@@ -227,7 +242,7 @@ class TestRobustness:
             resp = raw.send_line('{"v": 1, "type": "apply_u", "handle": %d, "qubit": 0, '
                                  '"u": [[NaN, 0], [0, 0], [0, 0], [NaN, 0]]}' % handle)
             assert resp["type"] == "error" and resp["code"] == "NON_UNITARY"
-            state = server.mint.registry.inspect(StateHandle(handle))
+            state = server.mint.registry.inspect(handle)
             assert abs(state.norm_sq() - 1) <= 1e-9
         finally:
             raw.close()
@@ -591,7 +606,7 @@ class TestReplyBytes:
                 else:
                     assert exchange(request) == reply, request[:100]
             # the mint consumes the session's handle behind its back
-            srv.mint.registry.release(StateHandle(5))
+            srv.mint.registry.release(5)
             assert exchange(b'{"v": 1, "type": "apply_x", "handle": 5, "qubit": 0}') == (
                 b'{"type": "error", "code": "HANDLE_CONSUMED", '
                 b'"detail": "handle 5 was already consumed"}')
