@@ -5,9 +5,9 @@
 # information available to a remote attacker exactly what a physical
 # counterfeiter would have: classical answers plus possession of bills.
 #
-# A line, request or reply, is one JSON object with nothing after it; a
-# request line that does not parse (a number past CPython's digit limit
-# included) gets BAD_REQUEST.  The C codec is built once, at import.
+# A line, request or reply, is one JSON object with nothing after it, read
+# straight off the socket by _lines(); a request line that does not parse
+# (a number past CPython's digit limit included) gets BAD_REQUEST.
 
 from __future__ import annotations
 
@@ -22,13 +22,7 @@ from collections import Counter
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .attacks import adaptive_attack
-from .mint import (
-    HandleConsumedError,
-    Mint,
-    MintError,
-    MintPolicy,
-    UnknownHandleError,
-)
+from .mint import HandleConsumedError, Mint, MintError, MintPolicy, UnknownHandleError
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
 
 PROTOCOL_VERSION = 1
@@ -39,13 +33,14 @@ _POLL_INTERVAL_S = 0.05
 # largest bill a wire `mint` may ask for; each qubit costs the server a
 # draw and a factor
 MAX_MINT_QUBITS = 2**16
-# longest request line, newline included, that the server reads into
-# memory; a longer one is skipped and answered with one BAD_REQUEST
+# longest line, request or reply, newline included, that either end reads
+# into memory; a longer one is read past and answered once (see _lines)
 MAX_LINE_BYTES = 2**20
+_RECV_BYTES = 8192  # most bytes one recv() asks for
 # most handles one session may hold at once; `mint` and `claim` beyond
 # it are refused, so one client cannot fill the server's memory
 MAX_SESSION_HANDLES = 2**10
-# the codec: the C encoder with the arguments JSONEncoder.iterencode
+# the codec, built once: the C encoder with the arguments JSONEncoder.iterencode
 # passes for json.dumps's defaults, so the same text, less the circular
 # check (no message is circular); the C scanner, without json.loads's
 # regex matches and Python frames
@@ -55,6 +50,32 @@ _scan = json.JSONDecoder().scan_once
 # a wire string's Enum member: Enum(value) is a Python call
 _BASES = {b.value: b for b in Basis}
 _OUTCOMES = {o.value: o for o in VerifyOutcome}
+
+
+def _lines(recv):
+    """Yield each line recv() brings, newline included, once complete; None,
+    once, for a line longer than MAX_LINE_BYTES, whose rest is read past.
+    At EOF yield the unfinished last line, if any.  A recv() error ends it."""
+    buf, skipping = b"", False
+    while data := recv(_RECV_BYTES):
+        buf += data
+        start = 0
+        while end := buf.find(b"\n", start) + 1:
+            if skipping:
+                skipping = False
+            else:
+                yield buf[start:end] if end - start <= MAX_LINE_BYTES else None
+            if end == len(buf):  # the usual case: whole lines, none left over
+                buf = b""
+                break
+            start = end
+        else:
+            buf = b"" if skipping else buf[start:]
+            if len(buf) > MAX_LINE_BYTES:
+                buf, skipping = b"", True
+                yield None
+    if buf:
+        yield buf
 
 
 class ProtocolError(Exception):
@@ -93,17 +114,13 @@ def _qubit(msg: dict) -> int:
 
 def _check_room(owned: set[int]) -> None:
     if len(owned) >= MAX_SESSION_HANDLES:
-        raise ProtocolError(
-            "TOO_MANY_HANDLES", f"a session may hold at most {MAX_SESSION_HANDLES} handles"
-        )
+        raise ProtocolError("TOO_MANY_HANDLES",
+                            f"a session may hold at most {MAX_SESSION_HANDLES} handles")
 
 
 def _parse_unitary(raw):
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 4
-        or not all(isinstance(e, list) and len(e) == 2 for e in raw)
-    ):
+    if (not isinstance(raw, list) or len(raw) != 4
+            or not all(isinstance(e, list) and len(e) == 2 for e in raw)):
         raise ProtocolError("BAD_REQUEST", "field 'u' must be four [re, im] pairs, row-major")
     try:
         vals = [complex(e[0], e[1]) for e in raw]
@@ -112,42 +129,34 @@ def _parse_unitary(raw):
     return ((vals[0], vals[1]), (vals[2], vals[3]))
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    # TCP_NODELAY: a reply to the second of two pipelined requests
-    # would otherwise wait for the client to acknowledge the first, a
-    # delayed ACK of about 40 ms
-    disable_nagle_algorithm = True
-
+class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         server: "MintServer" = self.server.owner  # type: ignore[attr-defined]
+        sock = self.request
+        # TCP_NODELAY: a reply to the second of two pipelined requests would
+        # otherwise wait about 40 ms for the client's delayed ACK of the first
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         owned: set[int] = set()
         try:
-            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-                if len(raw) > MAX_LINE_BYTES:
-                    self._skip_line(raw)
-                    self._send(_error("BAD_REQUEST",
-                                      f"request line longer than {MAX_LINE_BYTES} bytes"))
-                    continue
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    self._send(_error("BAD_REQUEST", "line is not valid UTF-8"))
-                    continue
-                if not line:
-                    continue
-                self._send(server.handle_message(line, owned))
-        except (ConnectionError, BrokenPipeError, OSError):
+            for raw in _lines(sock.recv):
+                if raw is None:
+                    reply = _error("BAD_REQUEST",
+                                   f"request line longer than {MAX_LINE_BYTES} bytes")
+                else:
+                    try:
+                        line = raw.decode("utf-8").strip()
+                    except UnicodeDecodeError:
+                        reply = _error("BAD_REQUEST", "line is not valid UTF-8")
+                    else:
+                        if not line:
+                            continue
+                        # looked up per line, for a wrapper put on the class mid-session
+                        reply = server.handle_message(line, owned)
+                sock.sendall(("".join(_iterencode(reply, 0)) + "\n").encode())
+        except OSError:
             pass
         finally:
             server.drop_session(owned)
-
-    def _skip_line(self, head: bytes) -> None:
-        # read the rest of an over-long line, one bounded chunk at a time
-        while head and not head.endswith(b"\n"):
-            head = self.rfile.readline(MAX_LINE_BYTES + 1)
-
-    def _send(self, obj: dict) -> None:
-        self.request.sendall(("".join(_iterencode(obj, 0)) + "\n").encode())
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -335,12 +344,11 @@ class RemoteMint:
             limit = struct.pack("@ll", int(timeout), int(timeout % 1 * 1e6))
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
-        self._replies = self._sock.makefile("rb")
+        self._lines = _lines(self._sock.recv)
         self.sent_counts: Counter[str] = Counter()
 
     def close(self) -> None:
         try:
-            self._replies.close()
             self._sock.close()
         except OSError:
             pass
@@ -354,18 +362,20 @@ class RemoteMint:
     def request(self, msg: dict) -> dict:
         msg = {"v": PROTOCOL_VERSION, **msg}
         self.sent_counts[msg.get("type", "?")] += 1
+        step = "sending the request"
         try:
             self._sock.sendall(("".join(_iterencode(msg, 0)) + "\n").encode())
-            line = self._replies.readline()
-        except BlockingIOError as exc:  # SO_SNDTIMEO ran out
-            raise TransportError("timed out sending the request") from exc
+            step = "reading the reply"
+            line = next(self._lines, b"")
+        except BlockingIOError as exc:  # SO_SNDTIMEO or SO_RCVTIMEO ran out
+            self.close()  # the rest of the exchange would garble the session
+            raise TransportError(f"timed out {step}") from exc
         except OSError as exc:
             raise TransportError(f"connection failed: {exc}") from exc
-        if not line.endswith(b"\n"):
-            # SO_RCVTIMEO ran out, or the server closed the connection:
-            # either way readline() returns what it had
-            raise TransportError("server closed the connection" if self._closed()
-                                 else "timed out reading the reply")
+        if line is None:  # longer than MAX_LINE_BYTES
+            raise TransportError("malformed reply")
+        if not line.endswith(b"\n"):  # EOF, after part of a line or none
+            raise TransportError("server closed the connection")
         # the object must end at the newline; UnicodeDecodeError is a ValueError
         try:
             text = line.decode()
@@ -377,16 +387,6 @@ class RemoteMint:
         if resp.get("type") == "error":
             raise ProtocolError(resp.get("code", "UNKNOWN"), resp.get("detail", ""))
         return resp
-
-    def _closed(self) -> bool:
-        """Whether the server has closed the connection (rather than not
-        yet answered)."""
-        try:
-            return self._sock.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT) == b""
-        except BlockingIOError:
-            return False
-        except OSError:
-            return True
 
     # -- protocol operations ---------------------------------------------
 

@@ -1,7 +1,9 @@
 import json
 import random
 import socket
+import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -359,6 +361,22 @@ class TestRobustness:
                 c.mint_bill(1)
             assert err.value.code == "TOO_MANY_HANDLES"
 
+    def test_handler_looks_up_handle_message_per_line(self, server, monkeypatch):
+        # a wrapper put on the class mid-session, as a tracer does, sees
+        # the session's next request
+        with client_for(server) as c:
+            c.mint_bill(1)
+            seen = []
+            original = MintServer.handle_message
+
+            def wrapper(self, line, owned):
+                seen.append(line)
+                return original(self, line, owned)
+
+            monkeypatch.setattr(MintServer, "handle_message", wrapper)
+            c.mint_bill(1)
+        assert seen == ['{"v": 1, "type": "mint", "n": 1}']
+
     def test_stop_is_prompt(self):
         srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
         srv.start()
@@ -429,6 +447,47 @@ class TestRobustness:
             finally:
                 client.close()
                 peer.close()
+
+    def test_late_reply_does_not_answer_the_next_request(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = RemoteMint(*listener.getsockname(), timeout=0.2)
+            peer, _ = listener.accept()
+            try:
+                with pytest.raises(TransportError, match="^timed out reading the reply$"):
+                    client.apply_x(3, 1)
+                peer.sendall(b'{"type": "ok", "handle": 3}\n')
+                with pytest.raises(TransportError, match="^connection failed: "):
+                    client.apply_x(3, 1)
+            finally:
+                client.close()
+                peer.close()
+
+    def test_overlong_reply_is_bounded(self):
+        # a canned server streams one 16 MiB reply line, then a short one
+        long = b'{"type": "ok", "handle": 3, "pad": "' + b"x" * 2**24 + b'"}\n'
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = RemoteMint(*listener.getsockname(), timeout=5)
+            peer, _ = listener.accept()
+            sender = threading.Thread(target=peer.sendall,
+                                      args=(long + b'{"type": "ok", "handle": 4}\n',))
+            try:
+                tracemalloc.start()
+                try:
+                    sender.start()
+                    with pytest.raises(TransportError, match="^malformed reply$"):
+                        client.apply_x(3, 1)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4 * 2**20, peak
+                # the rest of the long line is read past: the next reply
+                # answers the next request
+                assert client.apply_x(4, 1) == 4
+            finally:
+                client.close()
+                sender.join(timeout=5)
+                peer.close()
+            assert not sender.is_alive()
 
     def test_closed_connection_is_not_a_timeout(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -583,6 +642,44 @@ PINNED_SESSION = [
      b'{"type": "error", "code": "BAD_REQUEST", '
      b'"detail": "request line longer than 1048576 bytes"}'),
 ]
+
+
+_MINT = b'{"v": 1, "type": "mint", "n": 1}'
+_LONG = b"x" * (MAX_LINE_BYTES + 1)
+_MINTED_1 = b'{"type": "minted", "serial": "' + _P + b'", "handle": 1}\n'
+_TOO_LONG = (b'{"type": "error", "code": "BAD_REQUEST", '
+             b'"detail": "request line longer than 1048576 bytes"}\n')
+
+
+@pytest.mark.parametrize("writes, replies", [
+    ([_MINT], _MINTED_1),
+    ([bytes([c]) for c in _MINT + b"\n"], _MINTED_1),
+    ([_MINT + b"\n" + b'{"v": 1, "type": "release", "handle": 1}\r\n' + _MINT + b"\n"],
+     _MINTED_1 + b'{"type": "ok", "handle": 1}\n'
+     b'{"type": "minted", "serial": "WQM-a6eb8c9ebd69fe29d76d4330f1446bea", "handle": 2}\n'),
+    ([_LONG], _TOO_LONG),
+    ([_LONG + b"\n" + _MINT + b"\n"], _TOO_LONG + _MINTED_1),
+], ids=["no-newline-at-eof", "one-byte-writes", "three-in-one-write", "long-line-at-eof",
+        "long-line-then-request"])
+def test_chunk_boundaries(writes, replies):
+    # however the writes cut the lines, a seeded server sends these bytes
+    # back before it closes; its first bill has serial _P, as in
+    # PINNED_SESSION, where that first draw made the planted bill
+    srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(5)),
+                     MintPolicy.RETURN_ALWAYS, random.Random(5))
+    srv.start()
+    try:
+        with socket.create_connection(srv.address, timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for write in writes:
+                sock.sendall(write)
+            sock.shutdown(socket.SHUT_WR)
+            got = b""
+            while chunk := sock.recv(65536):
+                got += chunk
+        assert got == replies
+    finally:
+        srv.stop()
 
 
 class TestReplyBytes:

@@ -5,14 +5,18 @@ included) and JSON objects with random `v`, `type` and fields, some of
 them naming the session's real handles and serials.  Every non-blank
 line must get exactly one reply, a JSON object that is never an
 INTERNAL error; the server must still mint afterwards, and a closed
-session must leave no state behind.
+session must leave no state behind.  Each line goes out in one to four
+writes.  Below it, the line reader that both ends share is checked
+against readline() with small bounds and receives, at drawn cut points.
 """
 
+import io
 import json
 import random
 import re
 import socket
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 
 from support import random_unitary
 
+from qmoney import wire
 from qmoney.mint import Mint, MintPolicy
 from qmoney.wire import MintServer
 
@@ -148,7 +153,11 @@ def test_every_line_gets_one_reply(server, data):
                 line = data.draw(raw_lines)
             # one exchange at a time: a reply sent while the one before
             # is unacknowledged would wait for the client's delayed ACK
-            sock.sendall(line + b"\n")
+            payload = line + b"\n"
+            cuts = sorted(data.draw(st.sets(st.integers(1, len(payload) - 1), max_size=3))
+                          if len(payload) > 1 else ())
+            for start, end in zip([0, *cuts], [*cuts, len(payload)]):
+                sock.sendall(payload[start:end])
             if not _is_blank(line):
                 reply = json.loads(replies.readline())
                 assert isinstance(reply, dict) and not _is_sentinel(reply), (line, reply)
@@ -171,3 +180,42 @@ def test_every_line_gets_one_reply(server, data):
         while registry.live_count() != before and time.monotonic() < deadline:
             time.sleep(0.002)
     assert registry.live_count() == before
+
+
+def _bounded_readlines(stream: bytes, bound: int) -> list:
+    """The line rule on a file object: readline(bound + 1), and None for a
+    longer line, whose rest is read one bounded chunk at a time."""
+    f, out = io.BytesIO(stream), []
+    while raw := f.readline(bound + 1):
+        if len(raw) > bound:
+            while raw and not raw.endswith(b"\n"):
+                raw = f.readline(bound + 1)
+            raw = None
+        out.append(raw)
+    return out
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(bound=st.integers(1, 8), recv_bytes=st.integers(1, 10),
+       stream=st.lists(st.sampled_from([b"a", b"b", b"\n"]), max_size=40).map(b"".join),
+       sizes=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+def test_lines_match_a_bounded_readline(bound, recv_bytes, stream, sizes):
+    # small bounds and receives, with the stream cut into pieces of
+    # the drawn sizes (the last repeated); recv returns at most one piece
+    pieces, i = [], 0
+    while i < len(stream):
+        size = sizes[min(len(pieces), len(sizes) - 1)]
+        pieces.append(stream[i:i + size])
+        i += size
+
+    def recv(n):
+        if not pieces:
+            return b""
+        head = pieces[0][:n]
+        pieces[0] = pieces[0][n:]
+        if not pieces[0]:
+            pieces.pop(0)
+        return head
+
+    with mock.patch.multiple(wire, MAX_LINE_BYTES=bound, _RECV_BYTES=recv_bytes):
+        assert list(wire._lines(recv)) == _bounded_readlines(stream, bound)
