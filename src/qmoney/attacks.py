@@ -2,7 +2,8 @@
 #
 # The star of the show is the adaptive oracle attack: against a mint that
 # returns post-measurement states even on INVALID, the full secret of an
-# n-qubit bill is extracted in exactly n verification queries.  Two
+# n-qubit bill is extracted in exactly n verification queries, one pass
+# over qubits 0 .. n-1, each flipped, verified and read out in turn.  Two
 # no-oracle baselines (random guessing and measure-and-copy) are included
 # to exhibit the exponential security the protocol has when the oracle is
 # closed off.
@@ -108,7 +109,7 @@ class LocalSession:
         return bit, handle
 
 
-def adaptive_attack(session, serial: str, handle, n: int, order=None):
+def adaptive_attack(session, serial: str, handle, n: int):
     """Learn a bill's secret one qubit per verification query.
 
     Round i: flip qubit i, submit for verification.  INVALID means the
@@ -122,30 +123,21 @@ def adaptive_attack(session, serial: str, handle, n: int, order=None):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if order is None:
-        rounds = range(n)
-    else:
-        rounds = list(order)
-        if sorted(rounds) != list(range(n)):
-            raise ValueError("order must visit each qubit exactly once")
     transcript = AttackTranscript(serial=serial)
-    # symbol learned for each qubit, None until its round
-    learned_by_qubit: list[QubitSymbol | None] = [None] * n
-    append = transcript.records.append
+    records = transcript.records
+    append = records.append
 
-    for used, i in enumerate(rounds, 1):
+    for i in range(n):
         handle = session.apply_x(handle, i)
         outcome, returned, deterministic = session.verify(serial, handle)
         if deterministic is False:
-            raise AttackConsistencyError(f"verification query {used} hit a probabilistic branch")
+            raise AttackConsistencyError(f"verification query {i + 1} hit a probabilistic branch")
         if outcome is _INVALID:
             if returned is None:
                 # destroying mint: the bill is gone, the attack is over
                 append(_tuple_new(AttackRecord, (i, outcome, None)))
-                transcript.queries_used = used
-                transcript.learned = [s for s in learned_by_qubit if s is not None]
-                transcript.bill_recovered = False
-                return transcript, None
+                handle = None
+                break
             # Z eigenstate: undo the flip, then read the bit in Z
             handle = session.apply_x(returned, i)
             bit, handle = session.measure(handle, i, _Z)
@@ -157,11 +149,12 @@ def adaptive_attack(session, serial: str, handle, n: int, order=None):
             # re-preparation in `sym` is a no-op: the measurement already
             # collapsed the qubit onto the secret symbol
         append(_tuple_new(AttackRecord, (i, outcome, sym)))
-        learned_by_qubit[i] = sym
 
-    transcript.queries_used = n
-    transcript.learned = learned_by_qubit
-    transcript.bill_recovered = True
+    # each round's symbol; the last round of a destroyed bill has none
+    recovered = handle is not None
+    transcript.queries_used = len(records)
+    transcript.learned = [r.symbol for r in (records if recovered else records[:-1])]
+    transcript.bill_recovered = recovered
     return transcript, handle
 
 

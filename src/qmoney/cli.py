@@ -13,7 +13,7 @@ import random
 import sys
 
 from .attacks import AttackConsistencyError, LocalSession, StrategyKind, adaptive_attack
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, run_experiment, write_results
 from .mint import DatabaseFormatError, Mint, MintPolicy, UnknownSerialError
 from .wire import MintServer, ProtocolError, TransportError, remote_adaptive_attack
 
@@ -95,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--seed", type=int, required=True)
     p_sw.add_argument("--out", required=True)
     p_sw.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sw.add_argument("--workers", type=int, default=1,
-                      help="deprecated and ignored: trials are spread over the CPUs "
-                           "this process may run on")
 
     p_srv = sub.add_parser("serve", help="run the networked mint")
     p_srv.add_argument("--addr", required=True, help="host:port to bind")
@@ -215,27 +212,22 @@ def _cmd_experiment_sweep(args) -> int:
         n_values=n_values,
         trials=args.trials,
         seed=args.seed,
-        out_path=args.out,
-        out_format=args.format,
-        workers=args.workers,
     )
     try:
         config.validate()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.workers != 1:
-        print("warning: --workers is deprecated and ignored; trials are spread over the CPUs "
-              "this process may run on", file=sys.stderr)
+    rows = run_experiment(config)
     try:
-        rows = run_experiment(config)
+        write_results(rows, args.out, args.format)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     print(f"{'n':>5s}  {'successes':>9s}  {'rate':>12s}  {'analytic':>12s}  {'mean_queries':>12s}")
     for r in rows:
-        analytic = "-" if r.analytic_rate is None else f"{r.analytic_rate:.10f}"
-        print(f"{r.n:>5d}  {r.successes:>9d}  {r.success_rate:>12.8f}  {analytic:>12s}  {r.mean_queries:>12.3f}")
+        print(f"{r.n:>5d}  {r.successes:>9d}  {r.success_rate:>12.8f}  {r.analytic_rate:>12.10f}  "
+              f"{r.mean_queries:>12.3f}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -2,11 +2,13 @@
 #
 # Every trial gets its own RNG stream derived from (seed, n, trial
 # index) by hashing, so trials are order-independent and the output
-# depends on the seed alone.  An adaptive-attack trial is computed
-# exactly from its symbol draws, with no mint, and a row of them against
-# a returning mint, which reads no draw, in closed form; a baseline
-# trial goes through the mint (`mint_trial`), which stays the reference
-# for both.
+# depends on the seed alone.  An adaptive-attack row against a returning
+# mint, whose every trial is (True, n), is counted in closed form; an
+# adaptive-attack trial against a destroying mint is computed exactly
+# from its symbol draws, with no mint; every other trial goes through
+# the mint (`mint_trial`), which stays the reference for both.
+# `run_experiment` returns the rows, and `write_results` writes them as
+# CSV or JSON.
 #
 # A trial is pure Python and holds the GIL, so `run_experiment` spreads
 # each n's trial indices over the CPUs this process may run on, in one
@@ -44,7 +46,7 @@ from .attacks import (
     analytic_pass_prob,
     baseline_attack,
 )
-from .mint import Mint, MintPolicy, StateRegistry
+from .mint import Mint, MintPolicy
 from .qstate import VerifyOutcome
 
 CSV_HEADER = "n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed"
@@ -57,8 +59,6 @@ class ExperimentConfig:
     n_values: list[int]
     trials: int
     seed: int
-    out_path: str | None = None
-    out_format: str = "csv"
     # deprecated: accepted and validated for compatibility, and
     # ignored; trials are spread over the CPUs this process may run on
     workers: int = 1
@@ -71,8 +71,6 @@ class ExperimentConfig:
             raise ValueError("n_values must be nonempty")
         if any(n < 1 for n in self.n_values):
             raise ValueError("all n values must be >= 1")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -87,7 +85,7 @@ class ResultRow:
     success_rate: float
     mean_queries: float
     std_error: float
-    analytic_rate: float | None
+    analytic_rate: float
     seed: int
 
 
@@ -117,36 +115,35 @@ def trial_rng(seed: int, n: int, index: int) -> _random.Random:
 def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
     """One independent trial with a fresh bill; returns (success, queries).
 
-    Adaptive-attack trials are computed exactly, with the result that
-    `mint_trial` gives on the same stream.  Each of the attack's verify
-    queries is deterministic: a flipped X-basis qubit still matches its
-    symbol up to a phase (VALID), and a flipped Z-basis qubit is
-    orthogonal to it (INVALID).  A returning mint hands every bill back,
-    so the attack learns all n symbols in n queries; a destroying mint
-    eats the bill at its first Z-basis symbol.  That kernel draws what
-    `Mint.mint_bill` draws, the serial and then the symbols in
+    Adaptive-attack trials against a destroying mint are computed
+    exactly, with the result that `mint_trial` gives on the same stream.
+    Each of the attack's verify queries is deterministic: a flipped
+    X-basis qubit still matches its symbol up to a phase (VALID), and a
+    flipped Z-basis qubit is orthogonal to it (INVALID), so a destroying
+    mint eats the bill at its first Z-basis symbol.  That kernel draws
+    what `Mint.mint_bill` draws, the serial and then the symbols in
     `random_symbols` order, and stops at the first Z-basis one: symbol
     index `int(d * 4) < 2`, which is `d < 0.5` since `d * 4` is exact.
+    (A returning mint hands every bill back, so each such trial is
+    (True, n); `_count_split` counts those rows in closed form.)
     """
-    if strategy is _ADAPTIVE:
-        if policy == MintPolicy.DESTROY_ON_INVALID:
-            rng.getrandbits(128)  # the serial
-            draw = rng.random
-            for i in range(n):
-                if draw() < 0.5:
-                    return False, i + 1
-            return True, n
-        if policy == MintPolicy.RETURN_ALWAYS:
-            return True, n
-    # baselines, and an unknown policy, which the mint rejects
+    if strategy is _ADAPTIVE and policy == MintPolicy.DESTROY_ON_INVALID:
+        rng.getrandbits(128)  # the serial
+        draw = rng.random
+        for i in range(n):
+            if draw() < 0.5:
+                return False, i + 1
+        return True, n
+    # the rest, and an unknown policy, which the mint rejects
     return mint_trial(strategy, policy, n, rng)
 
 
 def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
     """`run_trial` through a fresh mint, bill and session: the reference
-    that `run_trial`'s adaptive kernel is tested against."""
-    registry = StateRegistry()
-    mint = Mint(registry, rng)
+    that `run_trial`'s adaptive kernel and `_count_split`'s closed form
+    are tested against."""
+    mint = Mint(rng)
+    registry = mint.registry
     secret, handle = mint.mint_bill(n, rng=rng)
     if strategy is _ADAPTIVE:
         session = LocalSession(mint, policy, rng)
@@ -190,8 +187,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     seed=seed,
                 )
             )
-    if config.out_path is not None:
-        write_results(rows, config.out_path, config.out_format)
     return rows
 
 
@@ -454,10 +449,9 @@ def render_csv(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     for r in rows:
-        analytic = "" if r.analytic_rate is None else repr(r.analytic_rate)
         buf.write(
-            f"{r.n},{r.strategy},{r.policy},{r.trials},{r.successes},"
-            f"{r.success_rate!r},{r.mean_queries!r},{r.std_error!r},{analytic},{r.seed}\n"
+            f"{r.n},{r.strategy},{r.policy},{r.trials},{r.successes},{r.success_rate!r},"
+            f"{r.mean_queries!r},{r.std_error!r},{r.analytic_rate!r},{r.seed}\n"
         )
     return buf.getvalue()
 
@@ -490,7 +484,7 @@ def read_results_csv(path) -> list[ResultRow]:
                     success_rate=float(rec["success_rate"]),
                     mean_queries=float(rec["mean_queries"]),
                     std_error=float(rec["std_error"]),
-                    analytic_rate=float(rec["analytic_rate"]) if rec["analytic_rate"] else None,
+                    analytic_rate=float(rec["analytic_rate"]),
                     seed=int(rec["seed"]),
                 )
             )

@@ -116,7 +116,7 @@ class StateRegistry:
     update the stored state in place.  Ids are handed out in increasing
     order, so an id below the next one that holds no state was consumed.
 
-    `lock` is shared with the Mint built on this registry, which guards
+    `lock` is shared with the Mint that built this registry, which guards
     its own database with it too.  Holding it, the mint calls
     `consume_locked` and `register_locked`, so that issuing a bill takes
     the lock once and a verify twice: a Monte Carlo trial builds a fresh
@@ -223,15 +223,14 @@ class StateRegistry:
 class Mint:
     """Issues bills, keeps the secret database, and verifies submissions.
 
-    The database is guarded by the registry's lock (see StateRegistry).
+    Each mint builds its own registry, and guards its database with the
+    registry's lock (see StateRegistry).
     """
 
-    def __init__(self, registry: StateRegistry | None = None, rng: random.Random | None = None):
-        if registry is None:
-            registry = StateRegistry()
-        self.registry = registry
+    def __init__(self, rng: random.Random | None = None):
+        self.registry = StateRegistry()
         self._rng = rng if rng is not None else random.Random()
-        self._lock = registry.lock
+        self._lock = self.registry.lock
         self._bills: dict[str, BillSecret] = {}
         self._stats: dict[str, QueryStats] = {}
 
@@ -244,15 +243,13 @@ class Mint:
             raise ValueError("bill size n must be >= 1")
         return self._issue(None, n, denomination, rng)
 
-    def add_bill(
-        self, symbols, denomination: str = "$20", rng: random.Random | None = None
-    ) -> tuple[BillSecret, int]:
+    def add_bill(self, symbols, denomination: str = "$20") -> tuple[BillSecret, int]:
         """Insert a bill with chosen symbols (lab use; issuance normally
         draws them uniformly via mint_bill)."""
         symbols = tuple(symbols)
         if not symbols:
             raise ValueError("bill needs at least one symbol")
-        return self._issue(symbols, len(symbols), denomination, rng)
+        return self._issue(symbols, len(symbols), denomination, None)
 
     def _issue(
         self, symbols, n: int, denomination: str, rng: random.Random | None
@@ -361,9 +358,7 @@ class Mint:
             fh.write("\n")
 
     @classmethod
-    def load_db(
-        cls, path, registry: StateRegistry | None = None, rng: random.Random | None = None
-    ) -> "Mint":
+    def load_db(cls, path, rng: random.Random | None = None) -> "Mint":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
@@ -384,7 +379,7 @@ class Mint:
         bills = payload.get("bills")
         if not isinstance(bills, list):
             raise DatabaseFormatError(f"{path}: field 'bills' must be a list")
-        mint = cls(registry=registry, rng=rng)
+        mint = cls(rng)
         for idx, entry in enumerate(bills):
             if not isinstance(entry, dict):
                 raise DatabaseFormatError(f"{path}: bills[{idx}] must be an object")

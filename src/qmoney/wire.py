@@ -55,27 +55,33 @@ _OUTCOMES = {o.value: o for o in VerifyOutcome}
 def _lines(recv):
     """Yield each line recv() brings, newline included, once complete; None,
     once, for a line longer than MAX_LINE_BYTES, whose rest is read past.
-    At EOF yield the unfinished last line, if any.  A recv() error ends it."""
-    buf, skipping = b"", False
+    At EOF yield the unfinished last line, if any.  A recv() error ends it.
+    An unfinished line is kept as its chunks and joined once, at its
+    newline, so a line costs time linear in its length."""
+    part, size, skipping = [], 0, False  # the unfinished line's chunks, their length
     while data := recv(_RECV_BYTES):
-        buf += data
         start = 0
-        while end := buf.find(b"\n", start) + 1:
+        while end := data.find(b"\n", start) + 1:
             if skipping:
                 skipping = False
+            elif part:  # start is 0: the newline ends the unfinished line
+                part.append(data[:end])
+                yield b"".join(part) if size + end <= MAX_LINE_BYTES else None
+                part, size = [], 0
             else:
-                yield buf[start:end] if end - start <= MAX_LINE_BYTES else None
-            if end == len(buf):  # the usual case: whole lines, none left over
-                buf = b""
+                yield data[start:end] if end - start <= MAX_LINE_BYTES else None
+            if end == len(data):  # the usual case: whole lines, none left over
                 break
             start = end
         else:
-            buf = b"" if skipping else buf[start:]
-            if len(buf) > MAX_LINE_BYTES:
-                buf, skipping = b"", True
-                yield None
-    if buf:
-        yield buf
+            if not skipping:
+                part.append(data[start:])
+                size += len(data) - start
+                if size > MAX_LINE_BYTES:
+                    part, size, skipping = [], 0, True
+                    yield None
+    if part:
+        yield b"".join(part)
 
 
 class ProtocolError(Exception):

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from support import random_unitary
 
 from qmoney import qstate
 from qmoney.attacks import (
@@ -17,6 +18,7 @@ from qmoney.attacks import (
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import (
     Basis,
+    DenseState,
     QubitSymbol,
     VerifyOutcome,
     fidelity_to_symbols,
@@ -86,20 +88,6 @@ class TestAdaptiveAttack:
             assert transcript.queries_used == n
             assert transcript.learned == list(secret.symbols)
 
-    def test_shuffled_round_order(self):
-        rng = random.Random(13)
-        for _ in range(10):
-            n = rng.randint(2, 16)
-            mint = make_mint(rng.randrange(1 << 30))
-            secret, handle = mint.mint_bill(n)
-            order = list(range(n))
-            rng.shuffle(order)
-            session = LocalSession(mint, MintPolicy.RETURN_ALWAYS, rng)
-            transcript, final = adaptive_attack(session, secret.serial, handle, n, order=order)
-            assert transcript.learned == list(secret.symbols)
-            assert [r.qubit for r in transcript.records] == order
-            assert fidelity_to_symbols(mint.registry.inspect(final), secret.symbols) >= 1 - 1e-9
-
     def test_destroying_mint_ends_attack_early(self):
         _, _, transcript, final = planted_attack("+0+", policy=MintPolicy.DESTROY_ON_INVALID)
         assert final is None
@@ -144,13 +132,6 @@ class TestAdaptiveAttack:
         with pytest.raises(AttackConsistencyError):
             adaptive_attack(LyingSession(), "WQM-" + "0" * 32, object(), 3)
 
-    def test_bad_order_rejected(self):
-        mint = make_mint()
-        secret, handle = mint.mint_bill(3)
-        session = LocalSession(mint, MintPolicy.RETURN_ALWAYS, random.Random(0))
-        with pytest.raises(ValueError):
-            adaptive_attack(session, secret.serial, handle, 3, order=[0, 0, 1])
-
     @pytest.mark.parametrize("bill", ["random", "0", "-"])
     def test_factor_overlaps_linear_in_n(self, monkeypatch, bill):
         # each verify of the issued symbols costs O(1) factor overlaps,
@@ -174,6 +155,23 @@ class TestAdaptiveAttack:
         transcript, _ = adaptive_attack(session, secret.serial, handle, n)
         assert transcript.learned == list(secret.symbols)
         assert calls < 8 * n
+
+
+class TestLocalSession:
+    def test_apply_unitary_matches_dense(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            mint = make_mint(rng.randrange(1 << 30))
+            secret, handle = mint.mint_bill(n)
+            session = LocalSession(mint, MintPolicy.RETURN_ALWAYS, rng)
+            dense = DenseState.from_symbols(secret.symbols)
+            for _ in range(3):
+                i, u = rng.randrange(n), random_unitary(rng)
+                assert session.apply_unitary(handle, i, u) == handle
+                dense = dense.apply_unitary(i, u)
+            amps = mint.registry.inspect(handle).to_dense().amps
+            assert max(abs(amps - dense.amps)) < 1e-9
 
 
 class TestForgeCopies:

@@ -1,13 +1,22 @@
 import json
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from qmoney.attacks import StrategyKind
 from qmoney.cli import EXIT_ATTACK_FAILED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
+from qmoney.harness import ExperimentConfig, run_experiment, write_results
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import symbols_from_string
 from qmoney.wire import MintServer
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -150,17 +159,25 @@ class TestExperimentSweep:
             assert code == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_workers_is_deprecated_and_ignored(self, capsys, tmp_path):
-        errs = []
-        for path, extra in ((tmp_path / "w1.csv", ()), (tmp_path / "w3.csv", ("--workers", "3"))):
-            code, _, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
-                                   "--n", "1,2", "--trials", "200", "--seed", "1",
-                                   "--out", str(path), *extra)
-            assert code == EXIT_OK
-            errs.append(err)
-        assert errs[0] == ""
-        assert "--workers is deprecated and ignored" in errs[1]
-        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w3.csv").read_bytes()
+    def test_json_format_writes_the_rows(self, capsys, tmp_path):
+        path, expected = tmp_path / "r.json", tmp_path / "expected.json"
+        code, _, _ = run_cli(capsys, "experiment", "sweep", "--strategy", "measure-copy",
+                             "--n", "1,3", "--trials", "300", "--seed", "4",
+                             "--format", "json", "--out", str(path))
+        assert code == EXIT_OK
+        rows = run_experiment(ExperimentConfig(StrategyKind.MEASURE_RANDOM_BASIS_COPY,
+                                               MintPolicy.RETURN_ALWAYS, [1, 3], 300, 4))
+        write_results(rows, expected, "json")
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_unwritable_out_exits_1(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
+                                 "--n", "1,2", "--trials", "50", "--seed", "1",
+                                 "--out", str(tmp_path))
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_bad_n_list(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
@@ -214,6 +231,25 @@ class TestAttackRemote:
 
 
 class TestServe:
+    def test_serves_until_ctrl_c(self, capsys):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qmoney.cli", "serve", "--addr", "127.0.0.1:0", "--seed", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            banner = proc.stdout.readline()
+            match = re.fullmatch(r"serving on (\S+) \(policy return-always\)\n", banner)
+            assert match, banner
+            code, out, _ = run_cli(capsys, "attack", "remote", "--addr", match.group(1), "--n", "8")
+            assert code == EXIT_OK
+            assert "queries used  : 8" in out
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == EXIT_OK
+        finally:
+            proc.kill()
+            proc.communicate()
+
     def test_port_out_of_range(self, capsys):
         code, out, err = run_cli(capsys, "serve", "--addr", "127.0.0.1:99999")
         assert code == EXIT_USAGE

@@ -460,7 +460,9 @@ def test_import_starts_no_worker():
 
 
 class TestAdaptiveKernel:
-    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    # a returning mint's rows are counted in closed form, held to the mint
+    # path by test_adaptive_return_always_rows_in_closed_form
+    @pytest.mark.parametrize("policy", [MintPolicy.DESTROY_ON_INVALID])
     def test_kernel_equals_mint_path(self, policy):
         # the mint path is the reference; each trial's stream is built
         # twice, so that both paths read the same draws
@@ -563,14 +565,6 @@ class TestWriteResults:
         path = tmp_path / "r.csv"
         write_results(self._rows(), path, "csv")
         assert read_results_csv(path) == self._rows()
-
-    def test_empty_analytic_field(self, tmp_path):
-        row = ResultRow(1, "guess", "return-always", 10, 5, 0.5, 1.0, 0.1581, None, 7)
-        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
-        write_results([row], csv_path, "csv")
-        assert csv_path.read_text().splitlines()[1].endswith(",,7")
-        write_results([row], json_path, "json")
-        assert json.loads(json_path.read_text())[0]["analytic_rate"] is None
 
     def test_json_fields_match(self, tmp_path):
         path = tmp_path / "r.json"

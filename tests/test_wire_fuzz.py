@@ -219,3 +219,23 @@ def test_lines_match_a_bounded_readline(bound, recv_bytes, stream, sizes):
 
     with mock.patch.multiple(wire, MAX_LINE_BYTES=bound, _RECV_BYTES=recv_bytes):
         assert list(wire._lines(recv)) == _bounded_readlines(stream, bound)
+
+
+def test_long_line_costs_linear_time():
+    # a line one byte under the bound against one 8x shorter, in 8 KiB
+    # receives: a reader that copies the unfinished line at each receive
+    # pays about 55x as much for the longer one, a linear one about 9x
+    def cost(length):
+        line = b"x" * (length - 1) + b"\n"
+        chunks = [line[i:i + 8192] for i in range(0, length, 8192)]
+        best = float("inf")
+        for _ in range(5):
+            it = iter(chunks)
+            t0 = time.perf_counter()
+            lines = list(wire._lines(lambda n: next(it, b"")))
+            best = min(best, time.perf_counter() - t0)
+            assert lines == [line]
+        return best
+
+    short, long = cost(wire.MAX_LINE_BYTES // 8), cost(wire.MAX_LINE_BYTES - 1)
+    assert long < 25 * short, (short, long)
