@@ -9,12 +9,10 @@ against the attacks implemented here.
 
 from .qstate import (
     Basis,
-    DenseState,
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
     fidelity,
-    symbol_amplitudes,
     symbols_from_string,
     symbols_to_string,
 )
@@ -40,10 +38,8 @@ __all__ = [
     "Basis",
     "QubitSymbol",
     "SumOfProductsState",
-    "DenseState",
     "VerifyOutcome",
     "fidelity",
-    "symbol_amplitudes",
     "symbols_from_string",
     "symbols_to_string",
     "BillSecret",

@@ -22,8 +22,6 @@ from .qstate import (
     SumOfProductsState,
     VerifyOutcome,
     random_symbols,
-    symbol_amplitudes,
-    symbol_for,
     symbols_to_string,
 )
 
@@ -141,7 +139,7 @@ def adaptive_attack(session, serial: str, handle, n: int):
             # Z eigenstate: undo the flip, then read the bit in Z
             handle = session.apply_x(returned, i)
             bit, handle = session.measure(handle, i, _Z)
-            sym = _Z.symbols[bit]  # symbol_for(_Z, bit)
+            sym = _Z.symbols[bit]
         else:
             # X eigenstate: the bill came back undamaged; read the sign
             bit, handle = session.measure(returned, i, _X)
@@ -196,14 +194,14 @@ def baseline_attack(
         append = observed.append
         for i in range(n):
             basis = z if draw() < 0.5 else x
-            append(basis.symbols[measure(handle, i, basis, rng)])  # symbol_for(basis, bit)
+            append(basis.symbols[measure(handle, i, basis, rng)])
         copy = registry.register(SumOfProductsState.from_symbols(observed))
         return copy, handle
     raise ValueError(f"{kind} is not a baseline strategy")
 
 
 def _overlap_sq(a: QubitSymbol, b: QubitSymbol) -> float:
-    ua, ub = symbol_amplitudes(a), symbol_amplitudes(b)
+    ua, ub = a.amplitudes, b.amplitudes
     ip = ua[0].conjugate() * ub[0] + ua[1].conjugate() * ub[1]
     return abs(ip) ** 2
 
@@ -227,7 +225,7 @@ def _measure_copy_rate() -> float:
     for true in QubitSymbol:
         for basis in Basis:
             for bit in (0, 1):
-                outcome_sym = symbol_for(basis, bit)
+                outcome_sym = basis.symbols[bit]
                 p_outcome = _OVERLAP_SQ[outcome_sym][true]
                 total += 0.5 * p_outcome * _OVERLAP_SQ[true][outcome_sym]
     return total / 4.0

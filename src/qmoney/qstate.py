@@ -1,10 +1,9 @@
-# Quantum state backends for the money lab.
+# The quantum state of the money lab.
 #
 # Every bill and every attacker-held state in this protocol is a product
-# state or a short linear combination of product states, so the scalable
-# backend stores states as a sum of product terms instead of a 2^n
-# amplitude vector.  A dense statevector backend (numpy) is kept as a
-# cross-validation oracle for small n.
+# state or a short linear combination of product states, so a state is
+# stored as a sum of product terms instead of a 2^n amplitude vector.
+# The tests check it against a dense statevector oracle (tests/support.py).
 #
 # Ownership: a SumOfProductsState is owned by exactly one holder (the
 # registry hands out handles, never states), so its operations update
@@ -45,9 +44,6 @@
 # the same order, with a symbol's conjugated amplitudes cached on it
 # (`bra`), so the same bits.  `compress` of one term is one
 # renormalization.
-#
-# DenseState is immutable: every operation returns a new state, which
-# keeps it an independent reference.
 
 from __future__ import annotations
 
@@ -55,15 +51,11 @@ import cmath
 import math
 from enum import Enum
 
-import numpy as np
-
 # Norm / probability tolerance: values within ATOL of 0 or 1 are exact.
 ATOL = 1e-9
 _NEAR_ONE = 1.0 - ATOL
 # Terms with coefficient magnitude below this are dropped.
 PRUNE_TOL = 1e-12
-# Dense backend is a desk-scale oracle only.
-DENSE_MAX_QUBITS = 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _sqrt = math.sqrt
@@ -116,15 +108,6 @@ Basis.X.symbols = (QubitSymbol.PLUS, QubitSymbol.MINUS)
 for _basis in Basis:
     _basis.vectors = tuple(sym.amplitudes for sym in _basis.symbols)
     _basis.bras = tuple(sym.bra for sym in _basis.symbols)
-
-
-def symbol_amplitudes(sym: QubitSymbol) -> tuple[complex, complex]:
-    """Canonical (a0, a1) amplitude pair for a conjugate-coding symbol."""
-    return sym.amplitudes
-
-
-def symbol_for(basis: Basis, bit: int) -> QubitSymbol:
-    return basis.symbols[bit]
 
 
 _SYMBOL_ORDER = tuple(QubitSymbol)
@@ -527,17 +510,6 @@ class SumOfProductsState:
             t.coeff *= scale
         return self
 
-    def to_dense(self) -> "DenseState":
-        if self.n > DENSE_MAX_QUBITS:
-            raise ValueError(f"dense expansion capped at n={DENSE_MAX_QUBITS}")
-        amps = np.zeros(2**self.n, dtype=complex)
-        for t in self.terms:
-            v = np.array([t.coeff], dtype=complex)
-            for f in t.factors:
-                v = np.kron(v, np.array(f, dtype=complex))
-            amps += v
-        return DenseState(self.n, amps)
-
 
 def fidelity(a: SumOfProductsState, b: SumOfProductsState) -> float:
     """|<a|b>|^2; compares states up to global phase."""
@@ -546,95 +518,3 @@ def fidelity(a: SumOfProductsState, b: SumOfProductsState) -> float:
 
 def fidelity_to_symbols(state: SumOfProductsState, symbols) -> float:
     return min(1.0, abs(state.inner_with_symbols(symbols)) ** 2)
-
-
-class DenseState:
-    """Reference 2^n statevector backend (qubit 0 is the leftmost factor).
-
-    Immutable: operations return new states.
-    """
-
-    __slots__ = ("n", "amps")
-
-    def __init__(self, n: int, amps):
-        if n < 1:
-            raise ValueError("qubit count must be >= 1")
-        if n > DENSE_MAX_QUBITS:
-            raise ValueError(f"dense backend capped at n={DENSE_MAX_QUBITS}")
-        amps = np.asarray(amps, dtype=complex)
-        if amps.shape != (2**n,):
-            raise ValueError("amplitude vector length must be 2^n")
-        self.n = n
-        self.amps = amps
-
-    @classmethod
-    def from_symbols(cls, symbols) -> "DenseState":
-        symbols = tuple(symbols)
-        if not symbols:
-            raise ValueError("symbol sequence must be nonempty")
-        v = np.array([1.0 + 0.0j])
-        for s in symbols:
-            v = np.kron(v, np.array(symbol_amplitudes(s), dtype=complex))
-        return cls(len(symbols), v)
-
-    @classmethod
-    def from_string(cls, text: str) -> "DenseState":
-        return cls.from_symbols(symbols_from_string(text))
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"qubit index {i} out of range for n={self.n}")
-
-    def _tensor(self):
-        return self.amps.reshape((2,) * self.n)
-
-    def apply_unitary(self, i: int, u) -> "DenseState":
-        self._check_index(i)
-        rows = check_unitary(u)
-        mat = np.array(rows, dtype=complex)
-        t = np.tensordot(mat, self._tensor(), axes=([1], [i]))
-        t = np.moveaxis(t, 0, i)
-        return DenseState(self.n, t.reshape(-1))
-
-    def apply_pauli_x(self, i: int) -> "DenseState":
-        return self.apply_unitary(i, PAULI_X)
-
-    def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "DenseState"]:
-        self._check_index(i)
-        b0 = np.array(basis.vectors[0], dtype=complex)
-        b1 = np.array(basis.vectors[1], dtype=complex)
-        t = self._tensor()
-        amp0 = np.tensordot(b0.conjugate(), t, axes=([0], [i]))
-        p0 = clamp_probability(float(np.vdot(amp0, amp0).real))
-        if draw < p0:
-            bit, bvec, amp, p = 0, b0, amp0, p0
-        else:
-            amp1 = np.tensordot(b1.conjugate(), t, axes=([0], [i]))
-            bit, bvec, amp, p = 1, b1, amp1, 1.0 - p0
-        post = np.moveaxis(np.multiply.outer(bvec, amp), 0, i) / math.sqrt(p)
-        return bit, DenseState(self.n, post.reshape(-1))
-
-    def measure_projector_detail(
-        self, target, draw: float
-    ) -> tuple[VerifyOutcome, "DenseState", float]:
-        target = tuple(target)
-        if len(target) != self.n:
-            raise ValueError("dimension mismatch")
-        tvec = DenseState.from_symbols(target).amps
-        c = complex(np.vdot(tvec, self.amps))
-        p = clamp_probability(abs(c) ** 2)
-        if draw < p:
-            return VerifyOutcome.VALID, DenseState(self.n, tvec), p
-        post = (self.amps - c * tvec) / math.sqrt(1.0 - p)
-        return VerifyOutcome.INVALID, DenseState(self.n, post), p
-
-    def fidelity(self, other: "DenseState") -> float:
-        return min(1.0, abs(complex(np.vdot(self.amps, other.amps))) ** 2)
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
-
-def dense_fidelity(sop: SumOfProductsState, dense: DenseState) -> float:
-    """Cross-backend fidelity |<dense|sop>|^2."""
-    return sop.to_dense().fidelity(dense)

@@ -97,6 +97,15 @@ class TransportError(Exception):
     """Socket-level failure, distinct from protocol errors."""
 
 
+def _field(reply: dict, key):
+    """reply[key]; a reply without the key is malformed.  Also reads a
+    verify result off _OUTCOMES, where an unknown one is malformed too."""
+    try:
+        return reply[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable result
+        raise TransportError("malformed reply") from None
+
+
 def _error(code: str, detail: str = "") -> dict:
     return {"type": "error", "code": code, "detail": detail}
 
@@ -398,27 +407,28 @@ class RemoteMint:
 
     def mint_bill(self, n: int) -> tuple[str, int]:
         resp = self.request({"type": "mint", "n": n})
-        return resp["serial"], resp["handle"]
+        return _field(resp, "serial"), _field(resp, "handle")
 
     def claim(self, serial: str) -> tuple[int, int]:
         resp = self.request({"type": "claim", "serial": serial})
-        return resp["handle"], resp["n"]
+        return _field(resp, "handle"), _field(resp, "n")
 
     def verify(self, serial: str, handle: int):
         resp = self.request({"type": "verify", "serial": serial, "handle": handle})
         # branch determinism is server-internal; unobservable remotely
-        return _OUTCOMES[resp["result"]], resp["handle"], None
+        return _field(_OUTCOMES, _field(resp, "result")), _field(resp, "handle"), None
 
     def apply_x(self, handle: int, i: int) -> int:
-        return self.request({"type": "apply_x", "handle": handle, "qubit": i})["handle"]
+        return _field(self.request({"type": "apply_x", "handle": handle, "qubit": i}), "handle")
 
     def apply_unitary(self, handle: int, i: int, u) -> int:
         flat = [[complex(z).real, complex(z).imag] for row in u for z in row]
-        return self.request({"type": "apply_u", "handle": handle, "qubit": i, "u": flat})["handle"]
+        resp = self.request({"type": "apply_u", "handle": handle, "qubit": i, "u": flat})
+        return _field(resp, "handle")
 
     def measure(self, handle: int, i: int, basis: Basis) -> tuple[int, int]:
         resp = self.request({"type": "measure", "handle": handle, "qubit": i, "basis": basis._value_})
-        return resp["bit"], resp["handle"]
+        return _field(resp, "bit"), _field(resp, "handle")
 
     def release(self, handle: int) -> None:
         self.request({"type": "release", "handle": handle})

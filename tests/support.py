@@ -1,16 +1,136 @@
-"""Shared helpers: the randomized two-backend program runner."""
+"""Shared test helpers: the dense statevector oracle and the randomized
+two-backend program runner.
+
+`DenseState` is the independent oracle that the sum-of-products state is
+checked against: a 2^n numpy amplitude vector, immutable (every
+operation returns a new state) and capped at DENSE_MAX_QUBITS qubits.
+`to_dense` expands a sum-of-products state into one.
+"""
 
 import cmath
 import math
 import random
 
+import numpy as np
+
 from qmoney.qstate import (
+    PAULI_X,
     Basis,
-    DenseState,
     QubitSymbol,
     SumOfProductsState,
-    dense_fidelity,
+    VerifyOutcome,
+    check_unitary,
+    clamp_probability,
+    symbols_from_string,
 )
+
+# Dense backend is a desk-scale oracle only.
+DENSE_MAX_QUBITS = 20
+
+
+class DenseState:
+    """Reference 2^n statevector backend (qubit 0 is the leftmost factor).
+
+    Immutable: operations return new states.
+    """
+
+    __slots__ = ("n", "amps")
+
+    def __init__(self, n: int, amps):
+        if n < 1:
+            raise ValueError("qubit count must be >= 1")
+        if n > DENSE_MAX_QUBITS:
+            raise ValueError(f"dense backend capped at n={DENSE_MAX_QUBITS}")
+        amps = np.asarray(amps, dtype=complex)
+        if amps.shape != (2**n,):
+            raise ValueError("amplitude vector length must be 2^n")
+        self.n = n
+        self.amps = amps
+
+    @classmethod
+    def from_symbols(cls, symbols) -> "DenseState":
+        symbols = tuple(symbols)
+        if not symbols:
+            raise ValueError("symbol sequence must be nonempty")
+        v = np.array([1.0 + 0.0j])
+        for s in symbols:
+            v = np.kron(v, np.array(s.amplitudes, dtype=complex))
+        return cls(len(symbols), v)
+
+    @classmethod
+    def from_string(cls, text: str) -> "DenseState":
+        return cls.from_symbols(symbols_from_string(text))
+
+    def _check_index(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise IndexError(f"qubit index {i} out of range for n={self.n}")
+
+    def _tensor(self):
+        return self.amps.reshape((2,) * self.n)
+
+    def apply_unitary(self, i: int, u) -> "DenseState":
+        self._check_index(i)
+        rows = check_unitary(u)
+        mat = np.array(rows, dtype=complex)
+        t = np.tensordot(mat, self._tensor(), axes=([1], [i]))
+        t = np.moveaxis(t, 0, i)
+        return DenseState(self.n, t.reshape(-1))
+
+    def apply_pauli_x(self, i: int) -> "DenseState":
+        return self.apply_unitary(i, PAULI_X)
+
+    def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "DenseState"]:
+        self._check_index(i)
+        b0 = np.array(basis.vectors[0], dtype=complex)
+        b1 = np.array(basis.vectors[1], dtype=complex)
+        t = self._tensor()
+        amp0 = np.tensordot(b0.conjugate(), t, axes=([0], [i]))
+        p0 = clamp_probability(float(np.vdot(amp0, amp0).real))
+        if draw < p0:
+            bit, bvec, amp, p = 0, b0, amp0, p0
+        else:
+            amp1 = np.tensordot(b1.conjugate(), t, axes=([0], [i]))
+            bit, bvec, amp, p = 1, b1, amp1, 1.0 - p0
+        post = np.moveaxis(np.multiply.outer(bvec, amp), 0, i) / math.sqrt(p)
+        return bit, DenseState(self.n, post.reshape(-1))
+
+    def measure_projector_detail(
+        self, target, draw: float
+    ) -> tuple[VerifyOutcome, "DenseState", float]:
+        target = tuple(target)
+        if len(target) != self.n:
+            raise ValueError("dimension mismatch")
+        tvec = DenseState.from_symbols(target).amps
+        c = complex(np.vdot(tvec, self.amps))
+        p = clamp_probability(abs(c) ** 2)
+        if draw < p:
+            return VerifyOutcome.VALID, DenseState(self.n, tvec), p
+        post = (self.amps - c * tvec) / math.sqrt(1.0 - p)
+        return VerifyOutcome.INVALID, DenseState(self.n, post), p
+
+    def fidelity(self, other: "DenseState") -> float:
+        return min(1.0, abs(complex(np.vdot(self.amps, other.amps))) ** 2)
+
+    def norm_sq(self) -> float:
+        return float(np.vdot(self.amps, self.amps).real)
+
+
+def to_dense(state: SumOfProductsState) -> DenseState:
+    if state.n > DENSE_MAX_QUBITS:
+        raise ValueError(f"dense expansion capped at n={DENSE_MAX_QUBITS}")
+    amps = np.zeros(2**state.n, dtype=complex)
+    for t in state.terms:
+        v = np.array([t.coeff], dtype=complex)
+        for f in t.factors:
+            v = np.kron(v, np.array(f, dtype=complex))
+        amps += v
+    return DenseState(state.n, amps)
+
+
+def dense_fidelity(sop: SumOfProductsState, dense: DenseState) -> float:
+    """Cross-backend fidelity |<dense|sop>|^2."""
+    return to_dense(sop).fidelity(dense)
+
 
 _SYMBOLS = list(QubitSymbol)
 

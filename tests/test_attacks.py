@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from support import random_unitary
+from support import DenseState, random_unitary, to_dense
 
 from qmoney import qstate
 from qmoney.attacks import (
@@ -18,11 +18,9 @@ from qmoney.attacks import (
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import (
     Basis,
-    DenseState,
     QubitSymbol,
     VerifyOutcome,
     fidelity_to_symbols,
-    symbol_for,
     symbols_from_string,
 )
 
@@ -61,9 +59,7 @@ class TestAdaptiveAttack:
         state = mint.registry.inspect(final)
         assert fidelity_to_symbols(state, secret.symbols) >= 1 - 1e-9
         # cross-check against the dense backend
-        from qmoney.qstate import DenseState
-
-        assert state.to_dense().fidelity(DenseState.from_string("01+-")) >= 1 - 1e-9
+        assert to_dense(state).fidelity(DenseState.from_string("01+-")) >= 1 - 1e-9
 
     def test_basis_inference_soundness(self):
         rng = random.Random(31)
@@ -170,7 +166,7 @@ class TestLocalSession:
                 i, u = rng.randrange(n), random_unitary(rng)
                 assert session.apply_unitary(handle, i, u) == handle
                 dense = dense.apply_unitary(i, u)
-            amps = mint.registry.inspect(handle).to_dense().amps
+            amps = to_dense(mint.registry.inspect(handle)).amps
             assert max(abs(amps - dense.amps)) < 1e-9
 
 
@@ -304,7 +300,7 @@ class TestAnalyticPassProb:
         for true in QubitSymbol:
             for basis in Basis:
                 for bit in (0, 1):
-                    outcome_sym = symbol_for(basis, bit)
+                    outcome_sym = basis.symbols[bit]
                     p_outcome = _overlap_sq(outcome_sym, true)
                     copy += 0.5 * p_outcome * _overlap_sq(true, outcome_sym)
         copy /= 4.0

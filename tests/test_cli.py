@@ -75,7 +75,18 @@ class TestMintNew:
         (b'{"version": 1.0, "bills": []}', "unsupported database version 1.0"),
         (b"\xff\xfe{}", "not UTF-8"),
         (b"[" * 100_000, "nests too deeply"),
-    ], ids=["serial-newline", "version-true", "version-float", "not-utf8", "deep"])
+        (b"[]", "top level must be an object"),
+        (b'{"version": 1, "bills": {}}', "field 'bills' must be a list"),
+        (b'{"version": 1, "bills": [1]}', "bills[0] must be an object"),
+        (json.dumps({"version": 1, "bills": [{"serial": "WQM-" + "a" * 32}]}).encode(),
+         "bills[0] missing field 'symbols'"),
+        (json.dumps({"version": 1, "bills": [
+            {"serial": "WQM-" + "a" * 32, "symbols": ""}]}).encode(), "bills[0].symbols is empty"),
+        (json.dumps({"version": 1, "bills": [{"serial": "WQM-" + "a" * 32, "symbols": "01"}] * 2})
+         .encode(), "duplicate serial WQM-" + "a" * 32),
+    ], ids=["serial-newline", "version-true", "version-float", "not-utf8", "deep", "top-level",
+            "bills-not-list", "entry-not-object", "no-symbols", "empty-symbols",
+            "duplicate-serial"])
     def test_malformed_db(self, capsys, tmp_path, raw, message):
         db = tmp_path / "m.json"
         db.write_bytes(raw)
@@ -84,6 +95,15 @@ class TestMintNew:
         (line,) = err.splitlines()
         assert line.startswith(f"error: {db}: ") and message in line
         assert out == "" and db.read_bytes() == raw
+
+
+    def test_missing_db_dir_exits_1(self, capsys, tmp_path):
+        db = tmp_path / "missing" / "m.json"
+        code, _, err = run_cli(capsys, "mint", "new", "--n", "2", "--db", str(db))
+        assert code == EXIT_FAILURE
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot write {db}: ")
+        assert not db.parent.exists()
 
 
 class TestAttackAdaptive:
@@ -110,6 +130,15 @@ class TestAttackAdaptive:
         assert set(payload) == {"serial", "records", "queries_used", "learned", "bill_recovered"}
         assert payload["queries_used"] == 4
         assert payload["bill_recovered"] is True
+
+    def test_transcript_directory_exits_1(self, capsys, tmp_path):
+        db = tmp_path / "m.json"
+        _, out, _ = run_cli(capsys, "mint", "new", "--n", "4", "--db", str(db), "--seed", "3")
+        code, _, err = run_cli(capsys, "attack", "adaptive", "--db", str(db),
+                               "--serial", extract_serial(out), "--transcript", str(tmp_path))
+        assert code == EXIT_FAILURE
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: cannot write {tmp_path}: ")
 
     def test_destroying_mint_gives_exit_3(self, capsys, tmp_path):
         # plant a bill that must contain a Z-basis symbol
@@ -140,6 +169,12 @@ class TestAttackBaseline:
         assert "empirical" in out and "analytic" in out
         analytic = float(out.split("analytic :")[1].strip())
         assert analytic == pytest.approx(0.5625, abs=1e-12)
+
+    def test_zero_trials_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "attack", "baseline", "--strategy", "guess",
+                                 "--n", "2", "--trials", "0", "--seed", "5")
+        assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == ["error: --n and --trials must be >= 1"]
 
     def test_rate_lines_are_pinned(self, capsys):
         # the bytes of the serial trial loop this command used to run
@@ -179,11 +214,25 @@ class TestExperimentSweep:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
 
-    def test_bad_n_list(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
-                               "--n", "1,two", "--trials", "10", "--seed", "1",
-                               "--out", str(tmp_path / "r.csv"))
+    def test_zero_trials_exits_2(self, capsys, tmp_path):
+        # ExperimentConfig.validate refuses it
+        out_path = tmp_path / "r.csv"
+        code, out, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
+                                 "--n", "1,2", "--trials", "0", "--seed", "1",
+                                 "--out", str(out_path))
         assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == ["error: trials must be >= 1"]
+        assert not out_path.exists()
+
+    def test_bad_n_list(self, capsys, tmp_path):
+        for n_list, message in [("1,two", "--n must be a comma-separated list of integers"),
+                                (",", "--n list is empty")]:
+            code, _, err = run_cli(capsys, "experiment", "sweep", "--strategy", "guess",
+                                   "--n", n_list, "--trials", "10", "--seed", "1",
+                                   "--out", str(tmp_path / "r.csv"))
+            assert code == EXIT_USAGE
+            (line,) = err.splitlines()
+            assert line.startswith("error: ") and message in line
 
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -450,13 +450,13 @@ def test_import_starts_no_worker():
         "    children = True\n"
         "except ChildProcessError:\n"
         "    children = False\n"
-        "print('multiprocessing' in sys.modules, children)\n"
+        "print('multiprocessing' in sys.modules, 'numpy' in sys.modules, children)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]
 
 
 class TestAdaptiveKernel:

@@ -4,7 +4,7 @@ import threading
 from collections import Counter
 
 import pytest
-from support import random_unitary
+from support import DenseState, dense_fidelity, random_unitary
 
 from qmoney.mint import (
     SERIAL_PATTERN,
@@ -21,11 +21,9 @@ from qmoney.mint import (
 )
 from qmoney.qstate import (
     HADAMARD,
-    DenseState,
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
-    dense_fidelity,
     fidelity_to_symbols,
     symbols_from_string,
 )

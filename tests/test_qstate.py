@@ -5,14 +5,13 @@ import types
 
 import numpy as np
 import pytest
-from support import random_unitary
+from support import DenseState, dense_fidelity, random_unitary, to_dense
 
 from qmoney.qstate import (
     ATOL,
     HADAMARD,
     PAULI_X,
     Basis,
-    DenseState,
     NonUnitaryError,
     ProductTerm,
     QubitSymbol,
@@ -20,12 +19,9 @@ from qmoney.qstate import (
     VerifyOutcome,
     check_unitary,
     clamp_probability,
-    dense_fidelity,
     fidelity,
     fidelity_to_symbols,
     random_symbols,
-    symbol_amplitudes,
-    symbol_for,
     symbols_from_string,
     symbols_to_string,
 )
@@ -35,16 +31,16 @@ INV_SQRT2 = 1 / math.sqrt(2)
 
 class TestSymbols:
     def test_amplitudes(self):
-        assert symbol_amplitudes(QubitSymbol.ZERO) == (1, 0)
-        assert symbol_amplitudes(QubitSymbol.ONE) == (0, 1)
-        a0, a1 = symbol_amplitudes(QubitSymbol.PLUS)
+        assert QubitSymbol.ZERO.amplitudes == (1, 0)
+        assert QubitSymbol.ONE.amplitudes == (0, 1)
+        a0, a1 = QubitSymbol.PLUS.amplitudes
         assert a0 == pytest.approx(INV_SQRT2) and a1 == pytest.approx(INV_SQRT2)
-        a0, a1 = symbol_amplitudes(QubitSymbol.MINUS)
+        a0, a1 = QubitSymbol.MINUS.amplitudes
         assert a0 == pytest.approx(INV_SQRT2) and a1 == pytest.approx(-INV_SQRT2)
 
     def test_unit_norm(self):
         for sym in QubitSymbol:
-            a0, a1 = symbol_amplitudes(sym)
+            a0, a1 = sym.amplitudes
             assert abs(a0) ** 2 + abs(a1) ** 2 == pytest.approx(1, abs=ATOL)
 
     def test_pauli_eigenvectors(self):
@@ -56,7 +52,7 @@ class TestSymbols:
             (QubitSymbol.ZERO, z, 1),
             (QubitSymbol.ONE, z, -1),
         ]:
-            v = np.array(symbol_amplitudes(sym))
+            v = np.array(sym.amplitudes)
             assert np.allclose(op @ v, eig * v)
 
     def test_basis_and_bit(self):
@@ -65,7 +61,7 @@ class TestSymbols:
         assert QubitSymbol.PLUS.basis is Basis.X and QubitSymbol.PLUS.bit == 0
         assert QubitSymbol.MINUS.basis is Basis.X and QubitSymbol.MINUS.bit == 1
         for sym in QubitSymbol:
-            assert symbol_for(sym.basis, sym.bit) is sym
+            assert sym.basis.symbols[sym.bit] is sym
 
     def test_random_symbols_pick_the_quarter_of_each_draw(self):
         # draw d picks symbol int(d * 4), at the quarters' edges too
@@ -334,17 +330,17 @@ class TestMeasureProjector:
 
 class TestToDense:
     def test_single_qubit(self):
-        assert np.allclose(SumOfProductsState.from_string("0").to_dense().amps, [1, 0])
+        assert np.allclose(to_dense(SumOfProductsState.from_string("0")).amps, [1, 0])
 
     def test_tensor_expansion(self):
-        amps = SumOfProductsState.from_string("+-").to_dense().amps
+        amps = to_dense(SumOfProductsState.from_string("+-")).amps
         assert np.allclose(amps, [0.5, -0.5, 0.5, -0.5])
 
     def test_cap(self):
         terms = [ProductTerm(1.0 + 0j, ((1 + 0j, 0j),) * 21)]
         s = SumOfProductsState(21, terms, check=False)
         with pytest.raises(ValueError, match="capped"):
-            s.to_dense()
+            to_dense(s)
 
     def test_norm_after_measurements(self):
         rng = random.Random(5)
@@ -354,7 +350,7 @@ class TestToDense:
             for _ in range(2):
                 target = [rng.choice(list(QubitSymbol)) for _ in range(3)]
                 _, s, _ = s.measure_projector_detail(target, rng.random())
-            assert abs(s.to_dense().norm_sq() - 1) <= ATOL
+            assert abs(to_dense(s).norm_sq() - 1) <= ATOL
 
 
 class TestFidelity:

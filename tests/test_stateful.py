@@ -15,18 +15,10 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from support import random_unitary
+from support import DenseState, dense_fidelity, random_unitary
 
 from qmoney.mint import Mint, MintPolicy
-from qmoney.qstate import (
-    Basis,
-    DenseState,
-    QubitSymbol,
-    VerifyOutcome,
-    clamp_probability,
-    dense_fidelity,
-    symbol_for,
-)
+from qmoney.qstate import Basis, QubitSymbol, VerifyOutcome, clamp_probability
 
 MAX_N = 6
 MAX_BILLS = 4
@@ -145,7 +137,7 @@ class BillMachine(RuleBasedStateMachine):
 
 def _zero_probability(dense: DenseState, i: int, basis: Basis) -> float:
     # the oracle's probability of bit 0: the bit is 0 exactly when draw < p0
-    b0 = np.array(symbol_for(basis, 0).amplitudes)
+    b0 = np.array(basis.symbols[0].amplitudes)
     amp0 = np.tensordot(b0.conjugate(), dense.amps.reshape((2,) * dense.n), axes=([0], [i]))
     return clamp_probability(float(np.vdot(amp0, amp0).real))
 

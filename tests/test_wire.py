@@ -431,7 +431,9 @@ class TestRobustness:
     @pytest.mark.parametrize("reply", [
         b'\xff{"type": "ok", "handle": 3}', b'not json', b'[1, 2]',
         b'{"type": "ok", "handle": 3} x', b'{} {}', b'[' * 100000 + b']' * 100000,
-    ], ids=["not-utf8", "not-json", "array", "trailing-data", "two-objects", "deep"])
+        b'{"type": "ok"}',
+    ], ids=["not-utf8", "not-json", "array", "trailing-data", "two-objects", "deep",
+            "no-handle"])
     def test_malformed_reply_is_transport_error(self, reply):
         # a canned server: each reply is queued before the request
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -444,6 +446,19 @@ class TestRobustness:
                 # the session reads the next reply as the next request's
                 peer.sendall(b'{"type": "ok", "handle": 3}\n')
                 assert client.apply_x(3, 1) == 3
+            finally:
+                client.close()
+                peer.close()
+
+    @pytest.mark.parametrize("result", [b'"MAYBE"', b'["VALID"]'], ids=["unknown", "unhashable"])
+    def test_unknown_verify_result_is_transport_error(self, result):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = RemoteMint(*listener.getsockname(), timeout=5)
+            peer, _ = listener.accept()
+            try:
+                peer.sendall(b'{"type": "verified", "result": %s, "handle": 3}\n' % result)
+                with pytest.raises(TransportError, match="^malformed reply$"):
+                    client.verify("WQM-" + "0" * 32, 3)
             finally:
                 client.close()
                 peer.close()
