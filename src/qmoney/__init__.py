@@ -12,7 +12,6 @@ from .qstate import (
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
-    fidelity,
     symbols_from_string,
     symbols_to_string,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "QubitSymbol",
     "SumOfProductsState",
     "VerifyOutcome",
-    "fidelity",
     "symbols_from_string",
     "symbols_to_string",
     "BillSecret",

@@ -30,7 +30,6 @@
 from __future__ import annotations
 
 import _random
-import csv
 import io
 import json
 import math
@@ -468,24 +467,3 @@ def write_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
-
-def read_results_csv(path) -> list[ResultRow]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    n=int(rec["n"]),
-                    strategy=rec["strategy"],
-                    policy=rec["policy"],
-                    trials=int(rec["trials"]),
-                    successes=int(rec["successes"]),
-                    success_rate=float(rec["success_rate"]),
-                    mean_queries=float(rec["mean_queries"]),
-                    std_error=float(rec["std_error"]),
-                    analytic_rate=float(rec["analytic_rate"]),
-                    seed=int(rec["seed"]),
-                )
-            )
-        return rows

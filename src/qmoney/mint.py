@@ -405,6 +405,3 @@ class Mint:
             mint._bills[serial] = BillSecret(serial, symbols, denomination)
             mint._stats[serial] = QueryStats()
         return mint
-
-    def bills_equal(self, other: "Mint") -> bool:
-        return self._bills == other._bills

@@ -35,10 +35,16 @@
 # term); only tests measure the residues of two or more terms that an
 # INVALID after a general unitary leaves.
 #
+# Construction: neither class has an `__init__`, so calling either
+# raises TypeError.  `from_symbols` builds every state, and it and the
+# projector build every term, with `object.__new__` and the slots set
+# directly: a product of symbols is normalized by construction, so there
+# is nothing to check.  The tests build other states with the checked
+# constructor in tests/support.py.
+#
 # Constant factors: a Monte Carlo trial builds two or three states of a
 # few qubits, so there the fixed cost per call is the cost.
-# `from_symbols` builds a state and its term without `__init__`'s
-# checks.  `inner_with_symbols`, the one-term `measure_qubit` and the
+# `inner_with_symbols`, the one-term `measure_qubit` and the
 # overlaps of `norm_sq` and `compress` write out `_dot` and
 # `clamp_probability` instead of calling them: the same operations in
 # the same order, with a symbol's conjugated amplitudes cached on it
@@ -73,14 +79,6 @@ class QubitSymbol(Enum):
     ONE = "1"
     PLUS = "+"
     MINUS = "-"
-
-    @property
-    def basis(self) -> Basis:
-        return Basis.Z if self in (QubitSymbol.ZERO, QubitSymbol.ONE) else Basis.X
-
-    @property
-    def bit(self) -> int:
-        return 0 if self in (QubitSymbol.ZERO, QubitSymbol.PLUS) else 1
 
 
 SYMBOL_ALPHABET = "01+-"
@@ -191,27 +189,14 @@ def check_unitary(u) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     return ((a, b), (c, d))
 
 
-PAULI_X = ((0.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 0.0 + 0.0j))
-HADAMARD = (
-    (_INV_SQRT2 + 0.0j, _INV_SQRT2 + 0.0j),
-    (_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
-)
-
-
 class ProductTerm:
     """One product term: a complex coefficient times n unit-norm factors.
 
-    The state that owns a term updates it in place.  A term built from a
-    fresh factor list skips `__init__` (`_new`, then both slots).
+    The state that owns a term updates it in place.  There is no
+    `__init__`: a term is built with `_new`, then both slots are set.
     """
 
     __slots__ = ("coeff", "factors")
-
-    def __init__(self, coeff: complex, factors):
-        self.coeff = coeff
-        self.factors: list[tuple[complex, complex]] = (
-            factors if type(factors) is list else list(factors)
-        )
 
 
 _new = object.__new__
@@ -223,35 +208,15 @@ class SumOfProductsState:
     Operations update the state in place and return it.  Term count only
     grows on projector measurements (at most one extra term per
     measurement).  `_ref` and `_dirty` are the reference symbols and the
-    qubits touched since (see the module comment).
+    qubits touched since (see the module comment).  There is no
+    `__init__`: `from_symbols` builds every state.
     """
 
     __slots__ = ("n", "terms", "_ref", "_dirty")
 
-    def __init__(self, n: int, terms, check: bool = True):
-        if n < 1:
-            raise ValueError("qubit count must be >= 1")
-        if not terms:
-            raise ValueError("state needs at least one term")
-        self.n = n
-        self.terms = terms
-        self._ref = None
-        self._dirty: set[int] = set()
-        if check:
-            self.terms = terms = [
-                t if isinstance(t, ProductTerm) else ProductTerm(complex(t.coeff), t.factors)
-                for t in terms
-            ]
-            for t in terms:
-                if len(t.factors) != n:
-                    raise ValueError("term factor count does not match qubit count")
-            nrm = self.norm_sq()
-            if abs(nrm - 1.0) > ATOL:
-                raise ValueError(f"state is not normalized: <psi|psi> = {nrm}")
-
     @classmethod
     def from_symbols(cls, symbols) -> "SumOfProductsState":
-        # a product state is normalized by construction: no __init__ checks
+        # a product state is normalized by construction: nothing to check
         if type(symbols) is not tuple:
             symbols = tuple(symbols)
         if not symbols:
@@ -265,10 +230,6 @@ class SumOfProductsState:
         state._ref = symbols
         state._dirty = set()
         return state
-
-    @classmethod
-    def from_string(cls, text: str) -> "SumOfProductsState":
-        return cls.from_symbols(symbols_from_string(text))
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -331,21 +292,6 @@ class SumOfProductsState:
                 if amp == 0:
                     break
             total += amp
-        return total
-
-    def inner_with(self, other: "SumOfProductsState") -> complex:
-        """<self|other>."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        total = 0.0 + 0.0j
-        for tj in self.terms:
-            for tk in other.terms:
-                amp = tj.coeff.conjugate() * tk.coeff
-                for fj, fk in zip(tj.factors, tk.factors):
-                    amp *= _dot(fj, fk)
-                    if amp == 0:
-                        break
-                total += amp
         return total
 
     def apply_pauli_x(self, i: int) -> "SumOfProductsState":
@@ -510,11 +456,3 @@ class SumOfProductsState:
             t.coeff *= scale
         return self
 
-
-def fidelity(a: SumOfProductsState, b: SumOfProductsState) -> float:
-    """|<a|b>|^2; compares states up to global phase."""
-    return min(1.0, abs(a.inner_with(b)) ** 2)
-
-
-def fidelity_to_symbols(state: SumOfProductsState, symbols) -> float:
-    return min(1.0, abs(state.inner_with_symbols(symbols)) ** 2)

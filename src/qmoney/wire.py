@@ -97,13 +97,22 @@ class TransportError(Exception):
     """Socket-level failure, distinct from protocol errors."""
 
 
-def _field(reply: dict, key):
-    """reply[key]; a reply without the key is malformed.  Also reads a
-    verify result off _OUTCOMES, where an unknown one is malformed too."""
+# the types a reply field may hold; `type(...) is int` is false for a bool
+_INT = (int,)
+_STR = (str,)
+_INT_OR_NONE = (int, type(None))
+
+
+def _field(reply: dict, key, kinds=_INT):
+    """reply[key]; a reply without the key, or whose value is not of one
+    of the types `kinds`, is malformed."""
     try:
-        return reply[key]
-    except (KeyError, TypeError):  # TypeError: an unhashable result
+        value = reply[key]
+    except KeyError:
         raise TransportError("malformed reply") from None
+    if type(value) not in kinds:
+        raise TransportError("malformed reply")
+    return value
 
 
 def _error(code: str, detail: str = "") -> dict:
@@ -190,6 +199,10 @@ class MintServer:
         self._tcp = _TCPServer((host, port), _Handler)
         self._tcp.owner = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        # shutdown() waits for a serve_forever loop to end, so stop() calls
+        # it only once serve_forever has begun; the lock orders the two
+        self._lock = threading.Lock()
+        self._serving = self._stopped = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -200,10 +213,18 @@ class MintServer:
         self._thread.start()
 
     def serve_forever(self) -> None:
+        with self._lock:
+            if self._stopped:
+                return
+            self._serving = True
         self._tcp.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def stop(self) -> None:
-        self._tcp.shutdown()
+        with self._lock:
+            self._stopped = True
+            serving = self._serving
+        if serving:
+            self._tcp.shutdown()
         self._tcp.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -407,16 +428,22 @@ class RemoteMint:
 
     def mint_bill(self, n: int) -> tuple[str, int]:
         resp = self.request({"type": "mint", "n": n})
-        return _field(resp, "serial"), _field(resp, "handle")
+        return _field(resp, "serial", _STR), _field(resp, "handle")
 
     def claim(self, serial: str) -> tuple[int, int]:
         resp = self.request({"type": "claim", "serial": serial})
-        return _field(resp, "handle"), _field(resp, "n")
+        handle, n = _field(resp, "handle"), _field(resp, "n")
+        if n < 1:
+            raise TransportError("malformed reply")
+        return handle, n
 
     def verify(self, serial: str, handle: int):
         resp = self.request({"type": "verify", "serial": serial, "handle": handle})
+        outcome = _OUTCOMES.get(_field(resp, "result", _STR))
+        if outcome is None:
+            raise TransportError("malformed reply")
         # branch determinism is server-internal; unobservable remotely
-        return _field(_OUTCOMES, _field(resp, "result")), _field(resp, "handle"), None
+        return outcome, _field(resp, "handle", _INT_OR_NONE), None
 
     def apply_x(self, handle: int, i: int) -> int:
         return _field(self.request({"type": "apply_x", "handle": handle, "qubit": i}), "handle")
@@ -428,7 +455,10 @@ class RemoteMint:
 
     def measure(self, handle: int, i: int, basis: Basis) -> tuple[int, int]:
         resp = self.request({"type": "measure", "handle": handle, "qubit": i, "basis": basis._value_})
-        return _field(resp, "bit"), _field(resp, "handle")
+        bit = _field(resp, "bit")
+        if not 0 <= bit <= 1:
+            raise TransportError("malformed reply")
+        return bit, _field(resp, "handle")
 
     def release(self, handle: int) -> None:
         self.request({"type": "release", "handle": handle})

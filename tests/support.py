@@ -1,28 +1,146 @@
-"""Shared test helpers: the dense statevector oracle and the randomized
-two-backend program runner.
+"""Shared test helpers: the dense statevector oracle, the randomized
+two-backend program runner, and the constructors and readers that only
+tests use.
 
 `DenseState` is the independent oracle that the sum-of-products state is
 checked against: a 2^n numpy amplitude vector, immutable (every
 operation returns a new state) and capped at DENSE_MAX_QUBITS qubits.
 `to_dense` expands a sum-of-products state into one.
+
+The runtime builds every state through `SumOfProductsState.from_symbols`,
+and neither state class has an `__init__`.  `sum_of_products` and
+`product_term` are the checked constructors that tests use to build
+multi-term states by hand; `state_from_string`, `inner_with`, `fidelity`,
+`fidelity_to_symbols`, `symbol_basis`, `symbol_bit`, the `PAULI_X` and
+`HADAMARD` gates, `bills_equal` and `read_results_csv` are the other
+helpers that only tests call.
 """
 
 import cmath
+import csv
 import math
 import random
 
 import numpy as np
 
+from qmoney.harness import ResultRow
 from qmoney.qstate import (
-    PAULI_X,
+    ATOL,
     Basis,
+    ProductTerm,
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
+    _dot,
     check_unitary,
     clamp_probability,
     symbols_from_string,
 )
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+PAULI_X = ((0.0 + 0.0j, 1.0 + 0.0j), (1.0 + 0.0j, 0.0 + 0.0j))
+HADAMARD = (
+    (_INV_SQRT2 + 0.0j, _INV_SQRT2 + 0.0j),
+    (_INV_SQRT2 + 0.0j, -_INV_SQRT2 + 0.0j),
+)
+
+
+def symbol_basis(sym: QubitSymbol) -> Basis:
+    return Basis.Z if sym in (QubitSymbol.ZERO, QubitSymbol.ONE) else Basis.X
+
+
+def symbol_bit(sym: QubitSymbol) -> int:
+    return 0 if sym in (QubitSymbol.ZERO, QubitSymbol.PLUS) else 1
+
+
+def product_term(coeff: complex, factors) -> ProductTerm:
+    term = object.__new__(ProductTerm)
+    term.coeff = coeff
+    term.factors = factors if type(factors) is list else list(factors)
+    return term
+
+
+def sum_of_products(n: int, terms, check: bool = True) -> SumOfProductsState:
+    """A state from its terms; with `check`, factor counts and the norm
+    are checked, and terms that are not ProductTerms are converted."""
+    if n < 1:
+        raise ValueError("qubit count must be >= 1")
+    if not terms:
+        raise ValueError("state needs at least one term")
+    state = object.__new__(SumOfProductsState)
+    state.n = n
+    state.terms = terms
+    state._ref = None
+    state._dirty = set()
+    if check:
+        state.terms = terms = [
+            t if isinstance(t, ProductTerm) else product_term(complex(t.coeff), t.factors)
+            for t in terms
+        ]
+        for t in terms:
+            if len(t.factors) != n:
+                raise ValueError("term factor count does not match qubit count")
+        nrm = state.norm_sq()
+        if abs(nrm - 1.0) > ATOL:
+            raise ValueError(f"state is not normalized: <psi|psi> = {nrm}")
+    return state
+
+
+def state_from_string(text: str) -> SumOfProductsState:
+    return SumOfProductsState.from_symbols(symbols_from_string(text))
+
+
+def inner_with(a: SumOfProductsState, b: SumOfProductsState) -> complex:
+    """<a|b>."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    total = 0.0 + 0.0j
+    for tj in a.terms:
+        for tk in b.terms:
+            amp = tj.coeff.conjugate() * tk.coeff
+            for fj, fk in zip(tj.factors, tk.factors):
+                amp *= _dot(fj, fk)
+                if amp == 0:
+                    break
+            total += amp
+    return total
+
+
+def fidelity(a: SumOfProductsState, b: SumOfProductsState) -> float:
+    """|<a|b>|^2; compares states up to global phase."""
+    return min(1.0, abs(inner_with(a, b)) ** 2)
+
+
+def fidelity_to_symbols(state: SumOfProductsState, symbols) -> float:
+    return min(1.0, abs(state.inner_with_symbols(symbols)) ** 2)
+
+
+def bills_equal(a, b) -> bool:
+    """Whether two mints hold the same bill secrets."""
+    return a._bills == b._bills
+
+
+def read_results_csv(path) -> list[ResultRow]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = []
+        for rec in reader:
+            rows.append(
+                ResultRow(
+                    n=int(rec["n"]),
+                    strategy=rec["strategy"],
+                    policy=rec["policy"],
+                    trials=int(rec["trials"]),
+                    successes=int(rec["successes"]),
+                    success_rate=float(rec["success_rate"]),
+                    mean_queries=float(rec["mean_queries"]),
+                    std_error=float(rec["std_error"]),
+                    analytic_rate=float(rec["analytic_rate"]),
+                    seed=int(rec["seed"]),
+                )
+            )
+        return rows
 
 # Dense backend is a desk-scale oracle only.
 DENSE_MAX_QUBITS = 20

@@ -10,7 +10,13 @@ import time
 
 import pytest
 
-from support import random_program, run_on_both_backends
+from support import (
+    bills_equal,
+    fidelity_to_symbols,
+    random_program,
+    run_on_both_backends,
+    state_from_string,
+)
 
 from qmoney.attacks import (
     LocalSession,
@@ -27,12 +33,7 @@ from qmoney.mint import (
     NoCloningError,
     StateRegistry,
 )
-from qmoney.qstate import (
-    Basis,
-    SumOfProductsState,
-    fidelity_to_symbols,
-    symbols_from_string,
-)
+from qmoney.qstate import Basis, symbols_from_string
 from qmoney.wire import MintServer, ProtocolError, RemoteMint, remote_adaptive_attack
 
 
@@ -190,7 +191,7 @@ def test_criterion_6_no_cloning_and_linearity():
     # registry-level race: of many concurrent consumers, exactly one wins
     for round_idx in range(20):
         reg = StateRegistry()
-        h = reg.register(SumOfProductsState.from_string("0+"))
+        h = reg.register(state_from_string("0+"))
         outcomes = []
 
         def consume():
@@ -284,7 +285,7 @@ def test_criterion_7_persistence_and_reproducibility(tmp_path):
     path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
     mint.save_db(path_a)
     loaded = Mint.load_db(path_a)
-    assert loaded.bills_equal(mint)
+    assert bills_equal(loaded, mint)
     loaded.save_db(path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
 

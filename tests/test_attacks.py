@@ -2,7 +2,13 @@ import math
 import random
 
 import pytest
-from support import DenseState, random_unitary, to_dense
+from support import (
+    DenseState,
+    fidelity_to_symbols,
+    random_unitary,
+    symbol_basis,
+    to_dense,
+)
 
 from qmoney import qstate
 from qmoney.attacks import (
@@ -20,7 +26,6 @@ from qmoney.qstate import (
     Basis,
     QubitSymbol,
     VerifyOutcome,
-    fidelity_to_symbols,
     symbols_from_string,
 )
 
@@ -69,7 +74,7 @@ class TestAdaptiveAttack:
             _, secret, transcript, _ = planted_attack(symbols, seed=rng.randrange(1 << 30))
             assert transcript.bill_recovered
             for rec in transcript.records:
-                true_basis = secret.symbols[rec.qubit].basis
+                true_basis = symbol_basis(secret.symbols[rec.qubit])
                 expected = Basis.Z if rec.outcome is VerifyOutcome.INVALID else Basis.X
                 assert true_basis is expected
                 assert rec.symbol is secret.symbols[rec.qubit]
@@ -108,7 +113,7 @@ class TestAdaptiveAttack:
             secret, handle = mint.mint_bill(n)
             session = LocalSession(mint, MintPolicy.DESTROY_ON_INVALID, rng)
             transcript, _ = adaptive_attack(session, secret.serial, handle, n)
-            all_x = all(s.basis is Basis.X for s in secret.symbols)
+            all_x = all(symbol_basis(s) is Basis.X for s in secret.symbols)
             assert transcript.bill_recovered == all_x
             hits += transcript.bill_recovered
         se = math.sqrt(0.25 * 0.75 / trials)

@@ -3,8 +3,10 @@ import os
 import random
 import re
 import signal
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -258,6 +260,33 @@ class TestAttackRemote:
         code, _, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:1", "--n", "2")
         assert code == EXIT_FAILURE
         assert "error" in err
+
+    def test_mistyped_reply_exits_1(self, capsys):
+        # a canned server answers one round of the attack on a 1-qubit
+        # bill, then measures a bit that is neither 0 nor 1
+        replies = [b'{"type": "minted", "serial": "WQM-' + b"0" * 32 + b'", "handle": 2}',
+                   b'{"type": "ok", "handle": 2}',
+                   b'{"type": "verified", "result": "VALID", "handle": 3}',
+                   b'{"type": "measured", "bit": 2, "handle": 3}']
+        peers = []
+
+        def answer():
+            peers.append(listener.accept()[0])
+            peers[0].sendall(b"\n".join(replies) + b"\n")
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()
+            answerer = threading.Thread(target=answer, daemon=True)
+            answerer.start()
+            try:
+                code, out, err = run_cli(capsys, "attack", "remote", "--addr",
+                                         f"{host}:{port}", "--n", "1")
+            finally:
+                answerer.join(timeout=5)
+                for peer in peers:  # closed once the client is done, so no reset
+                    peer.close()
+        assert code == EXIT_FAILURE
+        assert out == "" and err.splitlines() == ["error: malformed reply"]
 
     def test_needs_serial_or_n(self, capsys):
         code, _, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:9")

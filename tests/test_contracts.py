@@ -1,0 +1,188 @@
+"""Complexity contracts, counted instead of timed.
+
+An adaptive query costs O(1) whatever the bill's size n (see the
+`qstate` module comment).  Two deterministic measures check it, on the
+local session and on the server's `handle_message`:
+
+- `sys.setprofile` sees every Python call and every call of a builtin,
+  so the calls one query makes are counted on bills of n = 64 and of
+  n = 4096 qubits.  A Python loop over the qubits shows up here.
+- Work done inside one builtin call, such as `sorted(range(n))`, is a
+  single profile event.  Such work allocates, so `tracemalloc` also
+  records how much memory each session call allocates above what was
+  live when it began (its peak), on bills of n = 64 and of n = 1024,
+  and the large bill may cost a few small objects more, not a copy.
+
+A scan that allocates nothing, such as comparing two n-symbol tuples,
+is seen by neither.
+
+Each bill repeats the pattern 01+-, so every size asks the same mix of
+queries: a Z-basis qubit costs a flip, an INVALID verify, an undo and a
+Z measurement; an X-basis qubit a flip, a VALID verify and an X
+measurement.
+"""
+
+import random
+import statistics
+import sys
+import tracemalloc
+from collections import defaultdict
+from contextlib import contextmanager
+
+import pytest
+
+from qmoney.attacks import LocalSession, adaptive_attack
+from qmoney.mint import Mint, MintPolicy
+from qmoney.qstate import VerifyOutcome, symbols_from_string
+from qmoney.wire import MintServer
+
+SMALL = 64
+LARGE_CALLS = 4096
+# tracemalloc makes each allocation cost microseconds, so the memory
+# measure stops at a smaller bill
+LARGE_BYTES = 1024
+# calls per query at the large size may differ from the small one by
+# this share
+TOLERANCE = 0.05
+# a call on the large bill may allocate this many bytes more: ints past
+# the small-int cache (qubit indices and handle ids above 256) and longer
+# digit strings, but no copy of anything per qubit, which would cost at
+# least 8 bytes a qubit, 8 KiB at LARGE_BYTES
+SLACK_BYTES = 256
+
+_OUTCOMES = {o.value: o for o in VerifyOutcome}
+
+
+def _bill(n):
+    return symbols_from_string("01+-" * (n // 4))
+
+
+@contextmanager
+def _local(n):
+    mint = Mint(rng=random.Random(1))
+    secret, handle = mint.add_bill(_bill(n))
+    yield LocalSession(mint, MintPolicy.RETURN_ALWAYS, random.Random(1)), secret.serial, handle
+
+
+class _MessageSession:
+    """The attack's session, spoken as request lines straight to
+    `MintServer.handle_message`: the server's dispatch with no socket
+    I/O.  The lines are built with f-strings, at a fixed cost per line."""
+
+    def __init__(self, server):
+        self._ask = server.handle_message
+        self._owned = set()
+
+    def claim(self, serial):
+        reply = self._ask(f'{{"v": 1, "type": "claim", "serial": "{serial}"}}', self._owned)
+        return reply["handle"]
+
+    def apply_x(self, handle, i):
+        line = f'{{"v": 1, "type": "apply_x", "handle": {handle}, "qubit": {i}}}'
+        return self._ask(line, self._owned)["handle"]
+
+    def verify(self, serial, handle):
+        line = f'{{"v": 1, "type": "verify", "serial": "{serial}", "handle": {handle}}}'
+        reply = self._ask(line, self._owned)
+        return _OUTCOMES[reply["result"]], reply["handle"], None
+
+    def measure(self, handle, i, basis):
+        line = (f'{{"v": 1, "type": "measure", "handle": {handle}, "qubit": {i}, '
+                f'"basis": "{basis._value_}"}}')
+        reply = self._ask(line, self._owned)
+        return reply["bit"], reply["handle"]
+
+
+@contextmanager
+def _server(n):
+    # the server is never started: its listening socket is bound, then
+    # closed, and no connection is made
+    server = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)),
+                        MintPolicy.RETURN_ALWAYS, random.Random(1))
+    try:
+        secret, _ = server.mint.add_bill(_bill(n))
+        session = _MessageSession(server)
+        yield session, secret.serial, session.claim(secret.serial)
+    finally:
+        server.stop()
+
+
+def _attack(session, serial, handle, n):
+    transcript, _ = adaptive_attack(session, serial, handle, n)
+    assert transcript.queries_used == n and transcript.bill_recovered
+
+
+def _calls_per_query(open_session, n):
+    """Profile events `call` and `c_call` per query of one adaptive attack."""
+    count = 0
+
+    def profile(_frame, event, _arg):
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    with open_session(n) as (session, serial, handle):
+        sys.setprofile(profile)
+        try:
+            _attack(session, serial, handle, n)
+        finally:
+            sys.setprofile(None)
+    return count / n
+
+
+class _Metered:
+    """Forwards the attack's session calls and records, per operation,
+    the traced memory each call allocates above what was live when it
+    began."""
+
+    def __init__(self, session):
+        self._session = session
+        self.peaks = defaultdict(list)
+
+    def _call(self, op, *args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = getattr(self._session, op)(*args)
+        self.peaks[op].append(tracemalloc.get_traced_memory()[1] - base)
+        return result
+
+    def apply_x(self, handle, i):
+        return self._call("apply_x", handle, i)
+
+    def verify(self, serial, handle):
+        return self._call("verify", serial, handle)
+
+    def measure(self, handle, i, basis):
+        return self._call("measure", handle, i, basis)
+
+
+def _bytes_per_call(open_session, n):
+    """The median peak each kind of session call allocates, in bytes; the
+    median, so that an occasional dict or list resize does not count."""
+    with open_session(n) as (session, serial, handle):
+        metered = _Metered(session)
+        tracemalloc.start()
+        try:
+            _attack(metered, serial, handle, n)
+        finally:
+            tracemalloc.stop()
+    return {op: statistics.median(peaks) for op, peaks in metered.peaks.items()}
+
+
+_SESSIONS = pytest.mark.parametrize("open_session", [_local, _server], ids=["local", "server"])
+
+
+@_SESSIONS
+def test_calls_per_query_do_not_grow_with_n(open_session):
+    small = _calls_per_query(open_session, SMALL)
+    large = _calls_per_query(open_session, LARGE_CALLS)
+    assert abs(large - small) <= TOLERANCE * small, (small, large)
+
+
+@_SESSIONS
+def test_bytes_per_call_do_not_grow_with_n(open_session):
+    small = _bytes_per_call(open_session, SMALL)
+    large = _bytes_per_call(open_session, LARGE_BYTES)
+    assert small.keys() == large.keys() == {"apply_x", "verify", "measure"}
+    for op in small:
+        assert large[op] <= small[op] + SLACK_BYTES, (op, small, large)

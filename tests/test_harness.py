@@ -11,6 +11,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from support import read_results_csv
 
 from qmoney import harness
 from qmoney.attacks import StrategyKind
@@ -20,7 +21,6 @@ from qmoney.harness import (
     ResultRow,
     analytic_success_rate,
     mint_trial,
-    read_results_csv,
     render_csv,
     run_experiment,
     run_trial,

@@ -4,7 +4,15 @@ import threading
 from collections import Counter
 
 import pytest
-from support import DenseState, dense_fidelity, random_unitary
+from support import (
+    HADAMARD,
+    DenseState,
+    bills_equal,
+    dense_fidelity,
+    fidelity_to_symbols,
+    random_unitary,
+    state_from_string,
+)
 
 from qmoney.mint import (
     SERIAL_PATTERN,
@@ -20,11 +28,9 @@ from qmoney.mint import (
     UnknownSerialError,
 )
 from qmoney.qstate import (
-    HADAMARD,
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
-    fidelity_to_symbols,
     symbols_from_string,
 )
 
@@ -157,7 +163,7 @@ class TestVerify:
         mint.registry.apply_pauli_x(handle, 0)
         mint.verify(secret.serial, handle, MintPolicy.DESTROY_ON_INVALID)
         # a fresh counterfeit can still be submitted against the serial
-        fresh = mint.registry.register(SumOfProductsState.from_string("1"))
+        fresh = mint.registry.register(state_from_string("1"))
         res = mint.verify(secret.serial, fresh, MintPolicy.DESTROY_ON_INVALID)
         assert res.outcome is VerifyOutcome.VALID
 
@@ -183,7 +189,7 @@ class TestVerify:
 
     def test_dimension_mismatch_leaves_handle_live(self, mint):
         secret, _ = mint.mint_bill(4)
-        wrong = mint.registry.register(SumOfProductsState.from_string("0"))
+        wrong = mint.registry.register(state_from_string("0"))
         with pytest.raises(DimensionMismatchError):
             mint.verify(secret.serial, wrong)
         assert mint.registry.is_live(wrong)
@@ -249,7 +255,7 @@ class TestNoCloning:
 class TestRegistryLinearity:
     def test_consume_once(self):
         reg = StateRegistry()
-        h = reg.register(SumOfProductsState.from_string("0"))
+        h = reg.register(state_from_string("0"))
         reg.consume(h)
         with pytest.raises(HandleConsumedError):
             reg.consume(h)
@@ -259,7 +265,7 @@ class TestRegistryLinearity:
     def test_unissued_ids_are_unknown(self):
         # consumed = issued (0 < id < next id) and no longer held
         reg = StateRegistry()
-        h = reg.register(SumOfProductsState.from_string("0"))
+        h = reg.register(state_from_string("0"))
         reg.release(h)
         with pytest.raises(HandleConsumedError):
             reg.apply_pauli_x(h, 0)
@@ -271,7 +277,7 @@ class TestRegistryLinearity:
         reg = StateRegistry()
         seen = set()
         for _ in range(50):
-            h = reg.register(SumOfProductsState.from_string("0"))
+            h = reg.register(state_from_string("0"))
             assert h not in seen
             seen.add(h)
             reg.release(h)
@@ -284,7 +290,7 @@ class TestPersistence:
         payload = json.loads(path.read_text())
         assert payload == {"version": 1, "bills": []}
         loaded = Mint.load_db(path)
-        assert loaded.bills_equal(mint)
+        assert bills_equal(loaded, mint)
 
     def test_one_bill_round_trip(self, tmp_path, mint):
         secret, _ = mint.add_bill(symbols_from_string("01+-"))
@@ -366,4 +372,4 @@ class TestPersistence:
             mint.registry.release(handle)
         path = tmp_path / "db.json"
         mint.save_db(path)
-        assert Mint.load_db(path).bills_equal(mint)
+        assert bills_equal(Mint.load_db(path), mint)

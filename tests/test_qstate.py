@@ -5,12 +5,25 @@ import types
 
 import numpy as np
 import pytest
-from support import DenseState, dense_fidelity, random_unitary, to_dense
-
-from qmoney.qstate import (
-    ATOL,
+from support import (
     HADAMARD,
     PAULI_X,
+    DenseState,
+    dense_fidelity,
+    fidelity,
+    fidelity_to_symbols,
+    product_term,
+    random_unitary,
+    state_from_string,
+    sum_of_products,
+    symbol_basis,
+    symbol_bit,
+    to_dense,
+)
+
+import qmoney
+from qmoney.qstate import (
+    ATOL,
     Basis,
     NonUnitaryError,
     ProductTerm,
@@ -19,8 +32,6 @@ from qmoney.qstate import (
     VerifyOutcome,
     check_unitary,
     clamp_probability,
-    fidelity,
-    fidelity_to_symbols,
     random_symbols,
     symbols_from_string,
     symbols_to_string,
@@ -56,12 +67,12 @@ class TestSymbols:
             assert np.allclose(op @ v, eig * v)
 
     def test_basis_and_bit(self):
-        assert QubitSymbol.ZERO.basis is Basis.Z and QubitSymbol.ZERO.bit == 0
-        assert QubitSymbol.ONE.basis is Basis.Z and QubitSymbol.ONE.bit == 1
-        assert QubitSymbol.PLUS.basis is Basis.X and QubitSymbol.PLUS.bit == 0
-        assert QubitSymbol.MINUS.basis is Basis.X and QubitSymbol.MINUS.bit == 1
+        assert symbol_basis(QubitSymbol.ZERO) is Basis.Z and symbol_bit(QubitSymbol.ZERO) == 0
+        assert symbol_basis(QubitSymbol.ONE) is Basis.Z and symbol_bit(QubitSymbol.ONE) == 1
+        assert symbol_basis(QubitSymbol.PLUS) is Basis.X and symbol_bit(QubitSymbol.PLUS) == 0
+        assert symbol_basis(QubitSymbol.MINUS) is Basis.X and symbol_bit(QubitSymbol.MINUS) == 1
         for sym in QubitSymbol:
-            assert sym.basis.symbols[sym.bit] is sym
+            assert symbol_basis(sym).symbols[symbol_bit(sym)] is sym
 
     def test_random_symbols_pick_the_quarter_of_each_draw(self):
         # draw d picks symbol int(d * 4), at the quarters' edges too
@@ -82,21 +93,21 @@ class TestSymbols:
 
 class TestConstruction:
     def test_single_symbol(self):
-        s = SumOfProductsState.from_string("0")
+        s = state_from_string("0")
         assert s.n == 1
         assert len(s.terms) == 1
         assert s.terms[0].coeff == 1
         assert s.terms[0].factors[0] == (1, 0)
 
     def test_two_symbols(self):
-        s = SumOfProductsState.from_string("0+")
+        s = state_from_string("0+")
         assert len(s.terms) == 1
         f0, f1 = s.terms[0].factors
         assert f0 == (1, 0)
         assert f1[0] == pytest.approx(INV_SQRT2) and f1[1] == pytest.approx(INV_SQRT2)
 
     def test_norm_of_four_qubits(self):
-        s = SumOfProductsState.from_string("01+-")
+        s = state_from_string("01+-")
         assert s.norm_sq() == pytest.approx(1, abs=ATOL)
 
     def test_empty_rejected(self):
@@ -104,76 +115,85 @@ class TestConstruction:
             SumOfProductsState.from_symbols([])
 
     def test_unnormalized_rejected(self):
-        bad = ProductTerm(2.0 + 0j, ((1 + 0j, 0j),))
+        bad = product_term(2.0 + 0j, ((1 + 0j, 0j),))
         with pytest.raises(ValueError, match="normalized"):
-            SumOfProductsState(1, [bad])
+            sum_of_products(1, [bad])
+
+    def test_from_symbols_is_the_only_constructor(self):
+        # the runtime has no checked constructor: tests build other states
+        # with support.sum_of_products
+        with pytest.raises(TypeError):
+            SumOfProductsState(1, [product_term(1 + 0j, [(1 + 0j, 0j)])])
+        with pytest.raises(TypeError):
+            ProductTerm(1 + 0j, [(1 + 0j, 0j)])
+        assert "fidelity" not in qmoney.__all__
 
 
 class TestInnerProduct:
     def test_identical(self):
-        s = SumOfProductsState.from_string("0")
+        s = state_from_string("0")
         assert s.inner_with_symbols(symbols_from_string("0")) == pytest.approx(1)
 
     def test_cross_basis(self):
-        s = SumOfProductsState.from_string("0")
+        s = state_from_string("0")
         c = s.inner_with_symbols(symbols_from_string("+"))
         assert c == pytest.approx(INV_SQRT2)
 
     def test_factorized(self):
-        s = SumOfProductsState.from_string("0+")
+        s = state_from_string("0+")
         c = s.inner_with_symbols(symbols_from_string("-1"))
         assert c == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
-        s = SumOfProductsState.from_string("0+")
+        s = state_from_string("0+")
         with pytest.raises(ValueError, match="mismatch"):
             s.inner_with_symbols(symbols_from_string("0"))
 
 
 class TestPauliX:
     def test_flips_zero(self):
-        s = SumOfProductsState.from_string("0").apply_pauli_x(0)
+        s = state_from_string("0").apply_pauli_x(0)
         assert fidelity_to_symbols(s, symbols_from_string("1")) == pytest.approx(1, abs=ATOL)
 
     def test_plus_invariant(self):
-        s = SumOfProductsState.from_string("+").apply_pauli_x(0)
-        assert fidelity(s, SumOfProductsState.from_string("+")) == pytest.approx(1, abs=ATOL)
+        s = state_from_string("+").apply_pauli_x(0)
+        assert fidelity(s, state_from_string("+")) == pytest.approx(1, abs=ATOL)
 
     def test_minus_picks_up_phase(self):
-        flipped = SumOfProductsState.from_string("-").apply_pauli_x(0)
+        flipped = state_from_string("-").apply_pauli_x(0)
         # eigenvalue -1 shows up in the amplitudes, not in fidelity
         assert flipped.inner_with_symbols(symbols_from_string("-")) == pytest.approx(-1)
-        assert fidelity(flipped, SumOfProductsState.from_string("-")) == pytest.approx(1, abs=ATOL)
+        assert fidelity(flipped, state_from_string("-")) == pytest.approx(1, abs=ATOL)
 
     def test_in_place(self):
-        s = SumOfProductsState.from_string("0+")
+        s = state_from_string("0+")
         assert s.apply_pauli_x(0) is s
         assert fidelity_to_symbols(s, symbols_from_string("1+")) == pytest.approx(1, abs=ATOL)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            SumOfProductsState.from_string("0").apply_pauli_x(1)
+            state_from_string("0").apply_pauli_x(1)
 
 
 class TestUnitary:
     def test_identity(self):
-        out = SumOfProductsState.from_string("0+").apply_unitary(1, ((1, 0), (0, 1)))
-        assert fidelity(out, SumOfProductsState.from_string("0+")) == pytest.approx(1, abs=ATOL)
+        out = state_from_string("0+").apply_unitary(1, ((1, 0), (0, 1)))
+        assert fidelity(out, state_from_string("0+")) == pytest.approx(1, abs=ATOL)
 
     def test_matches_pauli_x(self):
-        a = SumOfProductsState.from_string("01+-").apply_pauli_x(2)
-        b = SumOfProductsState.from_string("01+-").apply_unitary(2, PAULI_X)
+        a = state_from_string("01+-").apply_pauli_x(2)
+        b = state_from_string("01+-").apply_unitary(2, PAULI_X)
         for ta, tb in zip(a.terms, b.terms):
             assert ta.coeff == tb.coeff
             assert ta.factors == tb.factors
 
     def test_hadamard(self):
-        s = SumOfProductsState.from_string("0").apply_unitary(0, HADAMARD)
+        s = state_from_string("0").apply_unitary(0, HADAMARD)
         assert abs(s.inner_with_symbols(symbols_from_string("+"))) == pytest.approx(1, abs=ATOL)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryError):
-            SumOfProductsState.from_string("0").apply_unitary(0, ((1, 1), (0, 1)))
+            state_from_string("0").apply_unitary(0, ((1, 1), (0, 1)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
     def test_non_finite_rejected(self, bad):
@@ -181,7 +201,7 @@ class TestUnitary:
         u = ((bad, 0), (0, bad))
         with pytest.raises(NonUnitaryError):
             check_unitary(u)
-        s = SumOfProductsState.from_string("0")
+        s = state_from_string("0")
         with pytest.raises(NonUnitaryError):
             s.apply_unitary(0, u)
         assert s.norm_sq() == pytest.approx(1, abs=ATOL)
@@ -190,17 +210,17 @@ class TestUnitary:
 
     def test_bad_index(self):
         with pytest.raises(IndexError):
-            SumOfProductsState.from_string("0").apply_unitary(3, PAULI_X)
+            state_from_string("0").apply_unitary(3, PAULI_X)
 
 
 class TestMeasureQubit:
     def test_deterministic_z(self):
-        bit, post = SumOfProductsState.from_string("0").measure_qubit(0, Basis.Z, 0.999999)
+        bit, post = state_from_string("0").measure_qubit(0, Basis.Z, 0.999999)
         assert bit == 0
         assert fidelity_to_symbols(post, symbols_from_string("0")) == pytest.approx(1, abs=ATOL)
 
     def test_deterministic_x(self):
-        bit, _ = SumOfProductsState.from_string("+").measure_qubit(0, Basis.X, 0.999999)
+        bit, _ = state_from_string("+").measure_qubit(0, Basis.X, 0.999999)
         assert bit == 0
 
     def test_plus_in_z_is_even(self):
@@ -209,17 +229,17 @@ class TestMeasureQubit:
         t = dense._tensor()
         amp0 = np.tensordot(np.array([1, 0], dtype=complex), t, axes=([0], [0]))
         assert float(np.vdot(amp0, amp0).real) == pytest.approx(0.5)
-        bit, post = SumOfProductsState.from_string("+").measure_qubit(0, Basis.Z, 0.3)
+        bit, post = state_from_string("+").measure_qubit(0, Basis.Z, 0.3)
         assert bit == 0
         assert fidelity_to_symbols(post, symbols_from_string("0")) == pytest.approx(1, abs=ATOL)
-        bit, post = SumOfProductsState.from_string("+").measure_qubit(0, Basis.Z, 0.7)
+        bit, post = state_from_string("+").measure_qubit(0, Basis.Z, 0.7)
         assert bit == 1
         assert fidelity_to_symbols(post, symbols_from_string("1")) == pytest.approx(1, abs=ATOL)
 
     def test_one_draw_contract(self):
         # both outcomes partition [0,1) at p(0)
         for draw in (0.0, 0.499, 0.501, 0.999):
-            bit, _ = SumOfProductsState.from_string("+").measure_qubit(0, Basis.Z, draw)
+            bit, _ = state_from_string("+").measure_qubit(0, Basis.Z, draw)
             assert bit == (0 if draw < 0.5 else 1)
 
 
@@ -227,8 +247,8 @@ def _with_zero_term(state: SumOfProductsState) -> SumOfProductsState:
     """The same one-term state plus a term of coefficient 0, so that a
     measurement takes the general path, which prunes that term."""
     (t,) = state.terms
-    return SumOfProductsState(
-        state.n, [ProductTerm(t.coeff, list(t.factors)), ProductTerm(0j, list(t.factors))]
+    return sum_of_products(
+        state.n, [product_term(t.coeff, list(t.factors)), product_term(0j, list(t.factors))]
     )
 
 
@@ -278,7 +298,7 @@ class TestMeasureQubitOneTerm:
 
 class TestMeasureProjector:
     def test_exact_match_valid(self):
-        s = SumOfProductsState.from_string("0+")
+        s = state_from_string("0+")
         outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"), 0.999999)
         assert p == 1.0
         assert outcome is VerifyOutcome.VALID
@@ -286,7 +306,7 @@ class TestMeasureProjector:
 
     def test_orthogonal_invalid_state_unchanged(self):
         # X on a Z-eigenstate qubit makes the bill orthogonal to the target
-        s = SumOfProductsState.from_string("0+").apply_pauli_x(0)
+        s = state_from_string("0+").apply_pauli_x(0)
         outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"), 0.0)
         assert p == 0.0
         assert outcome is VerifyOutcome.INVALID
@@ -300,7 +320,7 @@ class TestMeasureProjector:
         residue = (dense.amps - c * tvec) / math.sqrt(1 - abs(c) ** 2)
         assert np.allclose(residue, DenseState.from_string("1").amps)
 
-        outcome, post, p = SumOfProductsState.from_string("+").measure_projector_detail(
+        outcome, post, p = state_from_string("+").measure_projector_detail(
             symbols_from_string("0"), 0.9
         )
         assert p == pytest.approx(0.5)
@@ -314,13 +334,13 @@ class TestMeasureProjector:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            SumOfProductsState.from_string("0+").measure_projector_detail(
+            state_from_string("0+").measure_projector_detail(
                 symbols_from_string("0"), 0.5
             )
 
     def test_term_growth_bound(self):
         rng = random.Random(11)
-        state = SumOfProductsState.from_string("01+-+-01")
+        state = state_from_string("01+-+-01")
         for k in range(1, 6):
             target = [rng.choice(list(QubitSymbol)) for _ in range(8)]
             _, state, _ = state.measure_projector_detail(target, rng.random())
@@ -330,15 +350,15 @@ class TestMeasureProjector:
 
 class TestToDense:
     def test_single_qubit(self):
-        assert np.allclose(to_dense(SumOfProductsState.from_string("0")).amps, [1, 0])
+        assert np.allclose(to_dense(state_from_string("0")).amps, [1, 0])
 
     def test_tensor_expansion(self):
-        amps = to_dense(SumOfProductsState.from_string("+-")).amps
+        amps = to_dense(state_from_string("+-")).amps
         assert np.allclose(amps, [0.5, -0.5, 0.5, -0.5])
 
     def test_cap(self):
-        terms = [ProductTerm(1.0 + 0j, ((1 + 0j, 0j),) * 21)]
-        s = SumOfProductsState(21, terms, check=False)
+        terms = [product_term(1.0 + 0j, ((1 + 0j, 0j),) * 21)]
+        s = sum_of_products(21, terms, check=False)
         with pytest.raises(ValueError, match="capped"):
             to_dense(s)
 
@@ -355,55 +375,56 @@ class TestToDense:
 
 class TestFidelity:
     def test_self(self):
-        s = SumOfProductsState.from_string("01+-")
+        s = state_from_string("01+-")
         assert fidelity(s, s) == pytest.approx(1, abs=ATOL)
 
     def test_orthogonal(self):
-        a = SumOfProductsState.from_string("0")
-        b = SumOfProductsState.from_string("1")
+        a = state_from_string("0")
+        b = state_from_string("1")
         assert fidelity(a, b) == pytest.approx(0, abs=ATOL)
 
     def test_cross_basis(self):
-        a = SumOfProductsState.from_string("0")
-        b = SumOfProductsState.from_string("+")
+        a = state_from_string("0")
+        b = state_from_string("+")
         assert fidelity(a, b) == pytest.approx(0.5, abs=ATOL)
 
 
 class TestCompress:
     def test_single_term_unchanged(self):
-        c = SumOfProductsState.from_string("0+").compress()
+        c = state_from_string("0+").compress()
         assert len(c.terms) == 1
-        assert fidelity(c, SumOfProductsState.from_string("0+")) == pytest.approx(1, abs=ATOL)
+        assert fidelity(c, state_from_string("0+")) == pytest.approx(1, abs=ATOL)
 
     def test_tiny_term_dropped(self):
-        terms = [ProductTerm(1 + 0j, ((1 + 0j, 0j),)), ProductTerm(1e-15 + 0j, ((0j, 1 + 0j),))]
-        s = SumOfProductsState(1, terms, check=False)
+        terms = [product_term(1 + 0j, ((1 + 0j, 0j),)), product_term(1e-15 + 0j, ((0j, 1 + 0j),))]
+        s = sum_of_products(1, terms, check=False)
         c = s.compress()
         assert len(c.terms) == 1
-        assert fidelity(c, SumOfProductsState.from_string("0")) >= 1 - ATOL
+        assert fidelity(c, state_from_string("0")) >= 1 - ATOL
 
     @pytest.mark.parametrize("coeff", [0.3 - 1.1j, 2e-12 + 0j])
     def test_one_term_path_matches_general_path(self, coeff):
         # an unnormalized coefficient, so the renormalization shows; the
         # general path prunes the zero term and leaves the same bits
         factors = [QubitSymbol.PLUS.amplitudes, (0.6 + 0j, 0.8j)]
-        one = SumOfProductsState(2, [ProductTerm(coeff, list(factors))], check=False)
-        general = SumOfProductsState(
-            2, [ProductTerm(coeff, list(factors)), ProductTerm(0j, list(factors))], check=False
+        one = sum_of_products(2, [product_term(coeff, list(factors))], check=False)
+        general = sum_of_products(
+            2, [product_term(coeff, list(factors)), product_term(0j, list(factors))], check=False
         )
         (t,), (t_g,) = one.compress().terms, general.compress().terms
         assert repr(t.coeff) == repr(t_g.coeff)
 
     def test_zero_norm_rejected_on_both_paths(self):
-        for terms in ([ProductTerm(1e-13 + 0j, [(1 + 0j, 0j)])],
-                      [ProductTerm(1e-13 + 0j, [(1 + 0j, 0j)]), ProductTerm(0j, [(0j, 1 + 0j)])]):
+        for terms in ([product_term(1e-13 + 0j, [(1 + 0j, 0j)])],
+                      [product_term(1e-13 + 0j, [(1 + 0j, 0j)]),
+                       product_term(0j, [(0j, 1 + 0j)])]):
             with pytest.raises(ValueError, match="zero norm"):
-                SumOfProductsState(1, terms, check=False).compress()
+                sum_of_products(1, terms, check=False).compress()
 
     def test_colinear_merge(self):
         zero = ((1 + 0j, 0j),)
-        terms = [ProductTerm(INV_SQRT2 + 0j, zero), ProductTerm(INV_SQRT2 + 0j, zero)]
-        c = SumOfProductsState(1, terms, check=False).compress()
+        terms = [product_term(INV_SQRT2 + 0j, zero), product_term(INV_SQRT2 + 0j, zero)]
+        c = sum_of_products(1, terms, check=False).compress()
         assert len(c.terms) == 1
         assert fidelity_to_symbols(c, symbols_from_string("0")) == pytest.approx(1, abs=ATOL)
 

@@ -40,6 +40,10 @@ def destroy_server():
     srv.stop()
 
 
+# a well-formed serial, for canned servers to answer with
+_SERIAL = "WQM-" + "0" * 32
+
+
 def client_for(srv):
     host, port = srv.address
     return RemoteMint(host, port)
@@ -386,6 +390,24 @@ class TestRobustness:
         assert time.monotonic() - t0 < 0.3
         assert not srv._thread.is_alive()
 
+    def test_stop_without_start_returns(self):
+        # shutdown() alone waits for a serve_forever loop that never ran
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
+        stopper = threading.Thread(target=srv.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+
+    def test_stop_ends_serve_forever_in_any_thread(self):
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
+        runner = threading.Thread(target=srv.serve_forever, daemon=True)
+        runner.start()
+        with client_for(srv) as c:  # serve_forever is running
+            c.mint_bill(1)
+        srv.stop()
+        runner.join(timeout=5)
+        assert not runner.is_alive()
+
     def test_pipelined_pair_is_not_delayed(self, server):
         # A client that sends two requests before reading gets both
         # replies at once.  With Nagle's algorithm on at the server, the
@@ -459,6 +481,45 @@ class TestRobustness:
                 peer.sendall(b'{"type": "verified", "result": %s, "handle": 3}\n' % result)
                 with pytest.raises(TransportError, match="^malformed reply$"):
                     client.verify("WQM-" + "0" * 32, 3)
+            finally:
+                client.close()
+                peer.close()
+
+    @pytest.mark.parametrize("call, reply", [
+        (lambda c: c.measure(3, 0, Basis.Z), b'{"type": "measured", "bit": 2, "handle": 3}'),
+        (lambda c: c.measure(3, 0, Basis.Z), b'{"type": "measured", "bit": -1, "handle": 3}'),
+        (lambda c: c.measure(3, 0, Basis.Z), b'{"type": "measured", "bit": true, "handle": 3}'),
+        (lambda c: c.measure(3, 0, Basis.Z), b'{"type": "measured", "bit": "1", "handle": 3}'),
+        (lambda c: c.measure(3, 0, Basis.Z), b'{"type": "measured", "bit": 1, "handle": null}'),
+        (lambda c: c.apply_x(3, 1), b'{"type": "ok", "handle": "3"}'),
+        (lambda c: c.apply_x(3, 1), b'{"type": "ok", "handle": 3.0}'),
+        (lambda c: c.apply_x(3, 1), b'{"type": "ok", "handle": false}'),
+        (lambda c: c.apply_unitary(3, 1, ((0, 1), (1, 0))), b'{"type": "ok", "handle": null}'),
+        (lambda c: c.mint_bill(2), b'{"type": "minted", "serial": 5, "handle": 3}'),
+        (lambda c: c.mint_bill(2),
+         b'{"type": "minted", "serial": "' + _SERIAL.encode() + b'", "handle": null}'),
+        (lambda c: c.claim(_SERIAL), b'{"type": "claimed", "handle": 3, "n": 0}'),
+        (lambda c: c.claim(_SERIAL), b'{"type": "claimed", "handle": 3, "n": true}'),
+        (lambda c: c.claim(_SERIAL), b'{"type": "claimed", "handle": 3, "n": 2.0}'),
+        (lambda c: c.claim(_SERIAL), b'{"type": "claimed", "handle": [3], "n": 2}'),
+        (lambda c: c.verify(_SERIAL, 3),
+         b'{"type": "verified", "result": "VALID", "handle": "4"}'),
+    ], ids=["bit-2", "bit-negative", "bit-bool", "bit-str", "measure-handle-null",
+            "handle-str", "handle-float", "handle-bool", "apply-u-handle-null",
+            "serial-int", "mint-handle-null", "n-zero", "n-bool", "n-float", "claim-handle-list",
+            "verify-handle-str"])
+    def test_mistyped_reply_is_transport_error(self, call, reply):
+        # a canned server: each reply is queued before the request
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = RemoteMint(*listener.getsockname(), timeout=5)
+            peer, _ = listener.accept()
+            try:
+                peer.sendall(reply + b"\n")
+                with pytest.raises(TransportError, match="^malformed reply$"):
+                    call(client)
+                # a verify that destroys the bill answers a null handle
+                peer.sendall(b'{"type": "verified", "result": "INVALID", "handle": null}\n')
+                assert client.verify(_SERIAL, 3) == (VerifyOutcome.INVALID, None, None)
             finally:
                 client.close()
                 peer.close()
