@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .mint import Mint, MintPolicy, StateRegistry, _tuple_new
@@ -21,6 +23,7 @@ from .qstate import (
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
+    _dot,
     random_symbols,
     symbols_to_string,
 )
@@ -201,40 +204,23 @@ def baseline_attack(
 
 
 def _overlap_sq(a: QubitSymbol, b: QubitSymbol) -> float:
-    ua, ub = a.amplitudes, b.amplitudes
-    ip = ua[0].conjugate() * ub[0] + ua[1].conjugate() * ub[1]
-    return abs(ip) ** 2
+    return abs(_dot(a.amplitudes, b.amplitudes)) ** 2
 
 
 # |<a|b>|^2 for every pair of symbols a, b: the 4x4 overlap table
 _OVERLAP_SQ = {a: {b: _overlap_sq(a, b) for b in QubitSymbol} for a in QubitSymbol}
 
-
-def _guess_rate() -> float:
-    # uniform true symbol x uniform guess
-    total = 0.0
-    for true in QubitSymbol:
-        for guess in QubitSymbol:
-            total += _OVERLAP_SQ[true][guess]
-    return total / 16.0
-
-
-def _measure_copy_rate() -> float:
-    # uniform true symbol x uniform measurement basis x Born outcome
-    total = 0.0
-    for true in QubitSymbol:
-        for basis in Basis:
-            for bit in (0, 1):
-                outcome_sym = basis.symbols[bit]
-                p_outcome = _OVERLAP_SQ[outcome_sym][true]
-                total += 0.5 * p_outcome * _OVERLAP_SQ[true][outcome_sym]
-    return total / 4.0
-
-
-# per-qubit pass rates of the baselines, computed once
+# per-qubit pass rates of the baselines, computed once by enumeration.
+# The terms are added left to right with `add`: `sum` compensates its
+# float total from Python 3.12 on, which rounds both rates differently.
 _PER_QUBIT_RATE = {
-    StrategyKind.GUESS_RANDOM_SYMBOLS: _guess_rate(),
-    StrategyKind.MEASURE_RANDOM_BASIS_COPY: _measure_copy_rate(),
+    # uniform true symbol x uniform guess
+    _GUESS: reduce(add, (_OVERLAP_SQ[true][guess]
+                         for true in QubitSymbol for guess in QubitSymbol), 0.0) / 16.0,
+    # uniform true symbol x uniform measurement basis x Born outcome
+    _MEASURE_COPY: reduce(add, (0.5 * _OVERLAP_SQ[out][true] * _OVERLAP_SQ[true][out]
+                                for true in QubitSymbol
+                                for basis in Basis for out in basis.symbols), 0.0) / 4.0,
 }
 
 

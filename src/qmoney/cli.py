@@ -62,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_new.add_argument("--db", required=True, help="secret database path")
     p_new.add_argument("--denomination", default="$20")
     p_new.add_argument("--seed", type=int, default=None)
+    p_new.set_defaults(run=_cmd_mint_new)
 
     p_attack = sub.add_parser("attack", help="run counterfeiting attacks")
     attack_sub = p_attack.add_subparsers(dest="attack_command", required=True)
@@ -72,18 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_ad.add_argument("--policy", choices=_POLICY_CHOICES, default=MintPolicy.RETURN_ALWAYS)
     p_ad.add_argument("--seed", type=int, default=None)
     p_ad.add_argument("--transcript", default=None, help="write the attack transcript as JSON")
+    p_ad.set_defaults(run=_cmd_attack_adaptive)
 
     p_bl = attack_sub.add_parser("baseline", help="no-oracle counterfeiting baselines")
     p_bl.add_argument("--strategy", choices=_BASELINE_CHOICES, required=True)
     p_bl.add_argument("--n", type=int, required=True)
     p_bl.add_argument("--trials", type=int, required=True)
     p_bl.add_argument("--seed", type=int, required=True)
+    p_bl.set_defaults(run=_cmd_attack_baseline)
 
     p_rm = attack_sub.add_parser("remote", help="the n-query oracle attack, over the wire")
     p_rm.add_argument("--addr", required=True, help="host:port of a running server")
     p_rm.add_argument("--serial", default=None, help="attack this bill (server hands over a copy)")
     p_rm.add_argument("--n", type=int, default=None, help="mint and attack a fresh n-qubit bill")
     p_rm.add_argument("--transcript", default=None)
+    p_rm.set_defaults(run=_cmd_attack_remote)
 
     p_exp = sub.add_parser("experiment", help="Monte Carlo sweeps")
     exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
@@ -95,12 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--seed", type=int, required=True)
     p_sw.add_argument("--out", required=True)
     p_sw.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_sw.set_defaults(run=_cmd_experiment_sweep)
 
     p_srv = sub.add_parser("serve", help="run the networked mint")
     p_srv.add_argument("--addr", required=True, help="host:port to bind")
     p_srv.add_argument("--db", default=None, help="load this secret database (else start empty)")
     p_srv.add_argument("--policy", choices=_POLICY_CHOICES, default=MintPolicy.RETURN_ALWAYS)
     p_srv.add_argument("--seed", type=int, default=None)
+    p_srv.set_defaults(run=_cmd_serve)
 
     return parser
 
@@ -261,19 +267,9 @@ def _cmd_serve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "mint":
-        return _cmd_mint_new(args)
-    if args.command == "attack":
-        if args.attack_command == "adaptive":
-            return _cmd_attack_adaptive(args)
-        if args.attack_command == "baseline":
-            return _cmd_attack_baseline(args)
-        return _cmd_attack_remote(args)
-    if args.command == "experiment":
-        return _cmd_experiment_sweep(args)
-    return _cmd_serve(args)
+    # each command's subparser names the function that runs it
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -30,13 +30,12 @@
 from __future__ import annotations
 
 import _random
-import io
 import json
 import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 from .attacks import (
     LocalSession,
@@ -47,8 +46,6 @@ from .attacks import (
 )
 from .mint import Mint, MintPolicy
 from .qstate import VerifyOutcome
-
-CSV_HEADER = "n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed"
 
 
 @dataclass
@@ -86,6 +83,10 @@ class ResultRow:
     std_error: float
     analytic_rate: float
     seed: int
+
+
+# the CSV columns are ResultRow's fields, in order
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 # members as module globals, for the trial paths (see qstate's _VALID)
@@ -445,14 +446,11 @@ def _serve(conn, parent_end, cpu: int) -> None:
 
 
 def render_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
+    # strings as they are, numbers by repr, which round-trips a float
+    lines = [CSV_HEADER]
     for r in rows:
-        buf.write(
-            f"{r.n},{r.strategy},{r.policy},{r.trials},{r.successes},{r.success_rate!r},"
-            f"{r.mean_queries!r},{r.std_error!r},{r.analytic_rate!r},{r.seed}\n"
-        )
-    return buf.getvalue()
+        lines.append(",".join(v if type(v) is str else repr(v) for v in astuple(r)))
+    return "\n".join(lines) + "\n"
 
 
 def write_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:

@@ -155,10 +155,6 @@ class StateRegistry:
             return HandleConsumedError(f"handle {handle} was already consumed")
         return UnknownHandleError(f"unknown handle {handle}")
 
-    def is_live(self, handle: int) -> bool:
-        with self.lock:
-            return handle in self._states
-
     def consume(self, handle: int, expected_n: int | None = None) -> SumOfProductsState:
         """Atomically take ownership of the state; the handle dies here.
 
@@ -201,19 +197,11 @@ class StateRegistry:
             return state.measure_qubit(i, basis, rng.random())[0]
 
     def inspect(self, handle: int) -> SumOfProductsState:
-        """The live state itself, for tests and diagnostics to read; not
-        part of the attacker-facing surface.  Later operations on the
-        handle change it."""
+        """The live state itself, for tests and diagnostics to read, and
+        the mint's no-cloning check; not part of the attacker-facing
+        surface.  Later operations on the handle change it."""
         with self.lock:
             return self._live_state(handle)
-
-    def duplicate_attempt(self, handle: int) -> None:
-        """Named negative path: cloning a live state always fails."""
-        with self.lock:
-            self._live_state(handle)
-            raise NoCloningError(
-                f"handle {handle} holds an unknown quantum state; it cannot be copied"
-            )
 
     def live_count(self) -> int:
         with self.lock:
@@ -288,10 +276,6 @@ class Mint:
             except KeyError:
                 raise UnknownSerialError(f"no bill with serial {serial}") from None
 
-    def serials(self) -> list[str]:
-        with self._lock:
-            return list(self._bills)
-
     def stats(self, serial: str) -> QueryStats:
         with self._lock:
             try:
@@ -336,7 +320,9 @@ class Mint:
         return _tuple_new(VerifyResult, (outcome, new_handle, p == 0.0 or p == 1.0))
 
     def duplicate_handle_attempt(self, handle: int) -> None:
-        self.registry.duplicate_attempt(handle)
+        """Named negative path: cloning a live state always fails."""
+        self.registry.inspect(handle)
+        raise NoCloningError(f"handle {handle} holds an unknown quantum state; it cannot be copied")
 
     # -- persistence ------------------------------------------------------
 

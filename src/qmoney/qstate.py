@@ -14,12 +14,14 @@
 # from (`_ref`, set by from_symbols and by a VALID projection) and the
 # qubits touched since (`_dirty`).  Invariant: for every term and every
 # qubit k not in `_dirty`, `factors[k] is _ref[k].amplitudes`.  So
-# where no qubit is dirty all terms agree, and the overlaps that the
-# norm, `compress` and a projector onto `_ref` itself need are taken
-# over the dirty qubits only.  The mint verifies with the very tuple
-# the bill was issued from, every VALID answer clears `_dirty`, and a
-# qubit measured onto its reference symbol leaves it, so each query of
-# the adaptive attack costs O(1) whatever n is.
+# where no qubit is dirty all terms agree.  `norm_sq`, `compress` and
+# `inner_with_symbols` each take their overlaps in one loop over an
+# index list: the sorted dirty qubits while `_ref` is set (for the
+# projector, when its target is `_ref` itself), else `range(n)`.  The
+# mint verifies with the very tuple the bill was issued from, every
+# VALID answer clears `_dirty`, and a qubit measured onto its reference
+# symbol leaves it, so each query of the adaptive attack costs O(1)
+# whatever n is.
 #
 # Costs: a gate costs O(1) per term.  A projector onto the issued
 # symbols costs O(|dirty| * terms^2) at worst, plus O(n) when an
@@ -235,26 +237,22 @@ class SumOfProductsState:
         if not 0 <= i < self.n:
             raise IndexError(f"qubit index {i} out of range for n={self.n}")
 
-    def _pairing(self):
-        # lines up two terms' factor lists where they can differ: on all
-        # qubits, or on the dirty ones while the terms share the
-        # reference factors everywhere else
-        if self._ref is None:
-            return zip
-        idx = sorted(self._dirty)
-        return lambda u, v: [(u[k], v[k]) for k in idx]
-
     def norm_sq(self) -> float:
         terms = self.terms
         if len(terms) == 1:
             return abs(terms[0].coeff) ** 2
-        pairs = self._pairing()
+        # the qubits two terms can differ on
+        idx = range(self.n) if self._ref is None else sorted(self._dirty)
         total = 0.0 + 0.0j
         for j, tj in enumerate(terms):
             total += abs(tj.coeff) ** 2
+            fj = tj.factors
             for tk in terms[j + 1 :]:
                 ov = tj.coeff.conjugate() * tk.coeff
-                for (a0, a1), (b0, b1) in pairs(tj.factors, tk.factors):
+                fk = tk.factors
+                for k in idx:
+                    a0, a1 = fj[k]
+                    b0, b1 = fk[k]
                     ov *= a0.conjugate() * b0 + a1.conjugate() * b1  # _dot
                     if ov == 0:
                         break
@@ -268,26 +266,16 @@ class SumOfProductsState:
         if len(target) != self.n:
             raise ValueError(f"dimension mismatch: state n={self.n}, target length {len(target)}")
         # each factor overlap is `_dot(target[k].amplitudes, factor)`,
-        # written out with the cached bra
+        # written out with the cached bra; off the dirty qubits of a
+        # state issued from `target` every factor is the target's own
+        idx = sorted(self._dirty) if target is self._ref else range(self.n)
         total = 0.0 + 0.0j
-        if target is self._ref:
-            # off the dirty qubits every factor is the target's own
-            idx = sorted(self._dirty)
-            for t in self.terms:
-                amp = t.coeff
-                f = t.factors
-                for k in idx:
-                    b0, b1 = target[k].bra
-                    f0, f1 = f[k]
-                    amp *= b0 * f0 + b1 * f1
-                    if amp == 0:
-                        break
-                total += amp
-            return total
         for t in self.terms:
             amp = t.coeff
-            for s, (f0, f1) in zip(target, t.factors):
-                b0, b1 = s.bra
+            f = t.factors
+            for k in idx:
+                b0, b1 = target[k].bra
+                f0, f1 = f[k]
                 amp *= b0 * f0 + b1 * f1
                 if amp == 0:
                     break
@@ -429,14 +417,19 @@ class SumOfProductsState:
             t.coeff *= 1.0 / _sqrt(abs(t.coeff) ** 2)
             return self
         merged: list[ProductTerm] = []
-        pairs = self._pairing()
+        # the qubits two terms can differ on
+        idx = range(self.n) if self._ref is None else sorted(self._dirty)
         for t in terms:
             if abs(t.coeff) < PRUNE_TOL:
                 continue
+            ft = t.factors
             for m in merged:
                 phase = 1.0 + 0.0j
                 colinear = True
-                for (a0, a1), (b0, b1) in pairs(m.factors, t.factors):
+                fm = m.factors
+                for k in idx:
+                    a0, a1 = fm[k]
+                    b0, b1 = ft[k]
                     ov = a0.conjugate() * b0 + a1.conjugate() * b1  # _dot
                     if abs(ov) < _NEAR_ONE:
                         colinear = False

@@ -12,8 +12,9 @@ and neither state class has an `__init__`.  `sum_of_products` and
 `product_term` are the checked constructors that tests use to build
 multi-term states by hand; `state_from_string`, `inner_with`, `fidelity`,
 `fidelity_to_symbols`, `symbol_basis`, `symbol_bit`, the `PAULI_X` and
-`HADAMARD` gates, `bills_equal` and `read_results_csv` are the other
-helpers that only tests call.
+`HADAMARD` gates, `bills_equal`, `serials` (a mint's serials), `is_live`
+(whether a registry holds a handle's state) and `read_results_csv` are
+the other helpers that only tests call.
 """
 
 import cmath
@@ -119,6 +120,16 @@ def fidelity_to_symbols(state: SumOfProductsState, symbols) -> float:
 def bills_equal(a, b) -> bool:
     """Whether two mints hold the same bill secrets."""
     return a._bills == b._bills
+
+
+def serials(mint) -> list[str]:
+    with mint._lock:
+        return list(mint._bills)
+
+
+def is_live(registry, handle: int) -> bool:
+    with registry.lock:
+        return handle in registry._states
 
 
 def read_results_csv(path) -> list[ResultRow]:

@@ -13,6 +13,7 @@ import pytest
 from support import (
     bills_equal,
     fidelity_to_symbols,
+    is_live,
     random_program,
     run_on_both_backends,
     state_from_string,
@@ -183,7 +184,7 @@ def test_criterion_6_no_cloning_and_linearity():
     for _ in range(50):
         with pytest.raises(NoCloningError):
             mint.duplicate_handle_attempt(handle)
-        assert mint.registry.is_live(handle)
+        assert is_live(mint.registry, handle)
     mint.verify(secret.serial, handle)
     with pytest.raises(HandleConsumedError):
         mint.duplicate_handle_attempt(handle)
@@ -248,7 +249,7 @@ def test_criterion_6_no_cloning_and_linearity():
                         failures.append(exc.code)
                 if handle is not None:
                     # still inside the session: the handle must be live
-                    assert server.mint.registry.is_live(handle)
+                    assert is_live(server.mint.registry, handle)
                     surviving.append(handle)
         except Exception as exc:  # noqa: BLE001 - surfaced via assertion below
             failures.append(repr(exc))

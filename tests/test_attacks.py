@@ -5,6 +5,7 @@ import pytest
 from support import (
     DenseState,
     fidelity_to_symbols,
+    is_live,
     random_unitary,
     symbol_basis,
     to_dense,
@@ -244,7 +245,7 @@ class TestBaselines:
             StrategyKind.GUESS_RANDOM_SYMBOLS, mint.registry, None, 2, rng
         )
         assert original is None
-        assert mint.registry.is_live(copy)
+        assert is_live(mint.registry, copy)
 
     def test_measure_copy_requires_bill(self):
         with pytest.raises(ValueError):
@@ -260,8 +261,8 @@ class TestBaselines:
             StrategyKind.MEASURE_RANDOM_BASIS_COPY, mint.registry, handle, 2, rng
         )
         assert original == handle
-        assert mint.registry.is_live(original)
-        assert mint.registry.is_live(copy)
+        assert is_live(mint.registry, original)
+        assert is_live(mint.registry, copy)
 
 
 class TestAnalyticPassProb:

@@ -20,6 +20,12 @@ from qmoney.wire import MintServer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# Runs `qmoney` with Python's own SIGINT handler restored first.  A child
+# of a process that ignores SIGINT (as a `cmd &` job of a script does)
+# inherits SIG_IGN, and Python then installs no handler of its own.
+RUN_CLI = ("import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler); "
+           "from qmoney.cli import main; sys.exit(main())")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -313,7 +319,7 @@ class TestServe:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
         proc = subprocess.Popen(
-            [sys.executable, "-m", "qmoney.cli", "serve", "--addr", "127.0.0.1:0", "--seed", "5"],
+            [sys.executable, "-c", RUN_CLI, "serve", "--addr", "127.0.0.1:0", "--seed", "5"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         try:
             banner = proc.stdout.readline()

@@ -19,7 +19,13 @@ is seen by neither.
 Each bill repeats the pattern 01+-, so every size asks the same mix of
 queries: a Z-basis qubit costs a flip, an INVALID verify, an undo and a
 Z measurement; an X-basis qubit a flip, a VALID verify and an X
-measurement.
+measurement.  Over the wire that is 4 request lines for a Z-basis qubit
+and 3 for an X-basis one, which a remote attack's `sent_counts` shows.
+
+A baseline trial through the mint (`harness.mint_trial`) makes a fixed
+number of calls per n on average: its profile events, averaged over
+trials 0-299 of seed 303, stay at or under a ceiling recorded for each
+strategy, policy and n.
 """
 
 import random
@@ -31,10 +37,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from qmoney.attacks import LocalSession, adaptive_attack
+from qmoney.attacks import LocalSession, StrategyKind, adaptive_attack
+from qmoney.harness import mint_trial, trial_rng
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import VerifyOutcome, symbols_from_string
-from qmoney.wire import MintServer
+from qmoney.wire import MintServer, remote_adaptive_attack
 
 SMALL = 64
 LARGE_CALLS = 4096
@@ -49,6 +56,18 @@ TOLERANCE = 0.05
 # digit strings, but no copy of anything per qubit, which would cost at
 # least 8 bytes a qubit, 8 KiB at LARGE_BYTES
 SLACK_BYTES = 256
+
+# the baseline trials whose calls are counted, and the ceiling on their
+# mean profile events per `mint_trial` at n = 1, 4 and 8
+TRIAL_SEED = 303
+TRIALS = 300
+TRIAL_NS = (1, 4, 8)
+TRIAL_CALL_CEILINGS = {
+    ("guess", MintPolicy.RETURN_ALWAYS): (52.3, 61.1, 66.6),
+    ("guess", MintPolicy.DESTROY_ON_INVALID): (44.1, 48.3, 56.1),
+    ("measure-copy", MintPolicy.RETURN_ALWAYS): (58.9, 106.4, 165.0),
+    ("measure-copy", MintPolicy.DESTROY_ON_INVALID): (52.0, 83.3, 126.4),
+}
 
 _OUTCOMES = {o.value: o for o in VerifyOutcome}
 
@@ -112,8 +131,8 @@ def _attack(session, serial, handle, n):
     assert transcript.queries_used == n and transcript.bill_recovered
 
 
-def _calls_per_query(open_session, n):
-    """Profile events `call` and `c_call` per query of one adaptive attack."""
+def _count_calls(fn, *args):
+    """Profile events `call` and `c_call` while `fn(*args)` runs."""
     count = 0
 
     def profile(_frame, event, _arg):
@@ -121,13 +140,24 @@ def _calls_per_query(open_session, n):
         if event == "call" or event == "c_call":
             count += 1
 
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def _calls_per_query(open_session, n):
+    """Profile events per query of one adaptive attack."""
     with open_session(n) as (session, serial, handle):
-        sys.setprofile(profile)
-        try:
-            _attack(session, serial, handle, n)
-        finally:
-            sys.setprofile(None)
-    return count / n
+        return _count_calls(_attack, session, serial, handle, n) / n
+
+
+def _calls_per_trial(strategy, policy, n):
+    """Mean profile events per `mint_trial`, its stream's seeding excluded."""
+    return sum(_count_calls(mint_trial, strategy, policy, n, trial_rng(TRIAL_SEED, n, index))
+               for index in range(TRIALS)) / TRIALS
 
 
 class _Metered:
@@ -186,3 +216,28 @@ def test_bytes_per_call_do_not_grow_with_n(open_session):
     assert small.keys() == large.keys() == {"apply_x", "verify", "measure"}
     for op in small:
         assert large[op] <= small[op] + SLACK_BYTES, (op, small, large)
+
+
+@pytest.mark.parametrize("strategy, policy", list(TRIAL_CALL_CEILINGS))
+def test_calls_per_baseline_trial_stay_under_ceiling(strategy, policy):
+    ceilings = TRIAL_CALL_CEILINGS[strategy, policy]
+    calls = [_calls_per_trial(StrategyKind(strategy), policy, n) for n in TRIAL_NS]
+    assert all(c <= ceiling for c, ceiling in zip(calls, ceilings)), (calls, ceilings)
+
+
+@pytest.mark.parametrize("pattern, lines_per_query", [("01+-", 3.5), ("01", 4.0)])
+def test_remote_attack_lines_per_query(pattern, lines_per_query):
+    symbols = symbols_from_string(pattern * (SMALL // len(pattern)))
+    server = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)),
+                        MintPolicy.RETURN_ALWAYS, random.Random(1))
+    server.start()
+    try:
+        secret, _ = server.mint.add_bill(symbols)
+        transcript, client = remote_adaptive_attack(*server.address, serial=secret.serial)
+        client.close()
+    finally:
+        server.stop()
+    assert transcript.bill_recovered and transcript.queries_used == SMALL
+    sent = dict(client.sent_counts)
+    assert sent.pop("claim") == 1
+    assert sum(sent.values()) == lines_per_query * SMALL, sent

@@ -389,7 +389,11 @@ class TestWorkers:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Starts the workers, prints their pids, then runs a sweep too long to end.
+# It first restores Python's own SIGINT handler, which a child of a
+# process that ignores SIGINT would otherwise lack.
 SWEEP_FOREVER = """
+import signal
+signal.signal(signal.SIGINT, signal.default_int_handler)
 import sys
 from qmoney import cli, harness
 harness._cpus = lambda: [0, 1, 2]

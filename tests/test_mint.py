@@ -10,6 +10,7 @@ from support import (
     bills_equal,
     dense_fidelity,
     fidelity_to_symbols,
+    is_live,
     random_unitary,
     state_from_string,
 )
@@ -178,13 +179,13 @@ class TestVerify:
         _, handle = mint.mint_bill(2)
         with pytest.raises(UnknownSerialError):
             mint.verify("WQM-" + "0" * 32, handle)
-        assert mint.registry.is_live(handle)
+        assert is_live(mint.registry, handle)
 
     def test_unknown_policy_leaves_handle_live(self, mint):
         secret, handle = mint.mint_bill(2)
         with pytest.raises(ValueError, match="shred-everything"):
             mint.verify(secret.serial, handle, "shred-everything")
-        assert mint.registry.is_live(handle)
+        assert is_live(mint.registry, handle)
         assert mint.stats(secret.serial).total == 0
 
     def test_dimension_mismatch_leaves_handle_live(self, mint):
@@ -192,7 +193,7 @@ class TestVerify:
         wrong = mint.registry.register(state_from_string("0"))
         with pytest.raises(DimensionMismatchError):
             mint.verify(secret.serial, wrong)
-        assert mint.registry.is_live(wrong)
+        assert is_live(mint.registry, wrong)
 
     def test_query_stats(self, mint):
         secret, handle = mint.mint_bill(3)
@@ -239,7 +240,7 @@ class TestNoCloning:
         _, handle = mint.mint_bill(2)
         with pytest.raises(NoCloningError):
             mint.duplicate_handle_attempt(handle)
-        assert mint.registry.is_live(handle)
+        assert is_live(mint.registry, handle)
 
     def test_consumed_handle(self, mint):
         secret, handle = mint.mint_bill(2)

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import pytest
+from support import serials
 
 from qmoney.attacks import LocalSession, adaptive_attack, forge_copies
 from qmoney.mint import Mint, MintPolicy
@@ -340,7 +341,7 @@ class TestRobustness:
         try:
             resp = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": n}))
             assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
-            assert server.mint.serials() == []
+            assert serials(server.mint) == []
             resp = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": MAX_MINT_QUBITS}))
             assert resp["type"] == "minted"
         finally:
