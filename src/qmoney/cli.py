@@ -2,7 +2,8 @@
 #
 # Exit codes: 0 success, 1 operational failure (I/O, network), 2 usage
 # error (argparse default), 3 attack failed (e.g. the mint destroyed the
-# bill).
+# bill).  A command raises UsageError or one of FAILURES, and `main`
+# alone reports it, as one `error:` line.
 
 from __future__ import annotations
 
@@ -27,13 +28,23 @@ _STRATEGY_CHOICES = sorted(kind.value for kind in StrategyKind)
 _BASELINE_CHOICES = [v for v in _STRATEGY_CHOICES if v != StrategyKind.ADAPTIVE_ORACLE.value]
 
 
+class UsageError(Exception):
+    """A bad argument that argparse cannot see; exit code 2."""
+
+
+# the operational failures `main` reports with exit code 1; any other
+# exception escapes with its traceback
+FAILURES = (OSError, DatabaseFormatError, UnknownSerialError, TransportError, ProtocolError,
+            AttackConsistencyError)
+
+
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     # str.isdigit() also accepts non-ASCII digits, which int() reads or rejects
     if not sep or not (port.isascii() and port.isdigit()):
-        raise ValueError(f"address must be host:port, got {text!r}")
+        raise UsageError(f"address must be host:port, got {text!r}")
     if int(port) > 65535:
-        raise ValueError(f"port must be from 0 to 65535, got {port}")
+        raise UsageError(f"port must be from 0 to 65535, got {port}")
     return host or "127.0.0.1", int(port)
 
 
@@ -41,9 +52,9 @@ def _parse_n_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise ValueError(f"--n must be a comma-separated list of integers, got {text!r}") from None
+        raise UsageError(f"--n must be a comma-separated list of integers, got {text!r}") from None
     if not values:
-        raise ValueError("--n list is empty")
+        raise UsageError("--n list is empty")
     return values
 
 
@@ -114,13 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_mint_new(args) -> int:
     rng = random.Random(args.seed)
     if args.n < 1 or args.count < 1:
-        print("error: --n and --count must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        mint = Mint.load_db(args.db, rng=rng) if os.path.exists(args.db) else Mint(rng=rng)
-    except (OSError, DatabaseFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise UsageError("--n and --count must be >= 1")
+    mint = Mint.load_db(args.db, rng=rng) if os.path.exists(args.db) else Mint(rng=rng)
     print(f"{'serial':40s}  {'n':>5s}  denomination")
     for _ in range(args.count):
         secret, _handle = mint.mint_bill(args.n, args.denomination, rng)
@@ -128,8 +134,7 @@ def _cmd_mint_new(args) -> int:
     try:
         mint.save_db(args.db)
     except OSError as exc:
-        print(f"error: cannot write {args.db}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise OSError(f"cannot write {args.db}: {exc}") from exc
     return EXIT_OK
 
 
@@ -145,33 +150,23 @@ def _finish_attack(transcript, transcript_path) -> int:
                 json.dump(transcript.to_dict(), fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            print(f"error: cannot write {transcript_path}: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise OSError(f"cannot write {transcript_path}: {exc}") from exc
     return EXIT_OK if transcript.bill_recovered else EXIT_ATTACK_FAILED
 
 
 def _cmd_attack_adaptive(args) -> int:
     rng = random.Random(args.seed)
-    try:
-        mint = Mint.load_db(args.db, rng=rng)
-        secret = mint.secret(args.serial)
-    except (OSError, DatabaseFormatError, UnknownSerialError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    mint = Mint.load_db(args.db, rng=rng)
+    secret = mint.secret(args.serial)
     handle = mint.issue_bill_state(args.serial)
     session = LocalSession(mint, args.policy, rng)
-    try:
-        transcript, _final = adaptive_attack(session, args.serial, handle, secret.n)
-    except AttackConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    transcript, _final = adaptive_attack(session, args.serial, handle, secret.n)
     return _finish_attack(transcript, args.transcript)
 
 
 def _cmd_attack_baseline(args) -> int:
     if args.n < 1 or args.trials < 1:
-        print("error: --n and --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--n and --trials must be >= 1")
     # one sweep row: the counterfeit against a returning mint
     (row,) = run_experiment(ExperimentConfig(
         strategy=StrategyKind(args.strategy),
@@ -189,47 +184,28 @@ def _cmd_attack_baseline(args) -> int:
 
 
 def _cmd_attack_remote(args) -> int:
-    try:
-        host, port = _parse_addr(args.addr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    host, port = _parse_addr(args.addr)
     if args.serial is None and args.n is None:
-        print("error: provide --serial or --n", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        transcript, client = remote_adaptive_attack(host, port, serial=args.serial, n=args.n)
-        client.close()
-    except (TransportError, ProtocolError, AttackConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise UsageError("provide --serial or --n")
+    transcript, client = remote_adaptive_attack(host, port, serial=args.serial, n=args.n)
+    client.close()
     return _finish_attack(transcript, args.transcript)
 
 
 def _cmd_experiment_sweep(args) -> int:
-    try:
-        n_values = _parse_n_list(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     config = ExperimentConfig(
         strategy=StrategyKind(args.strategy),
         policy=args.policy,
-        n_values=n_values,
+        n_values=_parse_n_list(args.n),
         trials=args.trials,
         seed=args.seed,
     )
     try:
         config.validate()
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
     rows = run_experiment(config)
-    try:
-        write_results(rows, args.out, args.format)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    write_results(rows, args.out, args.format)
     print(f"{'n':>5s}  {'successes':>9s}  {'rate':>12s}  {'analytic':>12s}  {'mean_queries':>12s}")
     for r in rows:
         print(f"{r.n:>5d}  {r.successes:>9d}  {r.success_rate:>12.8f}  {r.analytic_rate:>12.10f}  "
@@ -239,22 +215,13 @@ def _cmd_experiment_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    try:
-        host, port = _parse_addr(args.addr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    host, port = _parse_addr(args.addr)
     rng = random.Random(args.seed)
-    try:
-        mint = Mint.load_db(args.db, rng=rng) if args.db else Mint(rng=rng)
-    except (OSError, DatabaseFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    mint = Mint.load_db(args.db, rng=rng) if args.db else Mint(rng=rng)
     try:
         server = MintServer(host, port, mint, args.policy, rng)
     except OSError as exc:
-        print(f"error: cannot bind {args.addr}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        raise OSError(f"cannot bind {args.addr}: {exc}") from exc
     bound_host, bound_port = server.address
     print(f"serving on {bound_host}:{bound_port} (policy {args.policy})", flush=True)
     try:
@@ -269,7 +236,11 @@ def _cmd_serve(args) -> int:
 def main(argv=None) -> int:
     # each command's subparser names the function that runs it
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (UsageError, *FAILURES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_FAILURE
 
 
 if __name__ == "__main__":

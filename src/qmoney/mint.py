@@ -7,8 +7,10 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import tempfile
 from _thread import RLock
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -219,8 +221,8 @@ class Mint:
         self.registry = StateRegistry()
         self._rng = rng if rng is not None else random.Random()
         self._lock = self.registry.lock
-        self._bills: dict[str, BillSecret] = {}
-        self._stats: dict[str, QueryStats] = {}
+        # one record per bill: its secret and its verify counts
+        self._bills: dict[str, tuple[BillSecret, QueryStats]] = {}
 
     # -- issuance ---------------------------------------------------------
 
@@ -256,8 +258,8 @@ class Mint:
                 raise MintError("serial collision persisted after 3 attempts")
             if symbols is None:
                 symbols = random_symbols(rng, n)
-            secret = bills[serial] = _tuple_new(BillSecret, (serial, symbols, denomination))
-            self._stats[serial] = QueryStats()
+            secret = _tuple_new(BillSecret, (serial, symbols, denomination))
+            bills[serial] = secret, QueryStats()
             return secret, self.registry.register_locked(SumOfProductsState.from_symbols(symbols))
 
     def issue_bill_state(self, serial: str) -> int:
@@ -269,19 +271,18 @@ class Mint:
         secret = self.secret(serial)
         return self.registry.register(SumOfProductsState.from_symbols(secret.symbols))
 
-    def secret(self, serial: str) -> BillSecret:
+    def _record(self, serial: str) -> tuple[BillSecret, QueryStats]:
         with self._lock:
             try:
                 return self._bills[serial]
             except KeyError:
                 raise UnknownSerialError(f"no bill with serial {serial}") from None
 
+    def secret(self, serial: str) -> BillSecret:
+        return self._record(serial)[0]
+
     def stats(self, serial: str) -> QueryStats:
-        with self._lock:
-            try:
-                return self._stats[serial]
-            except KeyError:
-                raise UnknownSerialError(f"no bill with serial {serial}") from None
+        return self._record(serial)[1]
 
     # -- verification -----------------------------------------------------
 
@@ -299,9 +300,10 @@ class Mint:
         registry = self.registry
         with self._lock:
             try:
-                symbols = self._bills[serial].symbols
+                secret, st = self._bills[serial]
             except KeyError:
                 raise UnknownSerialError(f"no bill with serial {serial}") from None
+            symbols = secret.symbols
             state = registry.consume_locked(handle, len(symbols))
         # the projection runs outside the lock, so a large bill does not
         # hold up other sessions; a destroying mint drops an INVALID
@@ -310,7 +312,6 @@ class Mint:
             symbols, rng.random(), policy == MintPolicy.RETURN_ALWAYS
         )
         with self._lock:
-            st = self._stats[serial]
             st.total += 1
             if outcome is _VALID:
                 st.valid += 1
@@ -327,6 +328,8 @@ class Mint:
     # -- persistence ------------------------------------------------------
 
     def save_db(self, path) -> None:
+        """Write the database to a new file beside `path`, then move it into
+        place, so a save that fails leaves the old file whole."""
         with self._lock:
             payload = {
                 "version": DB_VERSION,
@@ -336,12 +339,20 @@ class Mint:
                         "denomination": b.denomination,
                         "symbols": symbols_to_string(b.symbols),
                     }
-                    for b in self._bills.values()
+                    for b, _ in self._bills.values()
                 ],
             }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        path = os.fspath(path)
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                   dir=os.path.dirname(path) or ".")
+        try:
+            with open(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load_db(cls, path, rng: random.Random | None = None) -> "Mint":
@@ -388,6 +399,5 @@ class Mint:
                 raise DatabaseFormatError(f"{path}: bills[{idx}].symbols is empty")
             if serial in mint._bills:
                 raise DatabaseFormatError(f"{path}: duplicate serial {serial}")
-            mint._bills[serial] = BillSecret(serial, symbols, denomination)
-            mint._stats[serial] = QueryStats()
+            mint._bills[serial] = BillSecret(serial, symbols, denomination), QueryStats()
         return mint

@@ -129,6 +129,13 @@ def _owned_handle(msg: dict, owned: set[int]) -> int:
     return hid
 
 
+def _serial(msg: dict) -> str:
+    serial = msg.get("serial")
+    if not isinstance(serial, str):
+        raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
+    return serial
+
+
 def _qubit(msg: dict) -> int:
     i = msg.get("qubit")
     if type(i) is not int:
@@ -268,7 +275,8 @@ class MintServer:
         version = msg.get("v")
         if version is None:
             return _error("BAD_REQUEST", "missing protocol version field 'v'")
-        if version != PROTOCOL_VERSION:
+        # `type(...) is int` is false for true and 1.0, which equal 1
+        if type(version) is not int or version != PROTOCOL_VERSION:
             return _error("UNSUPPORTED_VERSION", f"this server speaks version {PROTOCOL_VERSION}")
         mtype = msg.get("type")
         try:
@@ -300,9 +308,7 @@ class MintServer:
     def _do_claim(self, msg: dict, owned: set[int]) -> dict:
         # lab extension: hand out a genuine copy of an existing bill so a
         # remote attacker can start with a bill in hand
-        serial = msg.get("serial")
-        if not isinstance(serial, str):
-            raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
+        serial = _serial(msg)
         _check_room(owned)
         handle = self.mint.issue_bill_state(serial)
         owned.add(handle)
@@ -315,9 +321,7 @@ class MintServer:
 
     def _do_verify(self, msg: dict, owned: set[int]) -> dict:
         # swaps one handle for at most one, so it needs no room
-        serial = msg.get("serial")
-        if not isinstance(serial, str):
-            raise ProtocolError("BAD_REQUEST", "field 'serial' must be a string")
+        serial = _serial(msg)
         handle = _owned_handle(msg, owned)
         res = self.mint.verify(serial, handle, self.policy, self._rng)
         owned.discard(handle)
@@ -421,7 +425,7 @@ class RemoteMint:
         if end != len(text) - 1 or type(resp) is not dict:
             raise TransportError("malformed reply")
         if resp.get("type") == "error":
-            raise ProtocolError(resp.get("code", "UNKNOWN"), resp.get("detail", ""))
+            raise ProtocolError(_field(resp, "code", _STR), _field(resp, "detail", _STR))
         return resp
 
     # -- protocol operations ---------------------------------------------

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -11,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from qmoney.attacks import StrategyKind
+from qmoney import cli
+from qmoney.attacks import AttackConsistencyError, StrategyKind
 from qmoney.cli import EXIT_ATTACK_FAILED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from qmoney.harness import ExperimentConfig, run_experiment, write_results
-from qmoney.mint import Mint, MintPolicy
+from qmoney.mint import DatabaseFormatError, Mint, MintPolicy, UnknownSerialError
 from qmoney.qstate import symbols_from_string
-from qmoney.wire import MintServer
+from qmoney.wire import MintServer, ProtocolError, TransportError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -112,6 +114,23 @@ class TestMintNew:
         (line,) = err.splitlines()
         assert line.startswith(f"error: cannot write {db}: ")
         assert not db.parent.exists()
+
+    def test_failed_save_keeps_the_database(self, capsys, tmp_path, monkeypatch):
+        db = tmp_path / "m.json"
+        run_cli(capsys, "mint", "new", "--n", "4", "--count", "2", "--db", str(db), "--seed", "1")
+        before = db.read_bytes()
+
+        def dump(payload, fh, **kwargs):  # a disk that fills part way through
+            fh.write(json.dumps(payload)[:18])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump)
+        code, _, err = run_cli(capsys, "mint", "new", "--n", "4", "--db", str(db))
+        assert code == EXIT_FAILURE
+        assert err.splitlines() == [f"error: cannot write {db}: [Errno 28] No space left on device"]
+        assert db.read_bytes() == before
+        Mint.load_db(db)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 class TestAttackAdaptive:
@@ -338,3 +357,36 @@ class TestServe:
         code, out, err = run_cli(capsys, "serve", "--addr", "127.0.0.1:99999")
         assert code == EXIT_USAGE
         assert out == "" and err.splitlines() == ["error: port must be from 0 to 65535, got 99999"]
+
+
+class TestMain:
+    # `main` alone reports a command's failure, as one line
+    @pytest.mark.parametrize("exc, code", [
+        (OSError("disk gone"), EXIT_FAILURE),
+        (DatabaseFormatError("db.json: bad"), EXIT_FAILURE),
+        (UnknownSerialError("no bill with serial WQM-0"), EXIT_FAILURE),
+        (TransportError("server closed the connection"), EXIT_FAILURE),
+        (ProtocolError("BAD_REQUEST", "nope"), EXIT_FAILURE),
+        (AttackConsistencyError("branch was not deterministic"), EXIT_FAILURE),
+        (cli.UsageError("--n list is empty"), EXIT_USAGE),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_failure_is_one_line(self, capsys, monkeypatch, exc, code):
+        def stub(args):
+            print("partial output")
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_attack_baseline", stub)
+        got, out, err = run_cli(capsys, "attack", "baseline", "--strategy", "guess",
+                                "--n", "1", "--trials", "1", "--seed", "1")
+        assert got == code
+        assert out == "partial output\n" and err.splitlines() == [f"error: {exc}"]
+
+    def test_other_exceptions_escape(self, capsys, monkeypatch, tmp_path):
+        def run_experiment(config):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        with pytest.raises(RuntimeError, match="^a bug$"):
+            main(["experiment", "sweep", "--strategy", "guess", "--n", "1", "--trials", "1",
+                  "--seed", "1", "--out", str(tmp_path / "r.csv")])
+        assert capsys.readouterr().err == ""

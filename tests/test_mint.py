@@ -1,3 +1,4 @@
+import errno
 import json
 import random
 import threading
@@ -374,3 +375,32 @@ class TestPersistence:
         path = tmp_path / "db.json"
         mint.save_db(path)
         assert bills_equal(Mint.load_db(path), mint)
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        mint = Mint(rng=random.Random(4))
+        mint.add_bill(symbols_from_string("01+-"))
+        path = tmp_path / "db.json"
+        mint.save_db(path)
+        before = path.read_bytes()
+        mint.mint_bill(8)
+
+        def dump(payload, fh, **kwargs):  # a disk that fills part way through
+            fh.write(json.dumps(payload)[:18])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", dump)
+        with pytest.raises(OSError, match="No space left"):
+            mint.save_db(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+
+    def test_save_replaces_the_file(self, tmp_path, monkeypatch):
+        # a bare file name is saved beside itself, in the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "db.json").write_text("not a database, and longer than the new one " * 9)
+        mint = Mint(rng=random.Random(5))
+        mint.add_bill(symbols_from_string("+-"))
+        mint.save_db("db.json")
+        assert bills_equal(Mint.load_db("db.json"), mint)
+        assert [p.name for p in tmp_path.iterdir()] == ["db.json"]
+        assert (tmp_path / "db.json").stat().st_mode & 0o777 == 0o600  # it holds secrets

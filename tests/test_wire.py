@@ -168,10 +168,12 @@ class TestProtocol:
 
 
 class TestRobustness:
-    def test_unsupported_version(self, server):
+    # true and 1.0 equal 1 in Python, but the version is the integer 1
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1"])
+    def test_unsupported_version(self, server, version):
         raw = RawClient(server)
         try:
-            resp = raw.send_line(json.dumps({"v": 2, "type": "mint", "n": 2}))
+            resp = raw.send_line(json.dumps({"v": version, "type": "mint", "n": 2}))
             assert resp == {
                 "type": "error",
                 "code": "UNSUPPORTED_VERSION",
@@ -455,8 +457,12 @@ class TestRobustness:
         b'\xff{"type": "ok", "handle": 3}', b'not json', b'[1, 2]',
         b'{"type": "ok", "handle": 3} x', b'{} {}', b'[' * 100000 + b']' * 100000,
         b'{"type": "ok"}',
+        b'{"type": "error", "code": 5, "detail": ["x"]}',
+        b'{"type": "error", "code": null, "detail": "x"}',
+        b'{"type": "error", "detail": "x"}',
+        b'{"type": "error", "code": "BAD_REQUEST"}',
     ], ids=["not-utf8", "not-json", "array", "trailing-data", "two-objects", "deep",
-            "no-handle"])
+            "no-handle", "error-mistyped", "error-null-code", "error-no-code", "error-no-detail"])
     def test_malformed_reply_is_transport_error(self, reply):
         # a canned server: each reply is queued before the request
         with socket.create_server(("127.0.0.1", 0)) as listener:
