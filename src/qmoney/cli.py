@@ -127,14 +127,15 @@ def _cmd_mint_new(args) -> int:
     if args.n < 1 or args.count < 1:
         raise UsageError("--n and --count must be >= 1")
     mint = Mint.load_db(args.db, rng=rng) if os.path.exists(args.db) else Mint(rng=rng)
-    print(f"{'serial':40s}  {'n':>5s}  denomination")
-    for _ in range(args.count):
-        secret, _handle = mint.mint_bill(args.n, args.denomination, rng)
-        print(f"{secret.serial:40s}  {secret.n:>5d}  {secret.denomination}")
+    secrets = [mint.mint_bill(args.n, args.denomination, rng)[0] for _ in range(args.count)]
     try:
         mint.save_db(args.db)
     except OSError as exc:
         raise OSError(f"cannot write {args.db}: {exc}") from exc
+    # only bills the database now holds are listed
+    print(f"{'serial':40s}  {'n':>5s}  denomination")
+    for secret in secrets:
+        print(f"{secret.serial:40s}  {secret.n:>5d}  {secret.denomination}")
     return EXIT_OK
 
 

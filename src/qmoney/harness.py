@@ -5,8 +5,12 @@
 # depends on the seed alone.  An adaptive-attack row against a returning
 # mint, whose every trial is (True, n), is counted in closed form; an
 # adaptive-attack trial against a destroying mint is computed exactly
-# from its symbol draws, with no mint; every other trial goes through
-# the mint (`mint_trial`), which stays the reference for both.
+# from its symbol draws, with no mint.  A baseline trial goes through
+# the mint under `destroy-on-invalid` whatever the row's policy: the
+# counterfeiter submits once and reads only the verdict, which a
+# destroying verify draws and decides as a returning one does, without
+# building the INVALID residue.  `mint_trial` under the row's own
+# policy stays the reference for all three.
 # `run_experiment` returns the rows, and `write_results` writes them as
 # CSV or JSON.
 #
@@ -92,6 +96,7 @@ CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 # members as module globals, for the trial paths (see qstate's _VALID)
 _ADAPTIVE = StrategyKind.ADAPTIVE_ORACLE
 _VALID = VerifyOutcome.VALID
+_DESTROY = MintPolicy.DESTROY_ON_INVALID
 
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
@@ -126,22 +131,34 @@ def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) 
     index `int(d * 4) < 2`, which is `d < 0.5` since `d * 4` is exact.
     (A returning mint hands every bill back, so each such trial is
     (True, n); `_count_split` counts those rows in closed form.)
+
+    A baseline trial is verified by a destroying mint under either
+    policy.  The counterfeiter submits once and reads only the verdict;
+    either verify consumes the same single draw and compares it with the
+    same `p` from the same `inner_with_symbols`, so the verdict is the
+    same bit for bit, and the destroying one builds no residue.  An
+    unknown policy is rejected before any draw.
     """
-    if strategy is _ADAPTIVE and policy == MintPolicy.DESTROY_ON_INVALID:
-        rng.getrandbits(128)  # the serial
-        draw = rng.random
-        for i in range(n):
-            if draw() < 0.5:
-                return False, i + 1
-        return True, n
-    # the rest, and an unknown policy, which the mint rejects
-    return mint_trial(strategy, policy, n, rng)
+    if strategy is _ADAPTIVE:
+        if policy == _DESTROY:
+            rng.getrandbits(128)  # the serial
+            draw = rng.random
+            for i in range(n):
+                if draw() < 0.5:
+                    return False, i + 1
+            return True, n
+        # a returning mint, or an unknown policy, which the mint rejects
+        return mint_trial(strategy, policy, n, rng)
+    if policy not in MintPolicy.ALL:
+        MintPolicy.check(policy)
+    return mint_trial(strategy, _DESTROY, n, rng)
 
 
 def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
-    """`run_trial` through a fresh mint, bill and session: the reference
-    that `run_trial`'s adaptive kernel and `_count_split`'s closed form
-    are tested against."""
+    """`run_trial` through a fresh mint, bill and session under the row's
+    own policy: the reference that `run_trial`'s adaptive kernel, its
+    destroying verify of a baseline and `_count_split`'s closed form are
+    tested against."""
     mint = Mint(rng)
     registry = mint.registry
     secret, handle = mint.mint_bill(n, rng=rng)

@@ -109,11 +109,12 @@ class TestMintNew:
 
     def test_missing_db_dir_exits_1(self, capsys, tmp_path):
         db = tmp_path / "missing" / "m.json"
-        code, _, err = run_cli(capsys, "mint", "new", "--n", "2", "--db", str(db))
+        code, out, err = run_cli(capsys, "mint", "new", "--n", "2", "--db", str(db))
         assert code == EXIT_FAILURE
         (line,) = err.splitlines()
         assert line.startswith(f"error: cannot write {db}: ")
         assert not db.parent.exists()
+        assert out == ""  # no bill was stored, so none is listed
 
     def test_failed_save_keeps_the_database(self, capsys, tmp_path, monkeypatch):
         db = tmp_path / "m.json"
@@ -125,9 +126,10 @@ class TestMintNew:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(json, "dump", dump)
-        code, _, err = run_cli(capsys, "mint", "new", "--n", "4", "--db", str(db))
+        code, out, err = run_cli(capsys, "mint", "new", "--n", "4", "--db", str(db))
         assert code == EXIT_FAILURE
         assert err.splitlines() == [f"error: cannot write {db}: [Errno 28] No space left on device"]
+        assert out == ""
         assert db.read_bytes() == before
         Mint.load_db(db)
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]

@@ -25,7 +25,9 @@ and 3 for an X-basis one, which a remote attack's `sent_counts` shows.
 A baseline trial through the mint (`harness.mint_trial`) makes a fixed
 number of calls per n on average: its profile events, averaged over
 trials 0-299 of seed 303, stay at or under a ceiling recorded for each
-strategy, policy and n.
+strategy, policy and n.  `harness.run_trial` verifies a baseline through
+a destroying mint under either policy, so under `return-always` it has
+its own ceilings, one call above the destroying `mint_trial`'s count.
 """
 
 import random
@@ -38,7 +40,7 @@ from contextlib import contextmanager
 import pytest
 
 from qmoney.attacks import LocalSession, StrategyKind, adaptive_attack
-from qmoney.harness import mint_trial, trial_rng
+from qmoney.harness import mint_trial, run_trial, trial_rng
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import VerifyOutcome, symbols_from_string
 from qmoney.wire import MintServer, remote_adaptive_attack
@@ -67,6 +69,12 @@ TRIAL_CALL_CEILINGS = {
     ("guess", MintPolicy.DESTROY_ON_INVALID): (44.1, 48.3, 56.1),
     ("measure-copy", MintPolicy.RETURN_ALWAYS): (58.9, 106.4, 165.0),
     ("measure-copy", MintPolicy.DESTROY_ON_INVALID): (52.0, 83.3, 126.4),
+}
+# the ceiling on the mean profile events per `run_trial` of a baseline
+# under `return-always`, at the same trials and n
+RUN_TRIAL_CALL_CEILINGS = {
+    "guess": (45.1, 49.3, 57.1),
+    "measure-copy": (53.0, 84.4, 127.5),
 }
 
 _OUTCOMES = {o.value: o for o in VerifyOutcome}
@@ -154,9 +162,9 @@ def _calls_per_query(open_session, n):
         return _count_calls(_attack, session, serial, handle, n) / n
 
 
-def _calls_per_trial(strategy, policy, n):
-    """Mean profile events per `mint_trial`, its stream's seeding excluded."""
-    return sum(_count_calls(mint_trial, strategy, policy, n, trial_rng(TRIAL_SEED, n, index))
+def _calls_per_trial(trial, strategy, policy, n):
+    """Mean profile events per call of `trial`, its stream's seeding excluded."""
+    return sum(_count_calls(trial, strategy, policy, n, trial_rng(TRIAL_SEED, n, index))
                for index in range(TRIALS)) / TRIALS
 
 
@@ -221,7 +229,15 @@ def test_bytes_per_call_do_not_grow_with_n(open_session):
 @pytest.mark.parametrize("strategy, policy", list(TRIAL_CALL_CEILINGS))
 def test_calls_per_baseline_trial_stay_under_ceiling(strategy, policy):
     ceilings = TRIAL_CALL_CEILINGS[strategy, policy]
-    calls = [_calls_per_trial(StrategyKind(strategy), policy, n) for n in TRIAL_NS]
+    calls = [_calls_per_trial(mint_trial, StrategyKind(strategy), policy, n) for n in TRIAL_NS]
+    assert all(c <= ceiling for c, ceiling in zip(calls, ceilings)), (calls, ceilings)
+
+
+@pytest.mark.parametrize("strategy", list(RUN_TRIAL_CALL_CEILINGS))
+def test_calls_per_routed_baseline_trial_stay_under_ceiling(strategy):
+    ceilings = RUN_TRIAL_CALL_CEILINGS[strategy]
+    calls = [_calls_per_trial(run_trial, StrategyKind(strategy), MintPolicy.RETURN_ALWAYS, n)
+             for n in TRIAL_NS]
     assert all(c <= ceiling for c, ceiling in zip(calls, ceilings)), (calls, ceilings)
 
 

@@ -482,6 +482,40 @@ class TestAdaptiveKernel:
             run_trial(StrategyKind.ADAPTIVE_ORACLE, "shred-everything", 2, trial_rng(1, 2, 0))
 
 
+_BASELINES = pytest.mark.parametrize("strategy", [
+    StrategyKind.GUESS_RANDOM_SYMBOLS, StrategyKind.MEASURE_RANDOM_BASIS_COPY,
+], ids=["guess", "measure-copy"])
+
+
+class TestBaselineRouting:
+    # run_trial verifies a baseline counterfeit through a destroying mint
+    # under either policy; mint_trial under the row's own policy is the
+    # reference
+    @_BASELINES
+    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    def test_routing_equals_mint_path(self, strategy, policy):
+        # each trial's stream is built twice, so that both paths read the
+        # same draws
+        for n in (1, 2, 3, 4, 8):
+            for seed in (303, 11, 7):
+                for index in range(2000):
+                    routed = run_trial(strategy, policy, n, trial_rng(seed, n, index))
+                    reference = mint_trial(strategy, policy, n, trial_rng(seed, n, index))
+                    assert routed == reference, (strategy, policy, n, seed, index)
+
+    @_BASELINES
+    def test_unknown_policy_rejected(self, strategy):
+        with pytest.raises(ValueError) as routed:
+            rng = trial_rng(1, 2, 0)
+            run_trial(strategy, "shred-everything", 2, rng)
+        # before any draw, and with the mint's own message
+        assert rng.getstate() == trial_rng(1, 2, 0).getstate()
+        with pytest.raises(ValueError) as reference:
+            mint_trial(strategy, "shred-everything", 2, trial_rng(1, 2, 0))
+        assert str(routed.value) == str(reference.value)
+        assert "unknown policy 'shred-everything'" in str(routed.value)
+
+
 class TestTrialRng:
     def test_streams_are_stable(self):
         assert trial_rng(7, 4, 0).random() == trial_rng(7, 4, 0).random()
