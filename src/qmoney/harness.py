@@ -5,11 +5,8 @@
 # depends on the seed alone.  An adaptive-attack row against a returning
 # mint, whose every trial is (True, n), is counted in closed form; an
 # adaptive-attack trial against a destroying mint is computed exactly
-# from its symbol draws, with no mint.  A baseline trial goes through
-# the mint under `destroy-on-invalid` whatever the row's policy: the
-# counterfeiter submits once and reads only the verdict, which a
-# destroying verify draws and decides as a returning one does, without
-# building the INVALID residue.  `mint_trial` under the row's own
+# from its symbol draws, with no mint; a baseline trial is verified by a
+# destroying mint (see `run_trial`).  `mint_trial` under the row's own
 # policy stays the reference for all three.
 # `run_experiment` returns the rows, and `write_results` writes them as
 # CSV or JSON.
@@ -136,8 +133,7 @@ def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) 
     policy.  The counterfeiter submits once and reads only the verdict;
     either verify consumes the same single draw and compares it with the
     same `p` from the same `inner_with_symbols`, so the verdict is the
-    same bit for bit, and the destroying one builds no residue.  An
-    unknown policy is rejected before any draw.
+    same bit for bit, and the destroying one builds no residue.
     """
     if strategy is _ADAPTIVE:
         if policy == _DESTROY:
@@ -147,18 +143,16 @@ def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) 
                 if draw() < 0.5:
                     return False, i + 1
             return True, n
-        # a returning mint, or an unknown policy, which the mint rejects
-        return mint_trial(strategy, policy, n, rng)
-    if policy not in MintPolicy.ALL:
-        MintPolicy.check(policy)
-    return mint_trial(strategy, _DESTROY, n, rng)
+    elif policy in MintPolicy.ALL:
+        policy = _DESTROY  # a baseline reads only the verdict
+    # an unknown policy reaches the mint, which rejects it
+    return mint_trial(strategy, policy, n, rng)
 
 
 def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
     """`run_trial` through a fresh mint, bill and session under the row's
-    own policy: the reference that `run_trial`'s adaptive kernel, its
-    destroying verify of a baseline and `_count_split`'s closed form are
-    tested against."""
+    own policy: the reference that `run_trial` and `_count_split`'s
+    closed form are tested against."""
     mint = Mint(rng)
     registry = mint.registry
     secret, handle = mint.mint_bill(n, rng=rng)

@@ -28,9 +28,9 @@
 # INVALID answer adds the target as a term; a projector onto any other
 # symbols costs O(n * terms^2) at worst, O(n) on a single product term.
 # An INVALID answer whose residue the caller does not want (a destroying
-# mint, and through it the harness's baseline trial, which reads only
-# the verdict) builds no term and calls no `compress`.  A qubit measurement
-# costs O(1) on a single product term: one overlap per outcome, no norm
+# mint, and through it the harness's baseline trial) builds no term and
+# calls no `compress`.  A qubit measurement costs O(1) on a single
+# product term: one overlap per outcome, no norm
 # and no term list.  On more terms its pairwise overlaps run over the
 # dirty qubits while `_ref` is set, else over all n.  Every measurement
 # the attacks make is of a single product term (an X on a Z-basis qubit
