@@ -2,13 +2,12 @@
 #
 # Exit codes: 0 success, 1 operational failure (I/O, network), 2 usage
 # error (argparse default), 3 attack failed (e.g. the mint destroyed the
-# bill).  A command raises UsageError or one of FAILURES, and `main`
+# bill).  A command raises UsageError or one of `_failures()`, and `main`
 # alone reports it, as one `error:` line.
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -16,7 +15,6 @@ import sys
 from .attacks import AttackConsistencyError, LocalSession, StrategyKind, adaptive_attack
 from .harness import ExperimentConfig, run_experiment, write_results
 from .mint import DatabaseFormatError, Mint, MintPolicy, UnknownSerialError
-from .wire import MintServer, ProtocolError, TransportError, remote_adaptive_attack
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -33,9 +31,14 @@ class UsageError(Exception):
 
 
 # the operational failures `main` reports with exit code 1; any other
-# exception escapes with its traceback
-FAILURES = (OSError, DatabaseFormatError, UnknownSerialError, TransportError, ProtocolError,
-            AttackConsistencyError)
+# exception escapes with its traceback.  Only `serve` and `attack remote`
+# load the wire, so `_failures` adds its two errors once it is loaded.
+FAILURES = (OSError, DatabaseFormatError, UnknownSerialError, AttackConsistencyError)
+
+
+def _failures() -> tuple[type[Exception], ...]:
+    wire = sys.modules.get(f"{__package__}.wire")
+    return FAILURES if wire is None else (*FAILURES, wire.TransportError, wire.ProtocolError)
 
 
 def _parse_addr(text: str) -> tuple[str, int]:
@@ -146,6 +149,8 @@ def _finish_attack(transcript, transcript_path) -> int:
     print(f"learned       : {transcript.learned_string() or '(nothing)'}")
     print(f"bill recovered: {'yes' if transcript.bill_recovered else 'no'}")
     if transcript_path:
+        import json  # here, so that importing qmoney.cli does not load it
+
         try:
             with open(transcript_path, "w", encoding="utf-8") as fh:
                 json.dump(transcript.to_dict(), fh, indent=2)
@@ -188,6 +193,8 @@ def _cmd_attack_remote(args) -> int:
     host, port = _parse_addr(args.addr)
     if args.serial is None and args.n is None:
         raise UsageError("provide --serial or --n")
+    from .wire import remote_adaptive_attack
+
     transcript, client = remote_adaptive_attack(host, port, serial=args.serial, n=args.n)
     client.close()
     return _finish_attack(transcript, args.transcript)
@@ -216,6 +223,8 @@ def _cmd_experiment_sweep(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from .wire import MintServer
+
     host, port = _parse_addr(args.addr)
     rng = random.Random(args.seed)
     mint = Mint.load_db(args.db, rng=rng) if args.db else Mint(rng=rng)
@@ -239,7 +248,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (UsageError, *FAILURES) as exc:
+    except (UsageError, *_failures()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_FAILURE
 

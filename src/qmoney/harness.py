@@ -31,7 +31,6 @@
 from __future__ import annotations
 
 import _random
-import json
 import math
 import os
 import threading
@@ -61,6 +60,9 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        # a plain string such as "adaptive" would reach the baseline path
+        if not isinstance(self.strategy, StrategyKind):
+            raise ValueError(f"strategy must be a StrategyKind, got {self.strategy!r}")
         MintPolicy.check(self.policy)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -470,6 +472,8 @@ def write_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
     if fmt == "csv":
         text = render_csv(rows)
     elif fmt == "json":
+        import json  # here, so that importing qmoney does not load it
+
         text = json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     else:
         raise ValueError(f"unknown output format {fmt!r}")

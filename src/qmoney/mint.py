@@ -6,7 +6,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import re
@@ -342,6 +341,8 @@ class Mint:
                     for b, _ in self._bills.values()
                 ],
             }
+        import json  # here, so that importing qmoney does not load it
+
         path = os.fspath(path)
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
                                    dir=os.path.dirname(path) or ".")
@@ -356,6 +357,8 @@ class Mint:
 
     @classmethod
     def load_db(cls, path, rng: random.Random | None = None) -> "Mint":
+        import json  # here, so that importing qmoney does not load it
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)

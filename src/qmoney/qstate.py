@@ -56,7 +56,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from enum import Enum
 
@@ -182,7 +181,7 @@ def check_unitary(u) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         raise NonUnitaryError(f"not a 2x2 complex matrix: {u!r}") from exc
     # every comparison with NaN is false, so the tolerance test below
     # would pass it
-    if not all(cmath.isfinite(z) for z in (a, b, c, d)):
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (a, b, c, d)):
         raise NonUnitaryError("matrix has a non-finite entry")
     col0 = abs(a) ** 2 + abs(c) ** 2
     col1 = abs(b) ** 2 + abs(d) ** 2

@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 import json
-import logging
 import random
 import socket
 import socketserver
@@ -26,7 +25,6 @@ from .mint import HandleConsumedError, Mint, MintError, MintPolicy, UnknownHandl
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
 
 PROTOCOL_VERSION = 1
-_log = logging.getLogger(__name__)
 # serve_forever() notices shutdown() only between polls, so the poll
 # interval bounds how long stop() takes
 _POLL_INTERVAL_S = 0.05
@@ -257,7 +255,9 @@ class MintServer:
         try:
             return self._dispatch(line, owned)
         except Exception as exc:
-            _log.exception("request failed: %.200r", line)
+            import logging  # here, so that a server no request breaks never loads it
+
+            logging.getLogger(__name__).exception("request failed: %.200r", line)
             return _error("INTERNAL", f"request failed: {type(exc).__name__}")
 
     def _dispatch(self, line: str, owned: set[int]) -> dict:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -100,6 +101,9 @@ class TestRunExperiment:
             run_experiment(small_config(n_values=[]))
         with pytest.raises(ValueError):
             run_experiment(small_config(policy="shred-everything"))
+        # the value of a member is not the member: no trial may run with it
+        with pytest.raises(ValueError, match="StrategyKind"):
+            run_experiment(small_config(strategy="adaptive"))
 
 
 def drop_pool():
@@ -446,21 +450,44 @@ class TestWorkerLifetime:
         assert all(exited(pid) for pid in workers)
 
 
-def test_import_starts_no_worker():
+# modules that no import of the lab may load: the network layer, its
+# codec and logger, complex math, the fork pool and the benchmark's numpy
+_COLD_FORBIDDEN = {"qmoney.wire", "socket", "socketserver", "logging", "json", "cmath",
+                   "multiprocessing", "numpy"}
+
+
+def test_cold_import_loads_only_what_it_uses():
+    # the interpreter's own modules, read before the first import, are
+    # those of a bare interpreter started the same way
     probe = (
-        "import os, sys, qmoney\n"
+        "import os, sys\n"
+        "bare = set(sys.modules)\n"
+        "import qmoney\n"
+        "package = set(sys.modules) - bare\n"
+        "import qmoney.cli\n"
+        "cli = set(sys.modules) - bare\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
         "    children = True\n"
         "except ChildProcessError:\n"
         "    children = False\n"
-        "print('multiprocessing' in sys.modules, 'numpy' in sys.modules, children)\n"
+        "lazy = qmoney.MintServer is qmoney.wire.MintServer\n"
+        "star = {}\n"
+        "exec('from qmoney import *', star)\n"
+        "print(repr((sorted(package), sorted(cli), children, lazy,\n"
+        "            sorted(set(qmoney.__all__) - set(star)),\n"
+        "            sorted(set(qmoney.__all__) - set(dir(qmoney))))))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["False", "False", "False"]
+    package, cli, children, lazy, unbound, undir = ast.literal_eval(out.stdout)
+    assert "qmoney.harness" in package and "qmoney.cli" in cli
+    assert _COLD_FORBIDDEN.isdisjoint(package), sorted(_COLD_FORBIDDEN & set(package))
+    assert _COLD_FORBIDDEN.isdisjoint(cli), sorted(_COLD_FORBIDDEN & set(cli))
+    assert not children
+    assert lazy and unbound == [] and undir == []
 
 
 class TestAdaptiveKernel:
