@@ -163,8 +163,7 @@ def _finish_attack(transcript, transcript_path) -> int:
 def _cmd_attack_adaptive(args) -> int:
     rng = random.Random(args.seed)
     mint = Mint.load_db(args.db, rng=rng)
-    secret = mint.secret(args.serial)
-    handle = mint.issue_bill_state(args.serial)
+    secret, handle = mint.issue_bill_state(args.serial)
     session = LocalSession(mint, args.policy, rng)
     transcript, _final = adaptive_attack(session, args.serial, handle, secret.n)
     return _finish_attack(transcript, args.transcript)
@@ -193,6 +192,8 @@ def _cmd_attack_remote(args) -> int:
     host, port = _parse_addr(args.addr)
     if args.serial is None and args.n is None:
         raise UsageError("provide --serial or --n")
+    if args.n is not None and args.n < 1:
+        raise UsageError("--n must be >= 1")
     from .wire import remote_adaptive_attack
 
     transcript, client = remote_adaptive_attack(host, port, serial=args.serial, n=args.n)

@@ -11,7 +11,6 @@ import random
 import re
 import tempfile
 from _thread import RLock
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .qstate import (
@@ -74,13 +73,6 @@ class BillSecret(NamedTuple):
         return len(self.symbols)
 
 
-@dataclass
-class QueryStats:
-    total: int = 0
-    valid: int = 0
-    invalid: int = 0
-
-
 class MintPolicy:
     RETURN_ALWAYS = "return-always"
     DESTROY_ON_INVALID = "destroy-on-invalid"
@@ -91,10 +83,6 @@ class MintPolicy:
         if policy not in MintPolicy.ALL:
             raise ValueError(f"unknown policy {policy!r}; expected one of {MintPolicy.ALL}")
         return policy
-
-
-# a member as a module global, for the hot path (see qstate's _VALID)
-_VALID = VerifyOutcome.VALID
 
 
 class VerifyResult(NamedTuple):
@@ -120,8 +108,9 @@ class StateRegistry:
     `lock` is shared with the Mint that built this registry, which guards
     its own database with it too.  Holding it, the mint calls
     `consume_locked` and `register_locked`, so that issuing a bill takes
-    the lock once and a verify twice: a Monte Carlo trial builds a fresh
-    mint and registry and is dominated by such fixed costs.  For the
+    the lock once and a verify once, or twice when it hands a state back:
+    a Monte Carlo trial builds a fresh mint and registry and is
+    dominated by such fixed costs.  For the
     same reason every lookup tries the dict hit first and leaves telling
     a consumed handle from an unknown one to the miss.
     """
@@ -220,8 +209,8 @@ class Mint:
         self.registry = StateRegistry()
         self._rng = rng if rng is not None else random.Random()
         self._lock = self.registry.lock
-        # one record per bill: its secret and its verify counts
-        self._bills: dict[str, tuple[BillSecret, QueryStats]] = {}
+        # a bill's record is its secret
+        self._bills: dict[str, BillSecret] = {}
 
     # -- issuance ---------------------------------------------------------
 
@@ -258,30 +247,25 @@ class Mint:
             if symbols is None:
                 symbols = random_symbols(rng, n)
             secret = _tuple_new(BillSecret, (serial, symbols, denomination))
-            bills[serial] = secret, QueryStats()
+            bills[serial] = secret
             return secret, self.registry.register_locked(SumOfProductsState.from_symbols(symbols))
 
-    def issue_bill_state(self, serial: str) -> int:
-        """Hand out a fresh genuine copy of a stored bill's state.
+    def issue_bill_state(self, serial: str) -> tuple[BillSecret, int]:
+        """Hand out a fresh genuine copy of a stored bill's state, with the
+        bill's secret, as mint_bill does.
 
         Lab convenience: models the attacker starting with a legitimate
         bill in hand.
         """
         secret = self.secret(serial)
-        return self.registry.register(SumOfProductsState.from_symbols(secret.symbols))
+        return secret, self.registry.register(SumOfProductsState.from_symbols(secret.symbols))
 
-    def _record(self, serial: str) -> tuple[BillSecret, QueryStats]:
+    def secret(self, serial: str) -> BillSecret:
         with self._lock:
             try:
                 return self._bills[serial]
             except KeyError:
                 raise UnknownSerialError(f"no bill with serial {serial}") from None
-
-    def secret(self, serial: str) -> BillSecret:
-        return self._record(serial)[0]
-
-    def stats(self, serial: str) -> QueryStats:
-        return self._record(serial)[1]
 
     # -- verification -----------------------------------------------------
 
@@ -299,24 +283,21 @@ class Mint:
         registry = self.registry
         with self._lock:
             try:
-                secret, st = self._bills[serial]
+                symbols = self._bills[serial].symbols
             except KeyError:
                 raise UnknownSerialError(f"no bill with serial {serial}") from None
-            symbols = secret.symbols
             state = registry.consume_locked(handle, len(symbols))
         # the projection runs outside the lock, so a large bill does not
         # hold up other sessions; a destroying mint drops an INVALID
-        # bill, so it asks for no residue
+        # bill, so it asks for no residue and takes the lock no more
         outcome, post, p = state.measure_projector_detail(
             symbols, rng.random(), policy == MintPolicy.RETURN_ALWAYS
         )
-        with self._lock:
-            st.total += 1
-            if outcome is _VALID:
-                st.valid += 1
-            else:
-                st.invalid += 1
-            new_handle = None if post is None else registry.register_locked(post)
+        if post is None:
+            new_handle = None
+        else:
+            with self._lock:
+                new_handle = registry.register_locked(post)
         return _tuple_new(VerifyResult, (outcome, new_handle, p == 0.0 or p == 1.0))
 
     def duplicate_handle_attempt(self, handle: int) -> None:
@@ -338,7 +319,7 @@ class Mint:
                         "denomination": b.denomination,
                         "symbols": symbols_to_string(b.symbols),
                     }
-                    for b, _ in self._bills.values()
+                    for b in self._bills.values()
                 ],
             }
         import json  # here, so that importing qmoney does not load it
@@ -402,5 +383,5 @@ class Mint:
                 raise DatabaseFormatError(f"{path}: bills[{idx}].symbols is empty")
             if serial in mint._bills:
                 raise DatabaseFormatError(f"{path}: duplicate serial {serial}")
-            mint._bills[serial] = BillSecret(serial, symbols, denomination), QueryStats()
+            mint._bills[serial] = BillSecret(serial, symbols, denomination)
         return mint

@@ -239,8 +239,6 @@ class SumOfProductsState:
 
     def norm_sq(self) -> float:
         terms = self.terms
-        if len(terms) == 1:
-            return abs(terms[0].coeff) ** 2
         # the qubits two terms can differ on
         idx = range(self.n) if self._ref is None else sorted(self._dirty)
         total = 0.0 + 0.0j

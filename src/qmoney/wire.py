@@ -152,6 +152,9 @@ def _parse_unitary(raw):
             or not all(isinstance(e, list) and len(e) == 2 for e in raw)):
         raise ProtocolError("BAD_REQUEST", "field 'u' must be four [re, im] pairs, row-major")
     try:
+        # complex() takes true and false as 1 and 0; JSON booleans are no numbers
+        if any(type(x) is bool for e in raw for x in e):
+            raise TypeError("a boolean is not a number")
         vals = [complex(e[0], e[1]) for e in raw]
     except (OverflowError, TypeError) as exc:
         raise ProtocolError("BAD_REQUEST", f"field 'u' must hold numbers: {exc}") from None
@@ -310,14 +313,9 @@ class MintServer:
         # remote attacker can start with a bill in hand
         serial = _serial(msg)
         _check_room(owned)
-        handle = self.mint.issue_bill_state(serial)
+        secret, handle = self.mint.issue_bill_state(serial)
         owned.add(handle)
-        return {
-            "type": "claimed",
-            "serial": serial,
-            "handle": handle,
-            "n": self.mint.secret(serial).n,
-        }
+        return {"type": "claimed", "serial": serial, "handle": handle, "n": secret.n}
 
     def _do_verify(self, msg: dict, owned: set[int]) -> dict:
         # swaps one handle for at most one, so it needs no room

@@ -119,8 +119,7 @@ def fidelity_to_symbols(state: SumOfProductsState, symbols) -> float:
 
 def bills_equal(a, b) -> bool:
     """Whether two mints hold the same bill secrets."""
-    return ({serial: rec[0] for serial, rec in a._bills.items()}
-            == {serial: rec[0] for serial, rec in b._bills.items()})
+    return a._bills == b._bills
 
 
 def serials(mint) -> list[str]:

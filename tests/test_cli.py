@@ -315,6 +315,13 @@ class TestAttackRemote:
         assert code == EXIT_FAILURE
         assert out == "" and err.splitlines() == ["error: malformed reply"]
 
+    def test_n_below_1_is_a_usage_error(self, capsys):
+        # refused before connecting: no server listens on port 9
+        code, out, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:9",
+                                 "--n", "0")
+        assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == ["error: --n must be >= 1"]
+
     def test_needs_serial_or_n(self, capsys):
         code, _, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:9")
         assert code == EXIT_USAGE

@@ -65,16 +65,16 @@ TRIAL_SEED = 303
 TRIALS = 300
 TRIAL_NS = (1, 4, 8)
 TRIAL_CALL_CEILINGS = {
-    ("guess", MintPolicy.RETURN_ALWAYS): (52.3, 61.1, 66.6),
-    ("guess", MintPolicy.DESTROY_ON_INVALID): (44.1, 48.3, 56.1),
-    ("measure-copy", MintPolicy.RETURN_ALWAYS): (58.9, 106.4, 165.0),
-    ("measure-copy", MintPolicy.DESTROY_ON_INVALID): (52.0, 83.3, 126.4),
+    ("guess", MintPolicy.RETURN_ALWAYS): (51.1, 59.9, 65.5),
+    ("guess", MintPolicy.DESTROY_ON_INVALID): (42.6, 46.3, 54.1),
+    ("measure-copy", MintPolicy.RETURN_ALWAYS): (57.7, 104.7, 163.1),
+    ("measure-copy", MintPolicy.DESTROY_ON_INVALID): (50.7, 81.7, 124.5),
 }
 # the ceiling on the mean profile events per `run_trial` of a baseline
 # under `return-always`, at the same trials and n
 RUN_TRIAL_CALL_CEILINGS = {
-    "guess": (45.1, 49.3, 57.1),
-    "measure-copy": (53.0, 84.4, 127.5),
+    "guess": (43.6, 47.3, 55.1),
+    "measure-copy": (51.7, 82.7, 125.5),
 }
 
 _OUTCOMES = {o.value: o for o in VerifyOutcome}

@@ -24,7 +24,6 @@ from qmoney.mint import (
     Mint,
     MintPolicy,
     NoCloningError,
-    QueryStats,
     StateRegistry,
     UnknownHandleError,
     UnknownSerialError,
@@ -187,7 +186,6 @@ class TestVerify:
         with pytest.raises(ValueError, match="shred-everything"):
             mint.verify(secret.serial, handle, "shred-everything")
         assert is_live(mint.registry, handle)
-        assert mint.stats(secret.serial).total == 0
 
     def test_dimension_mismatch_leaves_handle_live(self, mint):
         secret, _ = mint.mint_bill(4)
@@ -196,22 +194,11 @@ class TestVerify:
             mint.verify(secret.serial, wrong)
         assert is_live(mint.registry, wrong)
 
-    def test_query_stats(self, mint):
-        secret, handle = mint.mint_bill(3)
-        for _ in range(4):
-            res = mint.verify(secret.serial, handle, MintPolicy.RETURN_ALWAYS)
-            handle = res.handle
-        st = mint.stats(secret.serial)
-        assert st.total == 4
-        assert st.total == st.valid + st.invalid
-
-    def test_fresh_bill_stats_are_zero(self, mint):
-        secret, _ = mint.mint_bill(3)
-        assert mint.stats(secret.serial) == QueryStats(0, 0, 0)
-
-    def test_stats_of_unknown_serial(self, mint):
-        with pytest.raises(UnknownSerialError):
-            mint.stats("WQM-" + "0" * 32)
+    def test_secret_of_unknown_serial(self, mint):
+        for look_up in (mint.secret, mint.issue_bill_state):
+            with pytest.raises(UnknownSerialError):
+                look_up("WQM-" + "0" * 32)
+        assert mint.registry.live_count() == 0
 
     def test_verify_atomic_under_races(self, mint):
         secret, handle = mint.mint_bill(2)
@@ -230,9 +217,7 @@ class TestVerify:
             t.join()
         assert len(wins) == 1
         assert len(errors) == 15
-        # only the winner was counted, and only its returned state is live
-        st = mint.stats(secret.serial)
-        assert (st.total, st.valid + st.invalid) == (1, 1)
+        # only the winner's returned state is live
         assert mint.registry.live_count() == 1
 
 

@@ -80,7 +80,7 @@ class TestProtocol:
         # the wire; no wrapper type anywhere
         mint = server.mint
         secret, minted = mint.mint_bill(3)
-        claimed = mint.issue_bill_state(secret.serial)
+        _, claimed = mint.issue_bill_state(secret.serial)
         residue = mint.verify(secret.serial, minted).handle
         handles = [minted, claimed, residue, *forge_copies(mint.registry, secret.symbols, 2)]
         with client_for(server) as c:
@@ -233,7 +233,8 @@ class TestRobustness:
         try:
             handle = raw.send_line(json.dumps({"v": 1, "type": "mint", "n": 1}))["handle"]
             for u in ('[["a", 0], [0, 0], [0, 0], [1, 0]]',
-                      '[[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [1, 0]]'):
+                      '[[1' + "0" * 400 + ', 0], [0, 0], [0, 0], [1, 0]]',
+                      '[[true, false], [false, false], [false, false], [true, false]]'):
                 resp = raw.send_line('{"v": 1, "type": "apply_u", "handle": %d, "qubit": 0, '
                                      '"u": %s}' % (handle, u))
                 assert resp["type"] == "error" and resp["code"] == "BAD_REQUEST"
