@@ -190,8 +190,8 @@ def _cmd_attack_baseline(args) -> int:
 
 def _cmd_attack_remote(args) -> int:
     host, port = _parse_addr(args.addr)
-    if args.serial is None and args.n is None:
-        raise UsageError("provide --serial or --n")
+    if (args.serial is None) == (args.n is None):
+        raise UsageError("provide --serial or --n, not both")
     if args.n is not None and args.n < 1:
         raise UsageError("--n must be >= 1")
     from .wire import remote_adaptive_attack

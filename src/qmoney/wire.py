@@ -8,13 +8,16 @@
 # A line, request or reply, is one JSON object with nothing after it, read
 # straight off the socket by _lines(); a request line that does not parse
 # (a number past CPython's digit limit included) gets BAD_REQUEST.
+#
+# The server is a plain accept loop that gives each connection, a
+# session, its own thread.  stop() wakes accept() at once with a throwaway
+# connection of its own; live sessions outlive it.
 
 from __future__ import annotations
 
 import json
 import random
 import socket
-import socketserver
 import struct
 import threading
 from collections import Counter
@@ -25,9 +28,6 @@ from .mint import HandleConsumedError, Mint, MintError, MintPolicy, UnknownHandl
 from .qstate import Basis, NonUnitaryError, VerifyOutcome
 
 PROTOCOL_VERSION = 1
-# serve_forever() notices shutdown() only between polls, so the poll
-# interval bounds how long stop() takes
-_POLL_INTERVAL_S = 0.05
 # largest bill a wire `mint` may ask for; each qubit costs the server a
 # draw and a factor
 MAX_MINT_QUBITS = 2**16
@@ -161,15 +161,63 @@ def _parse_unitary(raw):
     return ((vals[0], vals[1]), (vals[2], vals[3]))
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self):
-        server: "MintServer" = self.server.owner  # type: ignore[attr-defined]
-        sock = self.request
-        # TCP_NODELAY: a reply to the second of two pipelined requests would
-        # otherwise wait about 40 ms for the client's delayed ACK of the first
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+class MintServer:
+    """Serves the mint over line-delimited JSON; one connection per session,
+    each served by its own thread."""
+
+    def __init__(self, host: str, port: int, mint: Mint | None = None,
+                 policy: str = MintPolicy.RETURN_ALWAYS, rng: random.Random | None = None):
+        self.mint = mint if mint is not None else Mint()
+        self.policy = MintPolicy.check(policy)
+        self._rng = rng if rng is not None else random.Random()
+        self._listener = socket.create_server((host, port))
+        self._thread: threading.Thread | None = None
+        self._stopped = False
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._listener.getsockname()[:2]
+
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
+
+    def serve_forever(self) -> None:
+        while not self._stopped:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # ECONNABORTED or EMFILE; the _stopped flag alone ends the loop
+                continue
+            if self._stopped:  # stop()'s wake-up connection
+                sock.close()
+                continue
+            try:
+                threading.Thread(target=self._session, args=(sock,), daemon=True).start()
+            except RuntimeError:  # no thread to spare: refuse this one connection
+                sock.close()
+
+    def stop(self) -> None:
+        """Stop accepting, in whatever thread serve_forever runs; live
+        sessions go on until their clients close them."""
+        self._stopped = True
+        try:
+            # a throwaway connection wakes an accept() blocked in any
+            # thread, on any platform; a closed listener refuses it
+            socket.create_connection(self.address, timeout=1).close()
+        except OSError:
+            pass
+        self._listener.close()
+        if self._thread is not None:
+            self._thread.join(timeout=5)
+
+    def _session(self, sock: socket.socket) -> None:
+        # `owned`, the session's handle ids, is read and changed only by
+        # this thread, so it needs no lock
         owned: set[int] = set()
         try:
+            # TCP_NODELAY: a reply to the second of two pipelined requests would
+            # otherwise wait about 40 ms for the client's delayed ACK of the first
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             for raw in _lines(sock.recv):
                 if raw is None:
                     reply = _error("BAD_REQUEST",
@@ -183,72 +231,17 @@ class _Handler(socketserver.BaseRequestHandler):
                         if not line:
                             continue
                         # looked up per line, for a wrapper put on the class mid-session
-                        reply = server.handle_message(line, owned)
+                        reply = self.handle_message(line, owned)
                 sock.sendall(("".join(_iterencode(reply, 0)) + "\n").encode())
         except OSError:
             pass
         finally:
-            server.drop_session(owned)
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class MintServer:
-    """Serves the mint over line-delimited JSON; one connection per session."""
-
-    def __init__(self, host: str, port: int, mint: Mint | None = None,
-                 policy: str = MintPolicy.RETURN_ALWAYS, rng: random.Random | None = None):
-        self.mint = mint if mint is not None else Mint()
-        self.policy = MintPolicy.check(policy)
-        self._rng = rng if rng is not None else random.Random()
-        self._tcp = _TCPServer((host, port), _Handler)
-        self._tcp.owner = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-        # shutdown() waits for a serve_forever loop to end, so stop() calls
-        # it only once serve_forever has begun; the lock orders the two
-        self._lock = threading.Lock()
-        self._serving = self._stopped = False
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._tcp.server_address[:2]
-
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
-
-    def serve_forever(self) -> None:
-        with self._lock:
-            if self._stopped:
-                return
-            self._serving = True
-        self._tcp.serve_forever(poll_interval=_POLL_INTERVAL_S)
-
-    def stop(self) -> None:
-        with self._lock:
-            self._stopped = True
-            serving = self._serving
-        if serving:
-            self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    # -- session bookkeeping ---------------------------------------------
-    #
-    # A session's `owned` set of handle ids is read and changed only by
-    # its connection's handler thread, `drop_session` included, so it
-    # needs no lock.
-
-    def drop_session(self, owned: set[int]) -> None:
-        for hid in list(owned):
-            try:
-                self.mint.registry.release(hid)
-            except (HandleConsumedError, UnknownHandleError):
-                pass
+            sock.close()
+            for hid in owned:
+                try:
+                    self.mint.registry.release(hid)
+                except (HandleConsumedError, UnknownHandleError):
+                    pass
 
     # -- dispatch ---------------------------------------------------------
 
@@ -470,16 +463,16 @@ def remote_adaptive_attack(host: str, port: int, serial: str | None = None, n: i
     """Run the adaptive attack purely through wire messages.
 
     Either attack an existing bill by serial (the server hands over a
-    genuine copy) or mint a fresh n-qubit bill to attack.  Returns
-    (transcript, client); the caller owns closing the client.
+    genuine copy) or mint a fresh n-qubit bill to attack, not both.
+    Returns (transcript, client); the caller owns closing the client.
     """
+    if (serial is None) == (n is None):
+        raise ValueError("give exactly one of a serial and a bill size n")
     client = RemoteMint(host, port)
     try:
         if serial is not None:
             handle, n = client.claim(serial)
         else:
-            if n is None:
-                raise ValueError("either a serial or a bill size n is required")
             serial, handle = client.mint_bill(n)
         transcript, _ = adaptive_attack(client, serial, handle, n)
         return transcript, client

@@ -326,6 +326,13 @@ class TestAttackRemote:
         code, _, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:9")
         assert code == EXIT_USAGE
 
+    def test_serial_and_n_are_exclusive(self, capsys):
+        # refused before connecting: no server listens on port 9
+        code, out, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:9",
+                                 "--serial", "WQM-" + "0" * 32, "--n", "4")
+        assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == ["error: provide --serial or --n, not both"]
+
     def test_port_out_of_range(self, capsys):
         # 70000 would wrap to port 4464 if it reached the socket
         code, out, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:70000",

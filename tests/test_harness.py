@@ -472,9 +472,10 @@ def test_cold_import_loads_only_what_it_uses():
         "except ChildProcessError:\n"
         "    children = False\n"
         "lazy = qmoney.MintServer is qmoney.wire.MintServer\n"
+        "wire = set(sys.modules) - bare\n"
         "star = {}\n"
         "exec('from qmoney import *', star)\n"
-        "print(repr((sorted(package), sorted(cli), children, lazy,\n"
+        "print(repr((sorted(package), sorted(cli), sorted(wire), children, lazy,\n"
         "            sorted(set(qmoney.__all__) - set(star)),\n"
         "            sorted(set(qmoney.__all__) - set(dir(qmoney))))))\n"
     )
@@ -482,8 +483,10 @@ def test_cold_import_loads_only_what_it_uses():
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    package, cli, children, lazy, unbound, undir = ast.literal_eval(out.stdout)
+    package, cli, wire, children, lazy, unbound, undir = ast.literal_eval(out.stdout)
     assert "qmoney.harness" in package and "qmoney.cli" in cli
+    # the server is a plain accept loop
+    assert "qmoney.wire" in wire and "socketserver" not in wire
     assert _COLD_FORBIDDEN.isdisjoint(package), sorted(_COLD_FORBIDDEN & set(package))
     assert _COLD_FORBIDDEN.isdisjoint(cli), sorted(_COLD_FORBIDDEN & set(cli))
     assert not children

@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 from support import serials
 
+from qmoney import wire
 from qmoney.attacks import LocalSession, adaptive_attack, forge_copies
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import Basis, VerifyOutcome, symbols_from_string
@@ -412,6 +413,63 @@ class TestRobustness:
         runner.join(timeout=5)
         assert not runner.is_alive()
 
+    def test_accept_error_does_not_end_serve_forever(self):
+        # a connection reset while queued (ECONNABORTED), or a full file
+        # table (EMFILE), fails one accept(); the loop goes on to the next
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
+        listener, calls = srv._listener, []
+
+        class FlakyListener:
+            def accept(self):
+                calls.append(None)
+                if len(calls) == 1:
+                    raise ConnectionAbortedError("software caused connection abort")
+                return listener.accept()
+
+            def __getattr__(self, name):
+                return getattr(listener, name)
+
+        srv._listener = FlakyListener()
+        srv.start()
+        try:
+            with client_for(srv) as c:
+                serial, _ = c.mint_bill(1)
+            assert serial.startswith("WQM-") and len(calls) >= 2
+        finally:
+            srv.stop()
+        assert not srv._thread.is_alive()
+
+    def test_session_without_a_thread_is_refused_alone(self, monkeypatch):
+        # a connection the server has no thread for is closed, and the
+        # loop goes on to the next
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
+        srv.start()
+        refused = []
+
+        def thread(**kwargs):
+            if not refused:
+                refused.append(None)
+                raise RuntimeError("can't start new thread")
+            return threading.Thread(**kwargs)
+
+        # the wire module's own name only, so no other thread is touched
+        monkeypatch.setattr(wire, "threading", type("Threading", (), {"Thread": thread}))
+        try:
+            with client_for(srv) as c, pytest.raises(TransportError):
+                c.mint_bill(1)
+            with client_for(srv) as c:
+                assert c.mint_bill(1)[0].startswith("WQM-")
+        finally:
+            srv.stop()
+        assert refused
+
+    def test_stop_twice_is_harmless(self):
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
+        srv.start()
+        srv.stop()
+        srv.stop()
+        assert not srv._thread.is_alive()
+
     def test_pipelined_pair_is_not_delayed(self, server):
         # A client that sends two requests before reading gets both
         # replies at once.  With Nagle's algorithm on at the server, the
@@ -613,6 +671,11 @@ class TestRemoteAttack:
             assert transcript.queries_used == 4
         finally:
             client.close()
+
+    def test_serial_and_n_together_are_refused(self):
+        # refused before connecting: no server listens on port 9
+        with pytest.raises(ValueError, match="exactly one"):
+            remote_adaptive_attack("127.0.0.1", 9, serial=_SERIAL, n=4)
 
     def test_destroying_server_stops_attack(self, destroy_server):
         secret, _ = destroy_server.mint.add_bill(symbols_from_string("+0+"))
