@@ -6,7 +6,11 @@ states on INVALID answers leaks its whole secret in n queries; a mint
 that destroys failed bills keeps counterfeiting exponentially hard
 against the attacks implemented here.
 
-The network layer, `qmoney.wire`, loads on first use of one of its names.
+`import qmoney` loads the simulator alone: `qmoney.qstate`, `qmoney.mint`
+and `qmoney.attacks`.  The Monte Carlo harness, `qmoney.harness`, and the
+network layer, `qmoney.wire`, each load on first use of one of their
+names, so that the attack and the mint never pay for `dataclasses` or
+sockets.
 """
 
 from .qstate import (
@@ -32,7 +36,6 @@ from .attacks import (
     baseline_attack,
     forge_copies,
 )
-from .harness import ExperimentConfig, ResultRow, run_experiment, write_results
 
 __all__ = [
     "Basis",
@@ -52,30 +55,36 @@ __all__ = [
     "analytic_pass_prob",
     "baseline_attack",
     "forge_copies",
-    "ExperimentConfig",
-    "ResultRow",
-    "run_experiment",
-    "write_results",
-    "MintServer",
-    "RemoteMint",
-    "remote_adaptive_attack",
 ]
 
 __version__ = "0.1.0"
 
-# names served by the wire, which loads sockets only when one is asked for
-_WIRE_NAMES = ("MintServer", "RemoteMint", "remote_adaptive_attack")
+# the names loaded on first use, each with its module: the harness loads
+# dataclasses, the wire sockets.  A module's own name maps to itself.
+_LAZY = {
+    "harness": "harness",
+    "ExperimentConfig": "harness",
+    "ResultRow": "harness",
+    "run_experiment": "harness",
+    "write_results": "harness",
+    "wire": "wire",
+    "MintServer": "wire",
+    "RemoteMint": "wire",
+    "remote_adaptive_attack": "wire",
+}
+__all__ += [name for name, module in _LAZY.items() if name != module]
 
 
 def __getattr__(name):
-    if name == "wire" or name in _WIRE_NAMES:
-        # `from . import wire` would ask this hook for `wire` again
-        import importlib
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `from . import harness` would ask this hook for `harness` again
+    import importlib
 
-        wire = importlib.import_module(".wire", __name__)
-        return wire if name == "wire" else getattr(wire, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module("." + module, __name__)
+    return loaded if name == module else getattr(loaded, name)
 
 
 def __dir__():
-    return sorted({*globals(), "wire", *_WIRE_NAMES})
+    return sorted({*globals(), *_LAZY})

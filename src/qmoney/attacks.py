@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -55,13 +54,14 @@ class AttackRecord(NamedTuple):
     symbol: QubitSymbol | None
 
 
-@dataclass
-class AttackTranscript:
+class AttackTranscript(NamedTuple):
+    # a NamedTuple built with `_tuple_new`, once per attack; `records`
+    # and `learned` are plain lists that belong to the caller
     serial: str
-    records: list[AttackRecord] = field(default_factory=list)
-    queries_used: int = 0
-    learned: list[QubitSymbol] = field(default_factory=list)
-    bill_recovered: bool = False
+    records: list[AttackRecord]
+    queries_used: int
+    learned: list[QubitSymbol]
+    bill_recovered: bool
 
     def learned_string(self) -> str:
         return symbols_to_string(self.learned)
@@ -124,8 +124,7 @@ def adaptive_attack(session, serial: str, handle, n: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    transcript = AttackTranscript(serial=serial)
-    records = transcript.records
+    records = []
     append = records.append
 
     for i in range(n):
@@ -153,10 +152,8 @@ def adaptive_attack(session, serial: str, handle, n: int):
 
     # each round's symbol; the last round of a destroyed bill has none
     recovered = handle is not None
-    transcript.queries_used = len(records)
-    transcript.learned = [r.symbol for r in (records if recovered else records[:-1])]
-    transcript.bill_recovered = recovered
-    return transcript, handle
+    learned = [r.symbol for r in (records if recovered else records[:-1])]
+    return _tuple_new(AttackTranscript, (serial, records, len(records), learned, recovered)), handle
 
 
 def forge_copies(registry: StateRegistry, learned, count: int) -> list[int]:

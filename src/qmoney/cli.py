@@ -13,7 +13,6 @@ import random
 import sys
 
 from .attacks import AttackConsistencyError, LocalSession, StrategyKind, adaptive_attack
-from .harness import ExperimentConfig, run_experiment, write_results
 from .mint import DatabaseFormatError, Mint, MintPolicy, UnknownSerialError
 
 EXIT_OK = 0
@@ -172,6 +171,8 @@ def _cmd_attack_adaptive(args) -> int:
 def _cmd_attack_baseline(args) -> int:
     if args.n < 1 or args.trials < 1:
         raise UsageError("--n and --trials must be >= 1")
+    from .harness import ExperimentConfig, run_experiment
+
     # one sweep row: the counterfeit against a returning mint
     (row,) = run_experiment(ExperimentConfig(
         strategy=StrategyKind(args.strategy),
@@ -202,6 +203,8 @@ def _cmd_attack_remote(args) -> int:
 
 
 def _cmd_experiment_sweep(args) -> int:
+    from .harness import ExperimentConfig, run_experiment, write_results
+
     config = ExperimentConfig(
         strategy=StrategyKind(args.strategy),
         policy=args.policy,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import os
 import random
 import re
-import tempfile
 from _thread import RLock
 from typing import NamedTuple
 
@@ -322,7 +321,9 @@ class Mint:
                     for b in self._bills.values()
                 ],
             }
-        import json  # here, so that importing qmoney does not load it
+        # here, so that importing qmoney does not load them
+        import json
+        import tempfile
 
         path = os.fspath(path)
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",

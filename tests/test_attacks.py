@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -28,6 +29,23 @@ from qmoney.qstate import (
     QubitSymbol,
     VerifyOutcome,
     symbols_from_string,
+)
+
+
+# `to_dict()` of a planted 01+- bill's transcript (mint seed 0), recorded
+# when the transcript was still a dataclass
+_PLANTED_RETURN_ALWAYS = (
+    '{"serial": "WQM-e3e70682c2094cac629f6fbed82c07cd", "records": ['
+    '{"qubit": 0, "outcome": "INVALID", "symbol": "0"}, '
+    '{"qubit": 1, "outcome": "INVALID", "symbol": "1"}, '
+    '{"qubit": 2, "outcome": "VALID", "symbol": "+"}, '
+    '{"qubit": 3, "outcome": "VALID", "symbol": "-"}], '
+    '"queries_used": 4, "learned": "01+-", "bill_recovered": true}'
+)
+_PLANTED_DESTROY_ON_INVALID = (
+    '{"serial": "WQM-e3e70682c2094cac629f6fbed82c07cd", "records": ['
+    '{"qubit": 0, "outcome": "INVALID", "symbol": null}], '
+    '"queries_used": 1, "learned": "", "bill_recovered": false}'
 )
 
 
@@ -66,6 +84,19 @@ class TestAdaptiveAttack:
         assert fidelity_to_symbols(state, secret.symbols) >= 1 - 1e-9
         # cross-check against the dense backend
         assert to_dense(state).fidelity(DenseState.from_string("01+-")) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("policy, expected", [
+        (MintPolicy.RETURN_ALWAYS, _PLANTED_RETURN_ALWAYS),
+        (MintPolicy.DESTROY_ON_INVALID, _PLANTED_DESTROY_ON_INVALID),
+    ], ids=["return-always", "destroy-on-invalid"])
+    def test_transcript_is_pinned_and_immutable(self, policy, expected):
+        _, _, transcript, _ = planted_attack("01+-", policy)
+        assert json.dumps(transcript.to_dict()) == expected
+        with pytest.raises(AttributeError):
+            transcript.learned = []
+        # its lists are the caller's: the benchmark's self-test corrupts one
+        transcript.records.clear()
+        assert transcript.to_dict()["records"] == []
 
     def test_basis_inference_soundness(self):
         rng = random.Random(31)

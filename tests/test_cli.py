@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qmoney import cli
+from qmoney import cli, harness
 from qmoney.attacks import AttackConsistencyError, StrategyKind
 from qmoney.cli import EXIT_ATTACK_FAILED, EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
 from qmoney.harness import ExperimentConfig, run_experiment, write_results
@@ -135,6 +135,53 @@ class TestMintNew:
         assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
+# the `--transcript` files of a planted 01+- bill (mint seed 1), recorded
+# when the transcript was still a dataclass
+_PLANTED_RETURN_ALWAYS = """{
+  "serial": "WQM-cd613e30d8f16adf91b7584a2265b1f5",
+  "records": [
+    {
+      "qubit": 0,
+      "outcome": "INVALID",
+      "symbol": "0"
+    },
+    {
+      "qubit": 1,
+      "outcome": "INVALID",
+      "symbol": "1"
+    },
+    {
+      "qubit": 2,
+      "outcome": "VALID",
+      "symbol": "+"
+    },
+    {
+      "qubit": 3,
+      "outcome": "VALID",
+      "symbol": "-"
+    }
+  ],
+  "queries_used": 4,
+  "learned": "01+-",
+  "bill_recovered": true
+}
+"""
+_PLANTED_DESTROY_ON_INVALID = """{
+  "serial": "WQM-cd613e30d8f16adf91b7584a2265b1f5",
+  "records": [
+    {
+      "qubit": 0,
+      "outcome": "INVALID",
+      "symbol": null
+    }
+  ],
+  "queries_used": 1,
+  "learned": "",
+  "bill_recovered": false
+}
+"""
+
+
 class TestAttackAdaptive:
     def test_mint_then_attack(self, capsys, tmp_path):
         db = tmp_path / "m.json"
@@ -159,6 +206,22 @@ class TestAttackAdaptive:
         assert set(payload) == {"serial", "records", "queries_used", "learned", "bill_recovered"}
         assert payload["queries_used"] == 4
         assert payload["bill_recovered"] is True
+
+    @pytest.mark.parametrize("policy, code, expected", [
+        (MintPolicy.RETURN_ALWAYS, EXIT_OK, _PLANTED_RETURN_ALWAYS),
+        (MintPolicy.DESTROY_ON_INVALID, EXIT_ATTACK_FAILED, _PLANTED_DESTROY_ON_INVALID),
+    ], ids=["return-always", "destroy-on-invalid"])
+    def test_transcript_bytes_are_pinned(self, capsys, tmp_path, policy, code, expected):
+        db = tmp_path / "m.json"
+        mint = Mint(rng=random.Random(1))
+        secret, _ = mint.add_bill(symbols_from_string("01+-"))
+        mint.save_db(db)
+        tpath = tmp_path / "t.json"
+        got, _, _ = run_cli(capsys, "attack", "adaptive", "--db", str(db), "--serial",
+                            secret.serial, "--policy", policy, "--seed", "1",
+                            "--transcript", str(tpath))
+        assert got == code
+        assert tpath.read_text() == expected
 
     def test_transcript_directory_exits_1(self, capsys, tmp_path):
         db = tmp_path / "m.json"
@@ -401,7 +464,8 @@ class TestMain:
         def run_experiment(config):
             raise RuntimeError("a bug")
 
-        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        # the command imports the harness's name when it runs
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
         with pytest.raises(RuntimeError, match="^a bug$"):
             main(["experiment", "sweep", "--strategy", "guess", "--n", "1", "--trials", "1",
                   "--seed", "1", "--out", str(tmp_path / "r.csv")])

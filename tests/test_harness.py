@@ -451,9 +451,12 @@ class TestWorkerLifetime:
 
 
 # modules that no import of the lab may load: the network layer, its
-# codec and logger, complex math, the fork pool and the benchmark's numpy
+# codec and logger, complex math, the fork pool, the benchmark's numpy,
+# the Monte Carlo harness with its dataclasses and their inspect, and the
+# tempfile that only a database save needs
 _COLD_FORBIDDEN = {"qmoney.wire", "socket", "socketserver", "logging", "json", "cmath",
-                   "multiprocessing", "numpy"}
+                   "multiprocessing", "numpy", "qmoney.harness", "dataclasses", "inspect",
+                   "tempfile"}
 
 
 def test_cold_import_loads_only_what_it_uses():
@@ -471,11 +474,14 @@ def test_cold_import_loads_only_what_it_uses():
         "    children = True\n"
         "except ChildProcessError:\n"
         "    children = False\n"
+        "lazy_harness = qmoney.run_experiment is qmoney.harness.run_experiment\n"
+        "harness = set(sys.modules) - bare\n"
         "lazy = qmoney.MintServer is qmoney.wire.MintServer\n"
         "wire = set(sys.modules) - bare\n"
         "star = {}\n"
         "exec('from qmoney import *', star)\n"
-        "print(repr((sorted(package), sorted(cli), sorted(wire), children, lazy,\n"
+        "print(repr((sorted(package), sorted(cli), sorted(harness), sorted(wire), children,\n"
+        "            lazy_harness, lazy,\n"
         "            sorted(set(qmoney.__all__) - set(star)),\n"
         "            sorted(set(qmoney.__all__) - set(dir(qmoney))))))\n"
     )
@@ -483,14 +489,20 @@ def test_cold_import_loads_only_what_it_uses():
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    package, cli, wire, children, lazy, unbound, undir = ast.literal_eval(out.stdout)
-    assert "qmoney.harness" in package and "qmoney.cli" in cli
+    (package, cli, harness_stage, wire, children, lazy_harness, lazy, unbound,
+     undir) = ast.literal_eval(out.stdout)
+    # `import qmoney` loads the simulator alone
+    assert {m for m in package if m.startswith("qmoney")} == {
+        "qmoney", "qmoney.qstate", "qmoney.mint", "qmoney.attacks"}
+    assert "qmoney.harness" not in package and "qmoney.cli" in cli
+    # the package hook loads the harness on first use of one of its names
+    assert "qmoney.harness" in harness_stage and "qmoney.wire" not in harness_stage
     # the server is a plain accept loop
     assert "qmoney.wire" in wire and "socketserver" not in wire
     assert _COLD_FORBIDDEN.isdisjoint(package), sorted(_COLD_FORBIDDEN & set(package))
     assert _COLD_FORBIDDEN.isdisjoint(cli), sorted(_COLD_FORBIDDEN & set(cli))
     assert not children
-    assert lazy and unbound == [] and undir == []
+    assert lazy_harness and lazy and unbound == [] and undir == []
 
 
 class TestAdaptiveKernel:
