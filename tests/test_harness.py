@@ -3,12 +3,8 @@ import hashlib
 import json
 import os
 import random
-import signal
 import subprocess
 import sys
-import threading
-import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,26 +70,6 @@ class TestRunExperiment:
         b = run_experiment(small_config())
         assert a == b
 
-    def test_parallelism_does_not_change_output(self, split, monkeypatch):
-        # split three ways, and two ways, where the one worker's range is
-        # the whole window; trials 1, 2 and 3 leave some of the three
-        # ranges empty, and 50 and 257 split unevenly; with a window of 40
-        # slots, 41 and 83 run as two and three windows
-        for cpus in ([0, 1, 2], [0, 1]):
-            monkeypatch.setattr(harness, "_cpus", lambda: cpus)
-            for window, counts in ((harness._WINDOW, (1, 2, 3, 50, 257)),
-                                   (40, (41, 2 * 40 + 3))):
-                small_window(monkeypatch, window)
-                for strategy in StrategyKind:
-                    for policy in MintPolicy.ALL:
-                        for trials in counts:
-                            config = small_config(strategy=strategy, policy=policy,
-                                                  n_values=[1, 3, 8], trials=trials, seed=trials)
-                            assert render_csv(run_experiment(config)) == one_process_csv(config), (
-                                cpus, strategy, policy, trials)
-                assert len(harness._pool) == len(cpus) - 1
-                assert all(w.conn is not None for w in harness._pool)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             run_experiment(small_config(trials=0))
@@ -106,352 +82,11 @@ class TestRunExperiment:
             run_experiment(small_config(strategy="adaptive"))
 
 
-def drop_pool():
-    for w in harness._pool:
-        if w.conn is not None:
-            w.discard()
-    harness._pool.clear()
-
-
-@pytest.fixture
-def split(monkeypatch):
-    """run_experiment split three ways, the parent and two workers,
-    whatever CPUs the runner has, starting from no workers."""
-    drop_pool()
-    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1, 2])
-    yield
-    drop_pool()
-
-
-def small_window(monkeypatch, slots):
-    """Workers forked from here on share a window of `slots` slots."""
-    drop_pool()
-    monkeypatch.setattr(harness, "_slots", harness._new_window(slots))
-    monkeypatch.setattr(harness, "_pool_pid", os.getpid())
-
-
-def written(slot, gen, timeout=10.0):
-    """True once the window's `slot` carries generation `gen`."""
-    deadline = time.monotonic() + timeout
-    while harness._slots[slot] >> harness._GEN_SHIFT != gen:
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return True
-
-
-def one_process_csv(config):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_cpus", lambda: [0])
-        return render_csv(run_experiment(config))
-
-
-def csv_and_workers(config):
-    return render_csv(run_experiment(config)), len(harness._pool)
-
-
-def guess_config(seed, trials=300):
-    return small_config(strategy=StrategyKind.GUESS_RANDOM_SYMBOLS, n_values=[4],
-                        trials=trials, seed=seed)
-
-
-def exited(pid, timeout=10.0):
-    """True once pid has exited; an orphan that init has not reaped yet
-    counts as exited."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            os.kill(pid, 0)
-            with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
-                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
-                    return True
-        except (ProcessLookupError, FileNotFoundError):
-            return True
-        time.sleep(0.05)
-    return False
-
-
-class TestWorkers:
-    def test_worker_counts_its_range(self, split):
-        run_experiment(guess_config(1))
-        worker = harness._pool[0]
-        task = (StrategyKind.MEASURE_RANDOM_BASIS_COPY, MintPolicy.RETURN_ALWAYS, 5, 9)
-        gen, base = harness._next_gen(), 3  # trial i in slot i - 3
-        assert worker.post((gen, *task, 10, 70, base))
-        slots = harness._slots
-        assert written(69 - base, gen)
-        # each slot holds the count of the range up to its trial
-        for i in range(10, 70):
-            s, q = harness._count(*task, 10, i + 1)
-            assert slots[i - base] == gen << harness._GEN_SHIFT | s << harness._QUERY_BITS | q
-        # nothing outside the range was written
-        assert slots[70 - base] >> harness._GEN_SHIFT != gen
-        assert slots[9 - base] >> harness._GEN_SHIFT != gen
-
-    def test_worker_skips_a_range_the_caller_has_moved_on_from(self, split):
-        run_experiment(guess_config(1))
-        worker = harness._pool[0]
-        task = (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, 4, 9)
-        slots, base = harness._slots, -1
-        os.kill(worker.process.pid, signal.SIGSTOP)
-        try:
-            stale = harness._next_gen()
-            assert worker.post((stale, *task, 0, 60, base))
-            harness._next_gen()
-        finally:
-            os.kill(worker.process.pid, signal.SIGCONT)
-        # a later range shows that the worker has read the stale one
-        gen = harness._next_gen()
-        assert worker.post((gen, *task, 100, 110, base))
-        assert written(109 - base, gen)
-        assert not any(w >> harness._GEN_SHIFT == stale for w in slots[0 - base:60 - base].tolist())
-
-    def test_generation_wraps_to_a_clean_window(self, split, monkeypatch):
-        small_window(monkeypatch, 400)
-        slots = harness._slots
-        slots[0] = (1 << (64 - harness._GEN_SHIFT)) - 1  # the last generation
-        # left from an earlier use of generation 2, in the first slot the
-        # caller reads: trial 199, the top of the first worker's range
-        slots[199 + 1] = 2 << harness._GEN_SHIFT | 7
-        assert harness._next_gen() == 1
-        config = guess_config(2)  # 300 trials, in generation 2
-        assert render_csv(run_experiment(config)) == one_process_csv(config)
-
-    def test_stale_generation_is_ignored(self, split, monkeypatch):
-        parent, real = os.getpid(), harness.run_trial
-        counted = Counter()  # trials by n, in each process
-
-        def run_trial(strategy, policy, n, rng):
-            counted[n] += 1
-            if os.getpid() != parent and n == 5 and counted[n] == 100:
-                os.kill(os.getpid(), signal.SIGSTOP)  # in mid-range of the first call
-            if os.getpid() == parent and n == 6 and counted[n] == 50:
-                for w in harness._pool:
-                    os.kill(w.process.pid, signal.SIGCONT)  # in the last call
-            return real(strategy, policy, n, rng)
-
-        monkeypatch.setattr(harness, "run_trial", run_trial)
-        configs = [small_config(strategy=StrategyKind.GUESS_RANDOM_SYMBOLS, n_values=[n],
-                                trials=3000, seed=seed)
-                   for n, seed in ((5, 1), (4, 2), (4, 3), (6, 4))]
-        expected = [one_process_csv(config) for config in configs]
-        counted.clear()
-        pids = []
-        try:
-            for config, csv in zip(configs, expected):
-                assert render_csv(run_experiment(config)) == csv
-                pids = pids or [w.process.pid for w in harness._pool]
-        finally:
-            for pid in pids:
-                os.kill(pid, signal.SIGCONT)
-        # the stopped workers were kept, and count again
-        assert [w.process.pid for w in harness._pool] == pids
-        for seed in (5, 6):
-            config = guess_config(seed)
-            assert render_csv(run_experiment(config)) == one_process_csv(config)
-
-    def test_worker_exception_is_raised_in_parent(self, split, monkeypatch):
-        real = harness.trial_rng
-
-        def trial_rng(seed, n, index):
-            if index == 2500:  # in mid-range of the second worker
-                raise ZeroDivisionError(f"trial {index} failed")
-            return real(seed, n, index)
-
-        monkeypatch.setattr(harness, "trial_rng", trial_rng)
-        with pytest.raises(ZeroDivisionError, match="^trial 2500 failed$"):
-            run_experiment(guess_config(1, trials=3000))
-        assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
-
-    def test_unpicklable_exception_keeps_type_name_and_message(self, split, monkeypatch):
-        class LocalError(Exception):  # a local class, which pickle cannot carry
-            pass
-
-        real = harness.trial_rng
-
-        def trial_rng(seed, n, index):
-            if index == 2500:  # in mid-range of the second worker
-                raise LocalError(f"trial {index} failed")
-            return real(seed, n, index)
-
-        monkeypatch.setattr(harness, "trial_rng", trial_rng)
-        with pytest.raises(LocalError, match="^trial 2500 failed$") as info:
-            run_experiment(guess_config(1, trials=3000))
-        assert info.traceback[-1].name == "trial_rng"
-        assert len(harness._pool) == 2 and all(w.conn is not None for w in harness._pool)
-
-    def test_worker_only_failure_leaves_exact_row(self, split, monkeypatch):
-        parent, real = os.getpid(), harness.trial_rng
-
-        def trial_rng(seed, n, index):
-            # one trial in the middle of each worker's range, and the
-            # bottom of the second one
-            if os.getpid() != parent and index in (1000, 2000, 2500):
-                raise ZeroDivisionError("trial failed in a worker")
-            return real(seed, n, index)
-
-        monkeypatch.setattr(harness, "trial_rng", trial_rng)
-        pids = []
-        for seed in (1, 2, 3):
-            config = guess_config(seed, trials=3000)
-            assert render_csv(run_experiment(config)) == one_process_csv(config)
-            pids = pids or [w.process.pid for w in harness._pool]
-        assert len(pids) == 2 and [w.process.pid for w in harness._pool] == pids
-
-    def test_killed_worker_is_replaced(self, split):
-        run_experiment(guess_config(1))
-        worker = harness._pool[0]
-        os.kill(worker.process.pid, signal.SIGKILL)
-        worker.process.join(10)
-        assert not worker.process.is_alive()
-        for seed in (2, 3):
-            config = guess_config(seed)
-            assert render_csv(run_experiment(config)) == one_process_csv(config)
-        assert worker.conn is None
-        assert worker not in harness._pool and len(harness._pool) == 2
-
-    def test_worker_dying_mid_range_is_counted_by_parent(self, split, monkeypatch):
-        parent, real = os.getpid(), harness.run_trial
-
-        def run_trial(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(*args)
-
-        monkeypatch.setattr(harness, "run_trial", run_trial)
-        config = guess_config(1, trials=3000)
-        assert render_csv(run_experiment(config)) == one_process_csv(config)
-
-    def test_broken_pipe_is_counted_by_parent(self, split):
-        import multiprocessing
-
-        run_experiment(guess_config(1))
-        worker = harness._pool[0]
-        pid, old = worker.process.pid, worker.conn
-        worker.conn, peer = multiprocessing.Pipe()
-        peer.close()
-        try:
-            for seed in (2, 3):
-                config = guess_config(seed)
-                assert render_csv(run_experiment(config)) == one_process_csv(config)
-        finally:
-            old.close()
-        assert exited(pid)
-        assert worker not in harness._pool and len(harness._pool) == 2
-
-    def test_forked_process_forks_its_own_workers(self, split):
-        config = guess_config(1)
-        expected = one_process_csv(config)
-        run_experiment(config)
-        parents_workers = {w.process.pid for w in harness._pool}
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                exact = render_csv(run_experiment(config)) == expected
-                mine = {w.process.pid for w in harness._pool}
-                code = 0 if exact and len(mine) == 2 and not mine & parents_workers else 2
-                drop_pool()
-            finally:
-                os._exit(code)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
-        assert render_csv(run_experiment(config)) == expected
-        assert {w.process.pid for w in harness._pool} == parents_workers
-
-    def test_held_pool_means_counting_in_process(self, split):
-        config = guess_config(1)
-        with harness._pool_lock:
-            assert render_csv(run_experiment(config)) == one_process_csv(config)
-        assert harness._pool == []
-
-    def test_daemonic_process_counts_in_process(self, split):
-        import multiprocessing
-
-        config = guess_config(1)
-        expected = one_process_csv(config)
-        # a multiprocessing pool's processes are daemonic and may not fork
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply(csv_and_workers, (config,)) == (expected, 0)
-
-    def test_two_threads_get_exact_rows(self, split):
-        csvs = {}
-
-        def sweep(seed):
-            csvs[seed] = [render_csv(run_experiment(guess_config(seed))) for _ in range(5)]
-
-        threads = [threading.Thread(target=sweep, args=(seed,)) for seed in (1, 2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60)
-            assert not t.is_alive()
-        for seed in (1, 2):
-            assert csvs[seed] == [one_process_csv(guess_config(seed))] * 5
-
-
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Starts the workers, prints their pids, then runs a sweep too long to end.
-# It first restores Python's own SIGINT handler, which a child of a
-# process that ignores SIGINT would otherwise lack.
-SWEEP_FOREVER = """
-import signal
-signal.signal(signal.SIGINT, signal.default_int_handler)
-import sys
-from qmoney import cli, harness
-harness._cpus = lambda: [0, 1, 2]
-harness.run_experiment(harness.ExperimentConfig(
-    strategy=harness.StrategyKind.GUESS_RANDOM_SYMBOLS, policy="return-always",
-    n_values=[1], trials=10, seed=1))
-print(*(w.process.pid for w in harness._pool), flush=True)
-cli.main(["experiment", "sweep", "--strategy", "measure-copy", "--n", "8",
-          "--trials", "100000000", "--seed", "1", "--out", sys.argv[1]])
-"""
-
-
-class TestWorkerLifetime:
-    @pytest.fixture
-    def sweep(self, tmp_path):
-        """A child interpreter in a sweep, and its workers' pids; whatever
-        is left of them is killed afterwards."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-        proc = subprocess.Popen([sys.executable, "-c", SWEEP_FOREVER, str(tmp_path / "r.csv")],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                                env=env, start_new_session=True)
-        workers = []
-        try:
-            workers.extend(int(pid) for pid in proc.stdout.readline().split())
-            assert len(workers) == 2
-            time.sleep(0.5)  # well into the sweep
-            yield proc, workers
-        finally:
-            for pid in (proc.pid, *workers):
-                try:
-                    os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            proc.communicate()
-
-    def test_ctrl_c_prints_one_traceback(self, sweep):
-        proc, workers = sweep
-        # a terminal's Ctrl-C signals the whole process group
-        os.killpg(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=30)
-        assert proc.returncode != 0
-        assert err.count("Traceback") == 1 and "KeyboardInterrupt" in err
-        assert all(exited(pid) for pid in workers)
-
-    def test_workers_exit_with_their_parent(self, sweep):
-        proc, workers = sweep
-        proc.kill()
-        proc.communicate(timeout=30)
-        assert all(exited(pid) for pid in workers)
 
 
 # modules that no import of the lab may load: the network layer, its
-# codec and logger, complex math, the fork pool, the benchmark's numpy,
+# codec and logger, complex math, process pools, the benchmark's numpy,
 # the Monte Carlo harness with its dataclasses and their inspect, and the
 # tempfile that only a database save needs
 _COLD_FORBIDDEN = {"qmoney.wire", "socket", "socketserver", "logging", "json", "cmath",
@@ -476,12 +111,21 @@ def test_cold_import_loads_only_what_it_uses():
         "    children = False\n"
         "lazy_harness = qmoney.run_experiment is qmoney.harness.run_experiment\n"
         "harness = set(sys.modules) - bare\n"
+        "for strategy in qmoney.StrategyKind:\n"
+        "    for policy in qmoney.MintPolicy.ALL:\n"
+        "        qmoney.run_experiment(qmoney.ExperimentConfig(strategy, policy, [1, 3], 20, 5))\n"
+        "swept = set(sys.modules) - bare\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    sweep_children = True\n"
+        "except ChildProcessError:\n"
+        "    sweep_children = False\n"
         "lazy = qmoney.MintServer is qmoney.wire.MintServer\n"
         "wire = set(sys.modules) - bare\n"
         "star = {}\n"
         "exec('from qmoney import *', star)\n"
-        "print(repr((sorted(package), sorted(cli), sorted(harness), sorted(wire), children,\n"
-        "            lazy_harness, lazy,\n"
+        "print(repr((sorted(package), sorted(cli), sorted(harness), sorted(swept), sorted(wire),\n"
+        "            children, sweep_children, lazy_harness, lazy,\n"
         "            sorted(set(qmoney.__all__) - set(star)),\n"
         "            sorted(set(qmoney.__all__) - set(dir(qmoney))))))\n"
     )
@@ -489,14 +133,17 @@ def test_cold_import_loads_only_what_it_uses():
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    (package, cli, harness_stage, wire, children, lazy_harness, lazy, unbound,
-     undir) = ast.literal_eval(out.stdout)
+    (package, cli, harness_stage, swept, wire, children, sweep_children, lazy_harness, lazy,
+     unbound, undir) = ast.literal_eval(out.stdout)
     # `import qmoney` loads the simulator alone
     assert {m for m in package if m.startswith("qmoney")} == {
         "qmoney", "qmoney.qstate", "qmoney.mint", "qmoney.attacks"}
     assert "qmoney.harness" not in package and "qmoney.cli" in cli
     # the package hook loads the harness on first use of one of its names
     assert "qmoney.harness" in harness_stage and "qmoney.wire" not in harness_stage
+    # a sweep counts every trial in the calling process
+    assert {"multiprocessing", "mmap"}.isdisjoint(swept), sorted(swept)
+    assert not sweep_children
     # the server is a plain accept loop
     assert "qmoney.wire" in wire and "socketserver" not in wire
     assert _COLD_FORBIDDEN.isdisjoint(package), sorted(_COLD_FORBIDDEN & set(package))
@@ -524,14 +171,21 @@ class TestAdaptiveKernel:
             run_trial(StrategyKind.ADAPTIVE_ORACLE, "shred-everything", 2, trial_rng(1, 2, 0))
 
 
+@pytest.mark.parametrize("strategy", list(StrategyKind), ids=lambda s: s.value)
+def test_empty_bill_rejected(strategy):
+    for trial in (run_trial, mint_trial):
+        with pytest.raises(ValueError, match="^bill size n must be >= 1$"):
+            trial(strategy, MintPolicy.DESTROY_ON_INVALID, 0, trial_rng(1, 0, 0))
+
+
 _BASELINES = pytest.mark.parametrize("strategy", [
     StrategyKind.GUESS_RANDOM_SYMBOLS, StrategyKind.MEASURE_RANDOM_BASIS_COPY,
 ], ids=["guess", "measure-copy"])
 
 
 class TestBaselineRouting:
-    # run_trial verifies a baseline counterfeit through a destroying mint
-    # under either policy; mint_trial under the row's own policy is the
+    # run_trial computes a baseline trial exactly, with no mint, under
+    # either policy; mint_trial under the row's own policy is the
     # reference
     @_BASELINES
     @pytest.mark.parametrize("policy", MintPolicy.ALL)
@@ -547,7 +201,7 @@ class TestBaselineRouting:
 
     @_BASELINES
     def test_unknown_policy_rejected(self, strategy):
-        # the routing passes an unknown policy on, and the mint rejects it
+        # run_trial rejects an unknown policy as the mint does
         with pytest.raises(ValueError) as routed:
             run_trial(strategy, "shred-everything", 2, trial_rng(1, 2, 0))
         with pytest.raises(ValueError) as reference:
@@ -606,10 +260,14 @@ def test_mint_trials_are_pinned(policy):
 
 
 def test_adaptive_return_always_rows_in_closed_form():
+    def by_trial(strategy, policy, n, seed, trials):
+        results = [run_trial(strategy, policy, n, trial_rng(seed, n, index))
+                   for index in range(trials)]
+        return sum(ok for ok, _ in results), sum(used for _, used in results)
+
     def counted_trial_by_trial(config):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(harness, "_count_split", lambda workers, strategy, policy, n, seed, trials:
-                       harness._count(strategy, policy, n, seed, 0, trials))
+            mp.setattr(harness, "_count", by_trial)
             return render_csv(run_experiment(config))
 
     def no_stream(*args):
@@ -622,6 +280,39 @@ def test_adaptive_return_always_rows_in_closed_form():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(harness, "trial_rng", no_stream)
                 assert render_csv(run_experiment(config)) == expected, (n, trials)
+
+
+@pytest.mark.parametrize("strategy, policy", [
+    (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS),
+    (StrategyKind.MEASURE_RANDOM_BASIS_COPY, MintPolicy.DESTROY_ON_INVALID),
+    (StrategyKind.ADAPTIVE_ORACLE, MintPolicy.DESTROY_ON_INVALID),
+])
+def test_row_raises_when_kernel_disagrees_with_mint_on_trial_0(monkeypatch, strategy, policy):
+    real = harness.run_trial
+
+    def run_trial(strategy, policy, n, rng):
+        ok, used = real(strategy, policy, n, rng)
+        return not ok, used
+
+    monkeypatch.setattr(harness, "run_trial", run_trial)
+    config = small_config(strategy=strategy, policy=policy, n_values=[3], trials=5, seed=303)
+    match = f"^{strategy.value} trial 0 under {policy} at n=3, seed 303: "
+    with pytest.raises(RuntimeError, match=match):
+        run_experiment(config)
+
+
+def test_row_checks_only_its_trial_0_against_the_mint(monkeypatch):
+    real, calls = harness.mint_trial, []
+
+    def mint_trial(strategy, policy, n, rng):
+        calls.append((strategy, policy, n))
+        return real(strategy, policy, n, rng)
+
+    monkeypatch.setattr(harness, "mint_trial", mint_trial)
+    strategy = StrategyKind.MEASURE_RANDOM_BASIS_COPY
+    run_experiment(small_config(strategy=strategy, n_values=[1, 4], trials=50))
+    # under the row's own policy, once per n
+    assert calls == [(strategy, MintPolicy.RETURN_ALWAYS, 1), (strategy, MintPolicy.RETURN_ALWAYS, 4)]
 
 
 class TestWriteResults:
