@@ -188,34 +188,33 @@ def baseline_attack(
     if kind is _MEASURE_COPY:
         if handle is None:
             raise ValueError("measure-copy needs the genuine bill")
-        # the names the loop uses, looked up once
-        draw, measure, z, x = rng.random, registry.measure, _Z, _X
         observed = []
-        append = observed.append
         for i in range(n):
-            basis = z if draw() < 0.5 else x
-            append(basis.symbols[measure(handle, i, basis, rng)])
+            basis = _Z if rng.random() < 0.5 else _X
+            observed.append(basis.symbols[registry.measure(handle, i, basis, rng)])
         copy = registry.register(SumOfProductsState.from_symbols(observed))
         return copy, handle
     raise ValueError(f"{kind} is not a baseline strategy")
 
 
+# <a|b> for every pair of symbols a, b, each taken once through `_dot`:
+# the 4x4 overlap table that the rates below and the harness's trial
+# kernels read
+_OVERLAP = {a: {b: _dot(a.amplitudes, b.amplitudes) for b in QubitSymbol} for a in QubitSymbol}
+
+
 def _overlap_sq(a: QubitSymbol, b: QubitSymbol) -> float:
-    return abs(_dot(a.amplitudes, b.amplitudes)) ** 2
-
-
-# |<a|b>|^2 for every pair of symbols a, b: the 4x4 overlap table
-_OVERLAP_SQ = {a: {b: _overlap_sq(a, b) for b in QubitSymbol} for a in QubitSymbol}
+    return abs(_OVERLAP[a][b]) ** 2
 
 # per-qubit pass rates of the baselines, computed once by enumeration.
 # The terms are added left to right with `add`: `sum` compensates its
 # float total from Python 3.12 on, which rounds both rates differently.
 _PER_QUBIT_RATE = {
     # uniform true symbol x uniform guess
-    _GUESS: reduce(add, (_OVERLAP_SQ[true][guess]
+    _GUESS: reduce(add, (_overlap_sq(true, guess)
                          for true in QubitSymbol for guess in QubitSymbol), 0.0) / 16.0,
     # uniform true symbol x uniform measurement basis x Born outcome
-    _MEASURE_COPY: reduce(add, (0.5 * _OVERLAP_SQ[out][true] * _OVERLAP_SQ[true][out]
+    _MEASURE_COPY: reduce(add, (0.5 * _overlap_sq(out, true) * _overlap_sq(true, out)
                                 for true in QubitSymbol
                                 for basis in Basis for out in basis.symbols), 0.0) / 4.0,
 }

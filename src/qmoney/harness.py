@@ -17,10 +17,10 @@ import _random
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 
-from .attacks import (LocalSession, StrategyKind, adaptive_attack, analytic_pass_prob,
-                      baseline_attack)
+from .attacks import (_GUESS, _MEASURE_COPY, _OVERLAP, LocalSession, StrategyKind, adaptive_attack,
+                      analytic_pass_prob, baseline_attack)
 from .mint import Mint, MintPolicy
-from .qstate import _NEAR_ONE, _SYMBOL_ORDER, ATOL, Basis, VerifyOutcome, _dot, clamp_probability
+from .qstate import _NEAR_ONE, _SYMBOL_ORDER, ATOL, Basis, VerifyOutcome, clamp_probability
 
 
 @dataclass
@@ -69,8 +69,6 @@ CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 # members as module globals, for the trial paths (see qstate's _VALID)
 _ADAPTIVE = StrategyKind.ADAPTIVE_ORACLE
-_GUESS = StrategyKind.GUESS_RANDOM_SYMBOLS
-_MEASURE_COPY = StrategyKind.MEASURE_RANDOM_BASIS_COPY
 _VALID = VerifyOutcome.VALID
 _DESTROY = MintPolicy.DESTROY_ON_INVALID
 _sqrt = math.sqrt
@@ -94,16 +92,16 @@ def trial_rng(seed: int, n: int, index: int) -> _random.Random:
     return _random.Random((seed * _MIX_A + n * _MIX_B + index * _MIX_C) & _U64)
 
 
-# Per bill symbol s, in `_SYMBOL_ORDER`, each overlap a trial takes, as
-# `_dot` of the amplitudes, which is the expression `inner_with_symbols`
-# and `measure_qubit` evaluate with the cached bras: for a guess, with
-# each guessed symbol g, <s|g>; for measure-copy, per basis (Z, then X),
-# the branch overlap <o|s> of each outcome o, then the copy's <s|o>.
-_GUESS_ROWS = tuple(tuple(_dot(s.amplitudes, g.amplitudes) for g in _SYMBOL_ORDER)
-                    for s in _SYMBOL_ORDER)
+# Per bill symbol s, in `_SYMBOL_ORDER`, each overlap a trial takes, read
+# from `attacks._OVERLAP`, whose `_dot` of the amplitudes is the
+# expression `inner_with_symbols` and `measure_qubit` evaluate with the
+# cached bras: for a guess, with each guessed symbol g, <s|g>; for
+# measure-copy, per basis (Z, then X), the branch overlap <o|s> of each
+# outcome o, then the copy's <s|o>.
+_GUESS_ROWS = tuple(tuple(_OVERLAP[s][g] for g in _SYMBOL_ORDER) for s in _SYMBOL_ORDER)
 _COPY_ROWS = tuple(
-    tuple((tuple(_dot(o.amplitudes, s.amplitudes) for o in b.symbols),
-           tuple(_dot(s.amplitudes, o.amplitudes) for o in b.symbols))
+    tuple((tuple(_OVERLAP[o][s] for o in b.symbols),
+           tuple(_OVERLAP[s][o] for o in b.symbols))
           for b in (Basis.Z, Basis.X))
     for s in _SYMBOL_ORDER
 )

@@ -98,38 +98,28 @@ class StateRegistry:
     """Holds the actual quantum states; callers only ever see handles,
     the int ids it hands out.
 
-    All mutations take the registry lock, and consume-then-act is atomic,
-    so concurrent callers can never obtain two live handles to one state.
+    Every method holds the registry's own lock for its whole body, so
+    consume-then-act is atomic, and concurrent callers can never obtain
+    two live handles to one state.  No other object takes that lock.
     The registry is each state's only owner, so gates and measurements
     update the stored state in place.  Ids are handed out in increasing
     order, so an id below the next one that holds no state was consumed.
-
-    `lock` is shared with the Mint that built this registry, which guards
-    its own database with it too.  Holding it, the mint calls
-    `consume_locked` and `register_locked`, so that issuing a bill takes
-    the lock once and a verify once, or twice when it hands a state back:
-    a Monte Carlo trial builds a fresh mint and registry and is
-    dominated by such fixed costs.  For the
-    same reason every lookup tries the dict hit first and leaves telling
-    a consumed handle from an unknown one to the miss.
+    Every lookup tries the dict hit first and leaves telling a consumed
+    handle from an unknown one to the miss.
     """
 
     def __init__(self):
         # the C lock itself: threading.RLock is a Python function that returns it
-        self.lock = RLock()
+        self._lock = RLock()
         self._states: dict[int, SumOfProductsState] = {}
         self._next_id = 1
 
     def register(self, state: SumOfProductsState) -> int:
-        with self.lock:
-            return self.register_locked(state)
-
-    def register_locked(self, state: SumOfProductsState) -> int:
-        """`register` for a caller that holds `lock`."""
-        hid = self._next_id
-        self._next_id = hid + 1
-        self._states[hid] = state
-        return hid
+        with self._lock:
+            hid = self._next_id
+            self._next_id = hid + 1
+            self._states[hid] = state
+            return hid
 
     def _live_state(self, handle: int) -> SumOfProductsState:
         # caller holds the lock
@@ -149,36 +139,32 @@ class StateRegistry:
 
         A dimension mismatch leaves the handle live.
         """
-        with self.lock:
-            return self.consume_locked(handle, expected_n)
-
-    def consume_locked(self, handle: int, expected_n: int | None = None) -> SumOfProductsState:
-        """`consume` for a caller that holds `lock`."""
-        states = self._states
-        try:
-            state = states[handle]
-        except KeyError:
-            raise self._gone(handle) from None
-        if expected_n is not None and state.n != expected_n:
-            raise DimensionMismatchError(
-                f"handle {handle} holds {state.n} qubits, expected {expected_n}"
-            )
-        del states[handle]
-        return state
+        with self._lock:
+            states = self._states
+            try:
+                state = states[handle]
+            except KeyError:
+                raise self._gone(handle) from None
+            if expected_n is not None and state.n != expected_n:
+                raise DimensionMismatchError(
+                    f"handle {handle} holds {state.n} qubits, expected {expected_n}"
+                )
+            del states[handle]
+            return state
 
     def release(self, handle: int) -> None:
         self.consume(handle)
 
     def apply_pauli_x(self, handle: int, i: int) -> None:
-        with self.lock:
+        with self._lock:
             self._live_state(handle).apply_pauli_x(i)
 
     def apply_unitary(self, handle: int, i: int, u) -> None:
-        with self.lock:
+        with self._lock:
             self._live_state(handle).apply_unitary(i, u)
 
     def measure(self, handle: int, i: int, basis, rng: random.Random) -> int:
-        with self.lock:
+        with self._lock:
             try:
                 state = self._states[handle]
             except KeyError:
@@ -189,25 +175,30 @@ class StateRegistry:
         """The live state itself, for tests and diagnostics to read, and
         the mint's no-cloning check; not part of the attacker-facing
         surface.  Later operations on the handle change it."""
-        with self.lock:
+        with self._lock:
             return self._live_state(handle)
 
     def live_count(self) -> int:
-        with self.lock:
+        with self._lock:
             return len(self._states)
 
 
 class Mint:
     """Issues bills, keeps the secret database, and verifies submissions.
 
-    Each mint builds its own registry, and guards its database with the
-    registry's lock (see StateRegistry).
+    Each mint builds its own registry, which guards the states.  The
+    mint's lock guards only writes to its database: `_issue` holds it
+    from the serial draws to the record insert, and `save_db` for its
+    snapshot.  A record is written once and never changed or removed, so
+    `secret` and `verify` read it, one dict lookup, with no lock.  A
+    verify's projection runs outside both locks, so a large bill does
+    not hold up other sessions.
     """
 
     def __init__(self, rng: random.Random | None = None):
         self.registry = StateRegistry()
         self._rng = rng if rng is not None else random.Random()
-        self._lock = self.registry.lock
+        self._lock = RLock()
         # a bill's record is its secret
         self._bills: dict[str, BillSecret] = {}
 
@@ -247,7 +238,7 @@ class Mint:
                 symbols = random_symbols(rng, n)
             secret = _tuple_new(BillSecret, (serial, symbols, denomination))
             bills[serial] = secret
-            return secret, self.registry.register_locked(SumOfProductsState.from_symbols(symbols))
+        return secret, self.registry.register(SumOfProductsState.from_symbols(symbols))
 
     def issue_bill_state(self, serial: str) -> tuple[BillSecret, int]:
         """Hand out a fresh genuine copy of a stored bill's state, with the
@@ -260,11 +251,10 @@ class Mint:
         return secret, self.registry.register(SumOfProductsState.from_symbols(secret.symbols))
 
     def secret(self, serial: str) -> BillSecret:
-        with self._lock:
-            try:
-                return self._bills[serial]
-            except KeyError:
-                raise UnknownSerialError(f"no bill with serial {serial}") from None
+        try:
+            return self._bills[serial]
+        except KeyError:
+            raise UnknownSerialError(f"no bill with serial {serial}") from None
 
     # -- verification -----------------------------------------------------
 
@@ -279,24 +269,16 @@ class Mint:
             MintPolicy.check(policy)
         if rng is None:
             rng = self._rng
-        registry = self.registry
-        with self._lock:
-            try:
-                symbols = self._bills[serial].symbols
-            except KeyError:
-                raise UnknownSerialError(f"no bill with serial {serial}") from None
-            state = registry.consume_locked(handle, len(symbols))
-        # the projection runs outside the lock, so a large bill does not
-        # hold up other sessions; a destroying mint drops an INVALID
-        # bill, so it asks for no residue and takes the lock no more
+        try:
+            symbols = self._bills[serial].symbols
+        except KeyError:
+            raise UnknownSerialError(f"no bill with serial {serial}") from None
+        state = self.registry.consume(handle, len(symbols))
+        # a destroying mint drops an INVALID bill, so it asks for no residue
         outcome, post, p = state.measure_projector_detail(
             symbols, rng.random(), policy == MintPolicy.RETURN_ALWAYS
         )
-        if post is None:
-            new_handle = None
-        else:
-            with self._lock:
-                new_handle = registry.register_locked(post)
+        new_handle = None if post is None else self.registry.register(post)
         return _tuple_new(VerifyResult, (outcome, new_handle, p == 0.0 or p == 1.0))
 
     def duplicate_handle_attempt(self, handle: int) -> None:

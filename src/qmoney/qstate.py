@@ -45,8 +45,9 @@
 # is nothing to check.  The tests build other states with the checked
 # constructor in tests/support.py.
 #
-# Constant factors: a Monte Carlo trial builds two or three states of a
-# few qubits, so there the fixed cost per call is the cost.
+# Constant factors: each query of the adaptive attack, in process or
+# through the server, is a gate, a verify and a measurement that cost
+# O(1), so there the fixed cost per call is the cost.
 # `inner_with_symbols`, the one-term `measure_qubit` and the
 # overlaps of `norm_sq` and `compress` write out `_dot` and
 # `clamp_probability` instead of calling them: the same operations in

@@ -128,7 +128,7 @@ def serials(mint) -> list[str]:
 
 
 def is_live(registry, handle: int) -> bool:
-    with registry.lock:
+    with registry._lock:
         return handle in registry._states
 
 

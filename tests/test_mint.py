@@ -1,6 +1,7 @@
 import errno
 import json
 import random
+import sys
 import threading
 from collections import Counter
 
@@ -219,6 +220,84 @@ class TestVerify:
         assert len(errors) == 15
         # only the winner's returned state is live
         assert mint.registry.live_count() == 1
+
+
+class TestLocks:
+    """The mint's lock guards only writes to its database; the registry's, the states."""
+
+    def test_minting_alongside_lookups_and_verifies(self, mint):
+        published = [mint.mint_bill(3) for _ in range(8)]
+        held = [handle for _, handle in published]
+        minted, errors = [], []
+        start = threading.Barrier(8)
+
+        def minter():
+            try:
+                start.wait()
+                for _ in range(150):
+                    secret, handle = mint.mint_bill(3)
+                    minted.append(secret.serial)
+                    held.append(handle)
+            except Exception as exc:
+                errors.append(exc)
+
+        def reader(k):
+            try:
+                start.wait()
+                for j in range(150):
+                    secret = published[(k + j) % len(published)][0]
+                    assert mint.secret(secret.serial) is secret
+                    same, handle = mint.issue_bill_state(secret.serial)
+                    assert same is secret
+                    res = mint.verify(secret.serial, handle, MintPolicy.RETURN_ALWAYS)
+                    assert res.outcome is VerifyOutcome.VALID
+                    # keep every other returned bill, release the rest
+                    if j % 2:
+                        mint.registry.release(res.handle)
+                    else:
+                        held.append(res.handle)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=minter) for _ in range(4)]
+        threads += [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        # switch threads often, so that the calls interleave mid-body
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(minted) == 600
+        serials = [secret.serial for secret, _ in published] + minted
+        assert len(set(serials)) == len(serials) == len(mint._bills)
+        # no handle was handed out twice, and exactly the held ones are live
+        assert len(set(held)) == len(held) == 8 + 600 + 300
+        assert all(is_live(mint.registry, h) for h in held)
+        assert mint.registry.live_count() == len(held)
+
+    def test_lookups_and_verifies_take_no_mint_lock(self, mint):
+        secret, handle = mint.mint_bill(3)
+        outcomes = []
+
+        def lookups():
+            assert mint.secret(secret.serial) is secret
+            _, copy = mint.issue_bill_state(secret.serial)
+            outcomes.append(mint.verify(secret.serial, copy).outcome)
+            outcomes.append(mint.verify(secret.serial, handle).outcome)
+
+        with mint._lock:  # held, as `_issue` holds it while it records a bill
+            t = threading.Thread(target=lookups)
+            t.start()
+            t.join(timeout=2.0)
+            finished = not t.is_alive()
+        t.join()
+        assert finished
+        assert outcomes == [VerifyOutcome.VALID, VerifyOutcome.VALID]
 
 
 class TestNoCloning:
