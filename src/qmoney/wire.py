@@ -7,7 +7,8 @@
 #
 # A line, request or reply, is one JSON object with nothing after it, read
 # straight off the socket by _lines(); a request line that does not parse
-# (a number past CPython's digit limit included) gets BAD_REQUEST.
+# (a number past CPython's digit limit included) gets BAD_REQUEST.  The
+# server writes each reply from its type's template, in json.dumps's text.
 #
 # The server is a plain accept loop that gives each connection, a
 # session, its own thread.  stop() wakes accept() at once with a throwaway
@@ -15,13 +16,15 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import random
 import socket
 import struct
 import threading
+import time
 from collections import Counter
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii as _quote
 
 from .attacks import adaptive_attack
 from .mint import HandleConsumedError, Mint, MintError, MintPolicy, UnknownHandleError
@@ -38,11 +41,13 @@ _RECV_BYTES = 8192  # most bytes one recv() asks for
 # most handles one session may hold at once; `mint` and `claim` beyond
 # it are refused, so one client cannot fill the server's memory
 MAX_SESSION_HANDLES = 2**10
-# the codec, built once: the C encoder with the arguments JSONEncoder.iterencode
-# passes for json.dumps's defaults, so the same text, less the circular
-# check (no message is circular); the C scanner, without json.loads's
-# regex matches and Python frames
-_iterencode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+# serve_forever's wait before it retries an accept() that failed for want
+# of a descriptor or memory, which leaves the connection queued
+_ACCEPT_RETRY_S = 0.05
+# the codec, built once: the client's encoder, the C encoder as json.dumps's
+# defaults build it, less the circular check (no message is circular); the C
+# scanner, for both ends; _quote, a string literal as json.dumps writes it
+_iterencode = c_make_encoder(None, json.JSONEncoder().default, _quote,
                              None, ": ", ", ", False, False, True)
 _scan = json.JSONDecoder().scan_once
 # a wire string's Enum member: Enum(value) is a Python call
@@ -113,8 +118,8 @@ def _field(reply: dict, key, kinds=_INT):
     return value
 
 
-def _error(code: str, detail: str = "") -> dict:
-    return {"type": "error", "code": code, "detail": detail}
+def _error(code: str, detail: str = "") -> str:
+    return f'{{"type": "error", "code": {_quote(code)}, "detail": {_quote(detail)}}}\n'
 
 
 def _owned_handle(msg: dict, owned: set[int]) -> int:
@@ -186,7 +191,9 @@ class MintServer:
         while not self._stopped:
             try:
                 sock, _ = self._listener.accept()
-            except OSError:  # ECONNABORTED or EMFILE; the _stopped flag alone ends the loop
+            except OSError as exc:  # ECONNABORTED retries at once; _stopped alone ends the loop
+                if exc.errno in (errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM):
+                    time.sleep(_ACCEPT_RETRY_S)
                 continue
             if self._stopped:  # stop()'s wake-up connection
                 sock.close()
@@ -232,7 +239,7 @@ class MintServer:
                             continue
                         # looked up per line, for a wrapper put on the class mid-session
                         reply = self.handle_message(line, owned)
-                sock.sendall(("".join(_iterencode(reply, 0)) + "\n").encode())
+                sock.sendall(reply.encode())
         except OSError:
             pass
         finally:
@@ -245,43 +252,33 @@ class MintServer:
 
     # -- dispatch ---------------------------------------------------------
 
-    def handle_message(self, line: str, owned: set[int]) -> dict:
-        """The one reply to a request line; never raises, so the
-        connection and the session's handles outlive any request."""
+    def handle_message(self, line: str, owned: set[int]) -> str:
+        """The reply line to a request line, parsed and dispatched in this
+        one frame; never raises, so the connection and the session's
+        handles outlive any request."""
         try:
-            return self._dispatch(line, owned)
-        except Exception as exc:
-            import logging  # here, so that a server no request breaks never loads it
-
-            logging.getLogger(__name__).exception("request failed: %.200r", line)
-            return _error("INTERNAL", f"request failed: {type(exc).__name__}")
-
-    def _dispatch(self, line: str, owned: set[int]) -> dict:
-        # the line is stripped, so the value must end where it does
-        try:
-            msg, end = _scan(line, 0)
-        except (StopIteration, ValueError):  # no value, bad JSON, int digit limit
-            return _error("BAD_REQUEST", "line is not a JSON object")
-        except RecursionError:
-            return _error("BAD_REQUEST", "line nests too deeply")
-        if end != len(line):
-            return _error("BAD_REQUEST", "line is not a JSON object")
-        if not isinstance(msg, dict):
-            return _error("BAD_REQUEST", "message must be a JSON object")
-        version = msg.get("v")
-        if version is None:
-            return _error("BAD_REQUEST", "missing protocol version field 'v'")
-        # `type(...) is int` is false for true and 1.0, which equal 1
-        if type(version) is not int or version != PROTOCOL_VERSION:
-            return _error("UNSUPPORTED_VERSION", f"this server speaks version {PROTOCOL_VERSION}")
-        mtype = msg.get("type")
-        try:
-            op = self._OPS.get(mtype)
-        except TypeError:  # a list or object is no message type
-            op = None
-        if op is None:
-            return _error("BAD_REQUEST", f"unknown message type {mtype!r}")
-        try:
+            # the line is stripped, so the value must end where it does
+            try:
+                msg, end = _scan(line, 0)
+            except (StopIteration, ValueError):  # no value, bad JSON, int digit limit
+                return _error("BAD_REQUEST", "line is not a JSON object")
+            except RecursionError:
+                return _error("BAD_REQUEST", "line nests too deeply")
+            if end != len(line):
+                return _error("BAD_REQUEST", "line is not a JSON object")
+            if not isinstance(msg, dict):
+                return _error("BAD_REQUEST", "message must be a JSON object")
+            version = msg.get("v")
+            if version is None:
+                return _error("BAD_REQUEST", "missing protocol version field 'v'")
+            # `type(...) is int` is false for true and 1.0, which equal 1
+            if type(version) is not int or version != PROTOCOL_VERSION:
+                return _error("UNSUPPORTED_VERSION",
+                              f"this server speaks version {PROTOCOL_VERSION}")
+            mtype = msg.get("type")
+            op = self._OPS.get(mtype) if type(mtype) is str else None
+            if op is None:
+                return _error("BAD_REQUEST", f"unknown message type {mtype!r}")
             return op(self, msg, owned)
         except ProtocolError as exc:
             return _error(exc.code, exc.detail)
@@ -289,28 +286,33 @@ class MintServer:
             return _error(exc.code, str(exc))
         except (IndexError, ValueError) as exc:
             return _error("BAD_REQUEST", str(exc))
+        except Exception as exc:
+            import logging  # here, so that a server no request breaks never loads it
 
-    def _do_mint(self, msg: dict, owned: set[int]) -> dict:
+            logging.getLogger(__name__).exception("request failed: %.200r", line)
+            return _error("INTERNAL", f"request failed: {type(exc).__name__}")
+
+    def _do_mint(self, msg: dict, owned: set[int]) -> str:
         n = msg.get("n")
         if type(n) is not int or not 1 <= n <= MAX_MINT_QUBITS:
-            raise ProtocolError(
-                "BAD_REQUEST", f"field 'n' must be an integer from 1 to {MAX_MINT_QUBITS}"
-            )
+            raise ProtocolError("BAD_REQUEST",
+                                f"field 'n' must be an integer from 1 to {MAX_MINT_QUBITS}")
         _check_room(owned)
         secret, handle = self.mint.mint_bill(n, rng=self._rng)
         owned.add(handle)
-        return {"type": "minted", "serial": secret.serial, "handle": handle}
+        return f'{{"type": "minted", "serial": {_quote(secret.serial)}, "handle": {handle}}}\n'
 
-    def _do_claim(self, msg: dict, owned: set[int]) -> dict:
+    def _do_claim(self, msg: dict, owned: set[int]) -> str:
         # lab extension: hand out a genuine copy of an existing bill so a
         # remote attacker can start with a bill in hand
         serial = _serial(msg)
         _check_room(owned)
         secret, handle = self.mint.issue_bill_state(serial)
         owned.add(handle)
-        return {"type": "claimed", "serial": serial, "handle": handle, "n": secret.n}
+        return (f'{{"type": "claimed", "serial": {_quote(serial)}, "handle": {handle}, '
+                f'"n": {secret.n}}}\n')
 
-    def _do_verify(self, msg: dict, owned: set[int]) -> dict:
+    def _do_verify(self, msg: dict, owned: set[int]) -> str:
         # swaps one handle for at most one, so it needs no room
         serial = _serial(msg)
         handle = _owned_handle(msg, owned)
@@ -319,43 +321,37 @@ class MintServer:
         if res.handle is not None:
             owned.add(res.handle)
         # `_value_` is the member's own attribute; `.value` is a property
-        return {"type": "verified", "result": res.outcome._value_, "handle": res.handle}
+        kept = "null" if res.handle is None else res.handle
+        return f'{{"type": "verified", "result": "{res.outcome._value_}", "handle": {kept}}}\n'
 
-    def _do_apply_x(self, msg: dict, owned: set[int]) -> dict:
+    def _do_apply_x(self, msg: dict, owned: set[int]) -> str:
         handle = _owned_handle(msg, owned)
         self.mint.registry.apply_pauli_x(handle, _qubit(msg))
-        return {"type": "ok", "handle": handle}
+        return f'{{"type": "ok", "handle": {handle}}}\n'
 
-    def _do_apply_u(self, msg: dict, owned: set[int]) -> dict:
+    def _do_apply_u(self, msg: dict, owned: set[int]) -> str:
         handle = _owned_handle(msg, owned)
         u = _parse_unitary(msg.get("u"))
         self.mint.registry.apply_unitary(handle, _qubit(msg), u)
-        return {"type": "ok", "handle": handle}
+        return f'{{"type": "ok", "handle": {handle}}}\n'
 
-    def _do_measure(self, msg: dict, owned: set[int]) -> dict:
+    def _do_measure(self, msg: dict, owned: set[int]) -> str:
         handle = _owned_handle(msg, owned)
         try:
             basis = _BASES[msg.get("basis")]
         except (KeyError, TypeError):  # TypeError: a list or object
             raise ProtocolError("BAD_REQUEST", "field 'basis' must be \"Z\" or \"X\"") from None
         bit = self.mint.registry.measure(handle, _qubit(msg), basis, self._rng)
-        return {"type": "measured", "bit": bit, "handle": handle}
+        return f'{{"type": "measured", "bit": {bit}, "handle": {handle}}}\n'
 
-    def _do_release(self, msg: dict, owned: set[int]) -> dict:
+    def _do_release(self, msg: dict, owned: set[int]) -> str:
         handle = _owned_handle(msg, owned)
         self.mint.registry.release(handle)
         owned.discard(handle)
-        return {"type": "ok", "handle": handle}
+        return f'{{"type": "ok", "handle": {handle}}}\n'
 
-    _OPS = {
-        "mint": _do_mint,
-        "claim": _do_claim,
-        "verify": _do_verify,
-        "apply_x": _do_apply_x,
-        "apply_u": _do_apply_u,
-        "measure": _do_measure,
-        "release": _do_release,
-    }
+    _OPS = {"mint": _do_mint, "claim": _do_claim, "verify": _do_verify, "apply_x": _do_apply_x,
+            "apply_u": _do_apply_u, "measure": _do_measure, "release": _do_release}
 
 
 class RemoteMint:
@@ -391,7 +387,8 @@ class RemoteMint:
         self.close()
 
     def request(self, msg: dict) -> dict:
-        msg = {"v": PROTOCOL_VERSION, **msg}
+        if "v" not in msg:  # the methods below build theirs with "v" first
+            msg = {"v": PROTOCOL_VERSION, **msg}
         self.sent_counts[msg.get("type", "?")] += 1
         step = "sending the request"
         try:
@@ -422,18 +419,19 @@ class RemoteMint:
     # -- protocol operations ---------------------------------------------
 
     def mint_bill(self, n: int) -> tuple[str, int]:
-        resp = self.request({"type": "mint", "n": n})
+        resp = self.request({"v": PROTOCOL_VERSION, "type": "mint", "n": n})
         return _field(resp, "serial", _STR), _field(resp, "handle")
 
     def claim(self, serial: str) -> tuple[int, int]:
-        resp = self.request({"type": "claim", "serial": serial})
+        resp = self.request({"v": PROTOCOL_VERSION, "type": "claim", "serial": serial})
         handle, n = _field(resp, "handle"), _field(resp, "n")
         if n < 1:
             raise TransportError("malformed reply")
         return handle, n
 
     def verify(self, serial: str, handle: int):
-        resp = self.request({"type": "verify", "serial": serial, "handle": handle})
+        msg = {"v": PROTOCOL_VERSION, "type": "verify", "serial": serial, "handle": handle}
+        resp = self.request(msg)
         outcome = _OUTCOMES.get(_field(resp, "result", _STR))
         if outcome is None:
             raise TransportError("malformed reply")
@@ -441,22 +439,24 @@ class RemoteMint:
         return outcome, _field(resp, "handle", _INT_OR_NONE), None
 
     def apply_x(self, handle: int, i: int) -> int:
-        return _field(self.request({"type": "apply_x", "handle": handle, "qubit": i}), "handle")
+        msg = {"v": PROTOCOL_VERSION, "type": "apply_x", "handle": handle, "qubit": i}
+        return _field(self.request(msg), "handle")
 
     def apply_unitary(self, handle: int, i: int, u) -> int:
         flat = [[complex(z).real, complex(z).imag] for row in u for z in row]
-        resp = self.request({"type": "apply_u", "handle": handle, "qubit": i, "u": flat})
-        return _field(resp, "handle")
+        msg = {"v": PROTOCOL_VERSION, "type": "apply_u", "handle": handle, "qubit": i, "u": flat}
+        return _field(self.request(msg), "handle")
 
     def measure(self, handle: int, i: int, basis: Basis) -> tuple[int, int]:
-        resp = self.request({"type": "measure", "handle": handle, "qubit": i, "basis": basis._value_})
+        resp = self.request({"v": PROTOCOL_VERSION, "type": "measure", "handle": handle,
+                             "qubit": i, "basis": basis._value_})
         bit = _field(resp, "bit")
         if not 0 <= bit <= 1:
             raise TransportError("malformed reply")
         return bit, _field(resp, "handle")
 
     def release(self, handle: int) -> None:
-        self.request({"type": "release", "handle": handle})
+        self.request({"v": PROTOCOL_VERSION, "type": "release", "handle": handle})
 
 
 def remote_adaptive_attack(host: str, port: int, serial: str | None = None, n: int | None = None):

@@ -30,6 +30,7 @@ exactly, with no mint, so it has its own ceilings, each its measured
 count plus 0.1, under a third of `mint_trial`'s.
 """
 
+import json
 import random
 import statistics
 import sys
@@ -94,29 +95,32 @@ def _local(n):
 class _MessageSession:
     """The attack's session, spoken as request lines straight to
     `MintServer.handle_message`: the server's dispatch with no socket
-    I/O.  The lines are built with f-strings, at a fixed cost per line."""
+    I/O.  The lines are built with f-strings and each reply line is read
+    with json.loads, at a fixed cost per line."""
 
     def __init__(self, server):
-        self._ask = server.handle_message
+        self._handle_message = server.handle_message
         self._owned = set()
 
+    def _ask(self, line):
+        return json.loads(self._handle_message(line, self._owned))
+
     def claim(self, serial):
-        reply = self._ask(f'{{"v": 1, "type": "claim", "serial": "{serial}"}}', self._owned)
-        return reply["handle"]
+        return self._ask(f'{{"v": 1, "type": "claim", "serial": "{serial}"}}')["handle"]
 
     def apply_x(self, handle, i):
         line = f'{{"v": 1, "type": "apply_x", "handle": {handle}, "qubit": {i}}}'
-        return self._ask(line, self._owned)["handle"]
+        return self._ask(line)["handle"]
 
     def verify(self, serial, handle):
         line = f'{{"v": 1, "type": "verify", "serial": "{serial}", "handle": {handle}}}'
-        reply = self._ask(line, self._owned)
+        reply = self._ask(line)
         return _OUTCOMES[reply["result"]], reply["handle"], None
 
     def measure(self, handle, i, basis):
         line = (f'{{"v": 1, "type": "measure", "handle": {handle}, "qubit": {i}, '
                 f'"basis": "{basis._value_}"}}')
-        reply = self._ask(line, self._owned)
+        reply = self._ask(line)
         return reply["bit"], reply["handle"]
 
 

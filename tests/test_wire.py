@@ -1,3 +1,4 @@
+import errno
 import json
 import random
 import socket
@@ -438,6 +439,30 @@ class TestRobustness:
         finally:
             srv.stop()
         assert not srv._thread.is_alive()
+
+    def test_full_file_table_does_not_spin_serve_forever(self):
+        # EMFILE leaves the connection queued, so an accept() retried at
+        # once fails again at once: the loop waits between tries instead
+        srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)))
+        listener, calls = srv._listener, []
+
+        class FullListener:
+            def accept(self):
+                calls.append(None)
+                raise OSError(errno.EMFILE, "Too many open files")
+
+            def __getattr__(self, name):
+                return getattr(listener, name)
+
+        srv._listener = FullListener()
+        srv.start()
+        time.sleep(0.3)
+        t0 = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - t0 < 0.3
+        assert not srv._thread.is_alive()
+        # about one try per wait; a loop that retries at once makes thousands
+        assert 2 <= len(calls) < 30, len(calls)
 
     def test_session_without_a_thread_is_refused_alone(self, monkeypatch):
         # a connection the server has no thread for is closed, and the
@@ -923,6 +948,9 @@ class TestReplyBytes:
             (lambda: client.request({"type": "télé", "x": [float("nan"), None, True]}),
              b'{"type": "ok", "handle": 4}',
              b'{"v": 1, "type": "t\\u00e9l\\u00e9", "x": [NaN, null, true]}'),
+            # a message that names its version is sent as it is
+            (lambda: client.request({"v": 2, "type": "mint", "n": 1}),
+             b'{"type": "ok", "handle": 4}', b'{"v": 2, "type": "mint", "n": 1}'),
         ]
         try:
             for call, reply, request in calls:
@@ -934,3 +962,62 @@ class TestReplyBytes:
             requests.close()
             conn.close()
             listener.close()
+
+
+# one request of each type, and an error, with the reply each gets from a
+# seeded server that holds the planted "1+" bill _P, under each policy
+_EVERY_REPLY_TYPE = {
+    MintPolicy.RETURN_ALWAYS: [
+        (b'{"v": 1, "type": "mint", "n": 2}',
+         b'{"type": "minted", "serial": "' + _S + b'", "handle": 2}'),
+        (b'{"v": 1, "type": "claim", "serial": "' + _P + b'"}',
+         b'{"type": "claimed", "serial": "' + _P + b'", "handle": 3, "n": 2}'),
+        (b'{"v": 1, "type": "verify", "serial": "' + _P + b'", "handle": 3}',
+         b'{"type": "verified", "result": "VALID", "handle": 4}'),
+        (b'{"v": 1, "type": "apply_x", "handle": 4, "qubit": 0}',
+         b'{"type": "ok", "handle": 4}'),
+        (b'{"v": 1, "type": "verify", "serial": "' + _P + b'", "handle": 4}',
+         b'{"type": "verified", "result": "INVALID", "handle": 5}'),
+        (b'{"v": 1, "type": "apply_u", "handle": 5, "qubit": 1, "u": [[' + _H + b', 0.0], ['
+         + _H + b', 0.0], [' + _H + b', 0.0], [-' + _H + b', 0.0]]}',
+         b'{"type": "ok", "handle": 5}'),
+        (b'{"v": 1, "type": "measure", "handle": 5, "qubit": 0, "basis": "Z"}',
+         b'{"type": "measured", "bit": 0, "handle": 5}'),
+        (b'{"v": 1, "type": "release", "handle": 5}',
+         b'{"type": "ok", "handle": 5}'),
+        (b'{"v": 1, "type": "t\\u00e9l\\u00e9"}',
+         b'{"type": "error", "code": "BAD_REQUEST", '
+         b'"detail": "unknown message type \'t\\u00e9l\\u00e9\'"}'),
+    ],
+    MintPolicy.DESTROY_ON_INVALID: [
+        (b'{"v": 1, "type": "claim", "serial": "' + _P + b'"}',
+         b'{"type": "claimed", "serial": "' + _P + b'", "handle": 2, "n": 2}'),
+        (b'{"v": 1, "type": "apply_x", "handle": 2, "qubit": 0}',
+         b'{"type": "ok", "handle": 2}'),
+        (b'{"v": 1, "type": "verify", "serial": "' + _P + b'", "handle": 2}',
+         b'{"type": "verified", "result": "INVALID", "handle": null}'),
+    ],
+}
+
+
+@pytest.mark.parametrize("policy", list(_EVERY_REPLY_TYPE))
+def test_server_encodes_no_json(policy, monkeypatch):
+    # the server writes each reply from its type's template; the JSON
+    # encoder, the client's alone, fails any call here
+    def no_encoder(*args):
+        raise AssertionError("the server called the JSON encoder")
+
+    monkeypatch.setattr(wire, "_iterencode", no_encoder)
+    srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(5)), policy, random.Random(5))
+    srv.mint.add_bill(symbols_from_string("1+"))
+    srv.start()
+    sock = socket.create_connection(srv.address, timeout=5)
+    replies = sock.makefile("rb")
+    try:
+        for request, reply in _EVERY_REPLY_TYPE[policy]:
+            sock.sendall(request + b"\n")
+            assert replies.readline() == reply + b"\n", request
+    finally:
+        replies.close()
+        sock.close()
+        srv.stop()

@@ -4,10 +4,11 @@ Each example is one session that sends raw bytes (invalid UTF-8
 included) and JSON objects with random `v`, `type` and fields, some of
 them naming the session's real handles and serials.  Every non-blank
 line must get exactly one reply, a JSON object that is never an
-INTERNAL error; the server must still mint afterwards, and a closed
-session must leave no state behind.  Each line goes out in one to four
-writes.  Below it, the line reader that both ends share is checked
-against readline() with small bounds and receives, at drawn cut points.
+INTERNAL error, in the text json.dumps writes for it; the server must
+still mint afterwards, and a closed session must leave no state behind.
+Each line goes out in one to four writes.  Below it, the line reader
+that both ends share is checked against readline() with small bounds
+and receives, at drawn cut points.
 """
 
 import io
@@ -118,6 +119,18 @@ def _is_sentinel(reply) -> bool:
     return reply.get("code") == "HANDLE_NOT_OWNED" and str(SENTINEL_HANDLE) in reply["detail"]
 
 
+def _read_reply(replies) -> dict:
+    """The next reply line, parsed.  The line must be the text json.dumps
+    writes for the object it holds, so that no reply template drifts from
+    the encoder: a missing space, or an unescaped quote, backslash, control
+    or non-ASCII character in an error's detail (an unknown type's repr
+    carries any of them), fails here."""
+    line = replies.readline()
+    reply = json.loads(line)
+    assert line == (json.dumps(reply) + "\n").encode(), line
+    return reply
+
+
 def _track(request: bytes, reply: dict, handles: set, serials: list) -> None:
     """Follow the session's handles and serials through one reply."""
     kind = reply["type"]
@@ -159,16 +172,16 @@ def test_every_line_gets_one_reply(server, data):
             for start, end in zip([0, *cuts], [*cuts, len(payload)]):
                 sock.sendall(payload[start:end])
             if not _is_blank(line):
-                reply = json.loads(replies.readline())
+                reply = _read_reply(replies)
                 assert isinstance(reply, dict) and not _is_sentinel(reply), (line, reply)
                 assert reply["type"] != "error" or reply["code"] != "INTERNAL", (line, reply)
                 _track(line, reply, handles, serials)
             # the next reply answers the sentinel, so the line got no other
             sock.sendall(SENTINEL + b"\n")
-            reply = json.loads(replies.readline())
+            reply = _read_reply(replies)
             assert _is_sentinel(reply), (line, reply)
         sock.sendall(json.dumps({"v": 1, "type": "mint", "n": 1}).encode() + b"\n")
-        assert json.loads(replies.readline())["type"] == "minted"
+        assert _read_reply(replies)["type"] == "minted"
     finally:
         replies.close()
         sock.close()
