@@ -109,17 +109,22 @@ class StateRegistry:
     """
 
     def __init__(self):
-        # the C lock itself: threading.RLock is a Python function that returns it
+        # the C lock itself: threading.RLock is a Python function that returns it.
+        # Entered by acquire() and try/finally: `with` builds bound __enter__
+        # and __exit__ methods per entry, and an adaptive query enters it 4-5 times
         self._lock = RLock()
         self._states: dict[int, SumOfProductsState] = {}
         self._next_id = 1
 
     def register(self, state: SumOfProductsState) -> int:
-        with self._lock:
+        self._lock.acquire()
+        try:
             hid = self._next_id
             self._next_id = hid + 1
             self._states[hid] = state
             return hid
+        finally:
+            self._lock.release()
 
     def _live_state(self, handle: int) -> SumOfProductsState:
         # caller holds the lock
@@ -129,8 +134,9 @@ class StateRegistry:
             raise self._gone(handle) from None
 
     def _gone(self, handle: int) -> MintError:
-        """The error for a handle that holds no state."""
-        if 0 < handle < self._next_id:
+        """The error for a handle that holds no state; one that is not an
+        int, such as the None of a destroyed bill, is unknown."""
+        if type(handle) is int and 0 < handle < self._next_id:
             return HandleConsumedError(f"handle {handle} was already consumed")
         return UnknownHandleError(f"unknown handle {handle}")
 
@@ -139,7 +145,8 @@ class StateRegistry:
 
         A dimension mismatch leaves the handle live.
         """
-        with self._lock:
+        self._lock.acquire()
+        try:
             states = self._states
             try:
                 state = states[handle]
@@ -151,36 +158,53 @@ class StateRegistry:
                 )
             del states[handle]
             return state
+        finally:
+            self._lock.release()
 
     def release(self, handle: int) -> None:
         self.consume(handle)
 
     def apply_pauli_x(self, handle: int, i: int) -> None:
-        with self._lock:
+        self._lock.acquire()
+        try:
             self._live_state(handle).apply_pauli_x(i)
+        finally:
+            self._lock.release()
 
     def apply_unitary(self, handle: int, i: int, u) -> None:
-        with self._lock:
+        self._lock.acquire()
+        try:
             self._live_state(handle).apply_unitary(i, u)
+        finally:
+            self._lock.release()
 
     def measure(self, handle: int, i: int, basis, rng: random.Random) -> int:
-        with self._lock:
+        self._lock.acquire()
+        try:
             try:
                 state = self._states[handle]
             except KeyError:
                 raise self._gone(handle) from None
             return state.measure_qubit(i, basis, rng.random())[0]
+        finally:
+            self._lock.release()
 
     def inspect(self, handle: int) -> SumOfProductsState:
         """The live state itself, for tests and diagnostics to read, and
         the mint's no-cloning check; not part of the attacker-facing
         surface.  Later operations on the handle change it."""
-        with self._lock:
+        self._lock.acquire()
+        try:
             return self._live_state(handle)
+        finally:
+            self._lock.release()
 
     def live_count(self) -> int:
-        with self._lock:
+        self._lock.acquire()
+        try:
             return len(self._states)
+        finally:
+            self._lock.release()
 
 
 class Mint:

@@ -30,6 +30,8 @@ from qmoney.mint import (
     UnknownSerialError,
 )
 from qmoney.qstate import (
+    Basis,
+    NonUnitaryError,
     QubitSymbol,
     SumOfProductsState,
     VerifyOutcome,
@@ -347,6 +349,81 @@ class TestRegistryLinearity:
             assert h not in seen
             seen.add(h)
             reg.release(h)
+
+    @pytest.mark.parametrize("handle", [None, 1.5, "1"])
+    def test_handle_that_is_not_an_int_is_unknown(self, handle):
+        # None is the handle a destroying mint hands back for an INVALID
+        # bill; 1.5 lies between issued ids, but no id is a float
+        mint = Mint(rng=random.Random(1))
+        secret, live = mint.mint_bill(2)
+        with pytest.raises(UnknownHandleError):
+            mint.verify(secret.serial, handle)
+        with pytest.raises(UnknownHandleError):
+            mint.registry.release(handle)
+        with pytest.raises(UnknownHandleError):
+            mint.registry.apply_pauli_x(handle, 0)
+        with pytest.raises(UnknownHandleError):
+            mint.registry.measure(handle, 0, Basis.Z, random.Random(0))
+        assert is_live(mint.registry, live)
+
+
+def _free_to_another_thread(lock) -> bool:
+    """Whether a second thread can take `lock`.  The test's own thread
+    would re-enter an RLock it leaked without noticing."""
+    got = []
+
+    def take():
+        if lock.acquire(timeout=1):
+            lock.release()
+            got.append(True)
+
+    t = threading.Thread(target=take)
+    t.start()
+    t.join()
+    return got == [True]
+
+
+# registry calls on a live 2-qubit handle `h` and a consumed one `gone`,
+# with the error each raises (None: it returns)
+_REGISTRY_CALLS = {
+    "register": (lambda reg, h, gone: reg.register(state_from_string("0")), None),
+    "live_count": (lambda reg, h, gone: reg.live_count(), None),
+    "consume unknown": (lambda reg, h, gone: reg.consume(999), UnknownHandleError),
+    "consume consumed": (lambda reg, h, gone: reg.consume(gone), HandleConsumedError),
+    "consume wrong size": (lambda reg, h, gone: reg.consume(h, 3), DimensionMismatchError),
+    "release not an int": (lambda reg, h, gone: reg.release(None), UnknownHandleError),
+    "apply_pauli_x unknown": (lambda reg, h, gone: reg.apply_pauli_x(999, 0), UnknownHandleError),
+    "apply_pauli_x out of range": (lambda reg, h, gone: reg.apply_pauli_x(h, 2), IndexError),
+    "apply_pauli_x not an int": (lambda reg, h, gone: reg.apply_pauli_x(1.5, 0),
+                                 UnknownHandleError),
+    "apply_unitary consumed": (lambda reg, h, gone: reg.apply_unitary(gone, 0, HADAMARD),
+                               HandleConsumedError),
+    "apply_unitary not unitary": (lambda reg, h, gone: reg.apply_unitary(h, 0, ((1, 1), (1, 1))),
+                                  NonUnitaryError),
+    "measure consumed": (lambda reg, h, gone: reg.measure(gone, 0, Basis.Z, random.Random(0)),
+                         HandleConsumedError),
+    "measure out of range": (lambda reg, h, gone: reg.measure(h, 2, Basis.X, random.Random(0)),
+                             IndexError),
+    "measure not an int": (lambda reg, h, gone: reg.measure(None, 0, Basis.Z, random.Random(0)),
+                           UnknownHandleError),
+    "inspect unknown": (lambda reg, h, gone: reg.inspect(-1), UnknownHandleError),
+}
+
+
+@pytest.mark.parametrize("name", list(_REGISTRY_CALLS))
+def test_registry_lets_go_of_its_lock(name):
+    call, error = _REGISTRY_CALLS[name]
+    reg = StateRegistry()
+    gone = reg.register(state_from_string("0"))
+    reg.release(gone)
+    h = reg.register(state_from_string("01"))
+    assert _free_to_another_thread(reg._lock)
+    if error is None:
+        call(reg, h, gone)
+    else:
+        with pytest.raises(error):
+            call(reg, h, gone)
+    assert _free_to_another_thread(reg._lock), name
 
 
 class TestPersistence:

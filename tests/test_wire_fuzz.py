@@ -2,7 +2,9 @@
 
 Each example is one session that sends raw bytes (invalid UTF-8
 included) and JSON objects with random `v`, `type` and fields, some of
-them naming the session's real handles and serials.  Every non-blank
+them naming the session's real handles and serials, and some of them
+well-formed requests of a drawn type, so that every reply template is
+reached.  Every non-blank
 line must get exactly one reply, a JSON object that is never an
 INTERNAL error, in the text json.dumps writes for it; the server must
 still mint afterwards, and a closed session must leave no state behind.
@@ -66,12 +68,45 @@ def server():
     srv.stop()
 
 
-def _json_line(data, handles, serials) -> bytes:
-    """A JSON object whose fields are each left out, random, or (most
-    often) well formed: a real handle or serial when the session has
-    one, and a bill size of at most 6 or out of range, so that no example
-    mints a large bill (a random JSON value is rarely an integer in
-    range)."""
+def _unitary(data) -> list:
+    u = random_unitary(random.Random(data.draw(st.integers(0, 2**32))))
+    return [[z.real, z.imag] for row in u for z in row]
+
+
+def _request(data, handles, sizes) -> dict:
+    """A well-formed request of a drawn type: `v` 1, an owned handle, a
+    qubit below that handle's bill size, the handle's own serial to
+    verify it against, a known serial to claim, and a basis.  Fields
+    are rarely all well formed at once in `_json_line`'s draws."""
+    types = TYPES if handles else ("mint", "claim") if sizes else ("mint",)
+    mtype = data.draw(st.sampled_from(types))
+    msg = {"v": 1, "type": mtype}
+    if mtype == "mint":
+        msg["n"] = data.draw(st.integers(1, 6))
+    elif mtype == "claim":
+        msg["serial"] = data.draw(st.sampled_from(sorted(sizes)))
+    else:
+        handle = data.draw(st.sampled_from(sorted(handles)))
+        msg["handle"] = handle
+        if mtype == "verify":
+            msg["serial"] = handles[handle]
+        elif mtype != "release":
+            msg["qubit"] = data.draw(st.integers(0, sizes[handles[handle]] - 1))
+        if mtype == "measure":
+            msg["basis"] = data.draw(st.sampled_from(["Z", "X"]))
+        elif mtype == "apply_u":
+            msg["u"] = _unitary(data)
+    return msg
+
+
+def _json_line(data, handles, sizes) -> bytes:
+    """A JSON object: in a share of the draws a well-formed request,
+    otherwise one whose fields are each left out, random, or (most often)
+    well formed: a real handle or serial when the session has one, and a bill
+    size of at most 6 or out of range, so that no example mints a large
+    bill (a random JSON value is rarely an integer in range)."""
+    if not data.draw(st.integers(0, 2)):
+        return json.dumps(_request(data, handles, sizes)).encode()
     msg = {}
     for name in FIELDS:
         # hypothesis favours small integers: make them the well-formed case
@@ -91,14 +126,13 @@ def _json_line(data, handles, serials) -> bytes:
         elif name == "handle":
             value = data.draw(st.sampled_from(sorted(handles)) if handles else st.integers(-1, 9))
         elif name == "serial":
-            value = data.draw(st.sampled_from(serials) if serials else st.text(max_size=8))
+            value = data.draw(st.sampled_from(sorted(sizes)) if sizes else st.text(max_size=8))
         elif name == "qubit":
             value = data.draw(st.integers(-1, 6))
         elif name == "basis":
             value = data.draw(st.sampled_from(["Z", "X"]))
         else:
-            u = random_unitary(random.Random(data.draw(st.integers(0, 2**32))))
-            value = [[z.real, z.imag] for row in u for z in row]
+            value = _unitary(data)
         msg[name] = value
     extra = data.draw(st.dictionaries(st.text(max_size=4).filter(lambda k: k not in FIELDS),
                                       json_values, max_size=2))
@@ -131,19 +165,20 @@ def _read_reply(replies) -> dict:
     return reply
 
 
-def _track(request: bytes, reply: dict, handles: set, serials: list) -> None:
-    """Follow the session's handles and serials through one reply."""
+def _track(request: bytes, reply: dict, handles: dict, sizes: dict) -> None:
+    """Follow the session's handles, each with its bill's serial, and the
+    serials, each with its bill's size, through one reply."""
     kind = reply["type"]
     if kind in ("minted", "claimed"):
-        handles.add(reply["handle"])
-        if kind == "minted":
-            serials.append(reply["serial"])
+        serial = reply["serial"]
+        handles[reply["handle"]] = serial
+        sizes[serial] = json.loads(request)["n"] if kind == "minted" else reply["n"]
     elif kind == "verified":
-        handles.discard(json.loads(request)["handle"])
+        serial = handles.pop(json.loads(request)["handle"])
         if reply["handle"] is not None:
-            handles.add(reply["handle"])
+            handles[reply["handle"]] = serial
     elif kind == "ok" and json.loads(request)["type"] == "release":
-        handles.discard(reply["handle"])
+        del handles[reply["handle"]]
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -156,12 +191,12 @@ def test_every_line_gets_one_reply(server, data):
     # algorithm would hold the sentinel for the server's delayed ACK
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     replies = sock.makefile("rb")
-    handles: set[int] = set()
-    serials: list[str] = []
+    handles: dict[int, str] = {}
+    sizes: dict[str, int] = {}
     try:
         for _ in range(data.draw(st.integers(1, 12))):
             if data.draw(st.integers(0, 3)):
-                line = _json_line(data, handles, serials)
+                line = _json_line(data, handles, sizes)
             else:
                 line = data.draw(raw_lines)
             # one exchange at a time: a reply sent while the one before
@@ -175,7 +210,7 @@ def test_every_line_gets_one_reply(server, data):
                 reply = _read_reply(replies)
                 assert isinstance(reply, dict) and not _is_sentinel(reply), (line, reply)
                 assert reply["type"] != "error" or reply["code"] != "INTERNAL", (line, reply)
-                _track(line, reply, handles, serials)
+                _track(line, reply, handles, sizes)
             # the next reply answers the sentinel, so the line got no other
             sock.sendall(SENTINEL + b"\n")
             reply = _read_reply(replies)
