@@ -104,8 +104,15 @@ class StateRegistry:
     The registry is each state's only owner, so gates and measurements
     update the stored state in place.  Ids are handed out in increasing
     order, so an id below the next one that holds no state was consumed.
-    Every lookup tries the dict hit first and leaves telling a consumed
-    handle from an unknown one to the miss.
+    Each method looks its state up inline, one dict hit in a `try`, and
+    leaves telling a consumed handle from an unknown one to the miss.  A
+    measurement checks its qubit before it draws, so a refused one takes
+    nothing from the stream.
+
+    In-process callers must pass the `int` handle they were given:
+    `True` and `2.0` equal 1 and 2 as dict keys, so they reach those
+    handles' states.  The wire refuses them before they get here; the
+    hit path has no type check, because every query would pay for it.
     """
 
     def __init__(self):
@@ -125,13 +132,6 @@ class StateRegistry:
             return hid
         finally:
             self._lock.release()
-
-    def _live_state(self, handle: int) -> SumOfProductsState:
-        # caller holds the lock
-        try:
-            return self._states[handle]
-        except KeyError:
-            raise self._gone(handle) from None
 
     def _gone(self, handle: int) -> MintError:
         """The error for a handle that holds no state; one that is not an
@@ -167,14 +167,22 @@ class StateRegistry:
     def apply_pauli_x(self, handle: int, i: int) -> None:
         self._lock.acquire()
         try:
-            self._live_state(handle).apply_pauli_x(i)
+            try:
+                state = self._states[handle]
+            except KeyError:
+                raise self._gone(handle) from None
+            state.apply_pauli_x(i)
         finally:
             self._lock.release()
 
     def apply_unitary(self, handle: int, i: int, u) -> None:
         self._lock.acquire()
         try:
-            self._live_state(handle).apply_unitary(i, u)
+            try:
+                state = self._states[handle]
+            except KeyError:
+                raise self._gone(handle) from None
+            state.apply_unitary(i, u)
         finally:
             self._lock.release()
 
@@ -185,6 +193,9 @@ class StateRegistry:
                 state = self._states[handle]
             except KeyError:
                 raise self._gone(handle) from None
+            # before the draw, so that a refused measurement takes none
+            if not 0 <= i < state.n:
+                raise IndexError(f"qubit index {i} out of range for n={state.n}")
             return state.measure_qubit(i, basis, rng.random())[0]
         finally:
             self._lock.release()
@@ -195,7 +206,10 @@ class StateRegistry:
         surface.  Later operations on the handle change it."""
         self._lock.acquire()
         try:
-            return self._live_state(handle)
+            try:
+                return self._states[handle]
+            except KeyError:
+                raise self._gone(handle) from None
         finally:
             self._lock.release()
 

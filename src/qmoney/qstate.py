@@ -47,7 +47,11 @@
 #
 # Constant factors: each query of the adaptive attack, in process or
 # through the server, is a gate, a verify and a measurement that cost
-# O(1), so there the fixed cost per call is the cost.
+# O(1), so there the fixed cost per call is the cost.  The gates and
+# `measure_qubit` check the qubit index inline, with no helper frame.
+# The projector and `inner_with_symbols` take no `tuple()` and no `len()`
+# of a target that is `_ref`, which has n symbols by construction, and a
+# VALID answer onto `_ref` keeps the surviving term.
 # `inner_with_symbols`, the one-term `measure_qubit` and the
 # overlaps of `norm_sq` and `compress` write out `_dot` and
 # `clamp_probability` instead of calling them: the same operations in
@@ -234,10 +238,6 @@ class SumOfProductsState:
         state._dirty = set()
         return state
 
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"qubit index {i} out of range for n={self.n}")
-
     def norm_sq(self) -> float:
         terms = self.terms
         # the qubits two terms can differ on
@@ -260,14 +260,19 @@ class SumOfProductsState:
 
     def inner_with_symbols(self, target) -> complex:
         """<target|psi> where target is a symbol sequence."""
-        if type(target) is not tuple:
-            target = tuple(target)
-        if len(target) != self.n:
-            raise ValueError(f"dimension mismatch: state n={self.n}, target length {len(target)}")
+        ref = self._ref
+        if target is ref and ref is not None:
+            # off the dirty qubits of a state issued from `target` every
+            # factor is the target's own
+            idx = sorted(self._dirty)
+        else:
+            if type(target) is not tuple:
+                target = tuple(target)
+            if len(target) != self.n:
+                raise ValueError(f"dimension mismatch: state n={self.n}, target length {len(target)}")
+            idx = range(self.n)
         # each factor overlap is `_dot(target[k].amplitudes, factor)`,
-        # written out with the cached bra; off the dirty qubits of a
-        # state issued from `target` every factor is the target's own
-        idx = sorted(self._dirty) if target is self._ref else range(self.n)
+        # written out with the cached bra
         total = 0.0 + 0.0j
         for t in self.terms:
             amp = t.coeff
@@ -282,7 +287,8 @@ class SumOfProductsState:
         return total
 
     def apply_pauli_x(self, i: int) -> "SumOfProductsState":
-        self._check_index(i)
+        if not 0 <= i < self.n:
+            raise IndexError(f"qubit index {i} out of range for n={self.n}")
         self._dirty.add(i)
         for t in self.terms:
             f = t.factors[i]
@@ -290,7 +296,8 @@ class SumOfProductsState:
         return self
 
     def apply_unitary(self, i: int, u) -> "SumOfProductsState":
-        self._check_index(i)
+        if not 0 <= i < self.n:
+            raise IndexError(f"qubit index {i} out of range for n={self.n}")
         (a, b), (c, d) = check_unitary(u)
         self._dirty.add(i)
         for t in self.terms:
@@ -367,27 +374,28 @@ class SumOfProductsState:
         or None when `residue` is false, in which case it is never built
         and the state is left to be dropped.
         """
-        if type(target) is not tuple:
+        if target is not self._ref and type(target) is not tuple:
             target = tuple(target)
         c = self.inner_with_symbols(target)
-        p = abs(c) ** 2  # clamp_probability, written out
+        mag = abs(c)
+        p = mag ** 2  # clamp_probability, written out
         if p < ATOL:
             p = 0.0
         elif p > _NEAR_ONE:
             p = 1.0
         if draw < p:
             if target is self._ref:
-                # any term's list is the target but for the dirty qubits
-                factors = self.terms[0].factors
+                # any term is the target but for the dirty qubits
+                term = self.terms[0]
+                factors = term.factors
                 for k in self._dirty:
                     factors[k] = target[k].amplitudes
             else:
-                factors = [s.amplitudes for s in target]
+                term = _new(ProductTerm)
+                term.factors = [s.amplitudes for s in target]
                 self._ref = target
             self._dirty.clear()
-            term = _new(ProductTerm)
             term.coeff = 1.0 + 0.0j
-            term.factors = factors
             self.terms = [term]
             return _VALID, self, p
         if not residue:
@@ -395,7 +403,7 @@ class SumOfProductsState:
         scale = 1.0 / _sqrt(1.0 - p)
         for t in self.terms:
             t.coeff *= scale
-        if abs(c) >= PRUNE_TOL:
+        if mag >= PRUNE_TOL:
             if target is not self._ref:
                 # the new term breaks the reference invariant
                 self._ref = None
@@ -411,9 +419,10 @@ class SumOfProductsState:
         if len(terms) == 1:
             # what the loops below do with one term, written out
             t = terms[0]
-            if abs(t.coeff) < PRUNE_TOL:
+            mag = abs(t.coeff)
+            if mag < PRUNE_TOL:
                 raise ValueError("compression eliminated all terms; state had zero norm")
-            t.coeff *= 1.0 / _sqrt(abs(t.coeff) ** 2)
+            t.coeff *= 1.0 / _sqrt(mag ** 2)
             return self
         merged: list[ProductTerm] = []
         # the qubits two terms can differ on

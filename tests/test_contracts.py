@@ -16,11 +16,13 @@ local session and on the server's `handle_message`:
 A scan that allocates nothing, such as comparing two n-symbol tuples,
 is seen by neither.
 
-Each bill repeats the pattern 01+-, so every size asks the same mix of
-queries: a Z-basis qubit costs a flip, an INVALID verify, an undo and a
-Z measurement; an X-basis qubit a flip, a VALID verify and an X
+Each bill repeats the pattern 01+- or 01, so every size asks the same
+mix of queries: a Z-basis qubit costs a flip, an INVALID verify, an undo
+and a Z measurement; an X-basis qubit a flip, a VALID verify and an X
 measurement.  Over the wire that is 4 request lines for a Z-basis qubit
 and 3 for an X-basis one, which a remote attack's `sent_counts` shows.
+On n = 64 bills the profile events per query also stay at or under a
+ceiling for each session and pattern, its measured count plus 0.1.
 
 A baseline trial through the mint (`harness.mint_trial`) makes a fixed
 number of calls per n on average: its profile events, averaged over
@@ -60,6 +62,15 @@ TOLERANCE = 0.05
 # least 8 bytes a qubit, 8 KiB at LARGE_BYTES
 SLACK_BYTES = 256
 
+# the ceiling on the profile events per adaptive query at n = SMALL, for
+# each session and bill pattern
+QUERY_CALL_CEILINGS = {
+    ("local", "01+-"): 39.19,
+    ("server", "01+-"): 120.19,
+    ("local", "01"): 44.19,
+    ("server", "01"): 136.19,
+}
+
 # the baseline trials whose calls are counted, and the ceiling on their
 # mean profile events per `mint_trial` at n = 1, 4 and 8.  Each entry of
 # the registry's lock is two of them, its acquire() and its release()
@@ -82,14 +93,14 @@ RUN_TRIAL_CALL_CEILINGS = {
 _OUTCOMES = {o.value: o for o in VerifyOutcome}
 
 
-def _bill(n):
-    return symbols_from_string("01+-" * (n // 4))
+def _bill(pattern, n):
+    return symbols_from_string(pattern * (n // len(pattern)))
 
 
 @contextmanager
-def _local(n):
+def _local(pattern, n):
     mint = Mint(rng=random.Random(1))
-    secret, handle = mint.add_bill(_bill(n))
+    secret, handle = mint.add_bill(_bill(pattern, n))
     yield LocalSession(mint, MintPolicy.RETURN_ALWAYS, random.Random(1)), secret.serial, handle
 
 
@@ -126,13 +137,13 @@ class _MessageSession:
 
 
 @contextmanager
-def _server(n):
+def _server(pattern, n):
     # the server is never started: its listening socket is bound, then
     # closed, and no connection is made
     server = MintServer("127.0.0.1", 0, Mint(rng=random.Random(1)),
                         MintPolicy.RETURN_ALWAYS, random.Random(1))
     try:
-        secret, _ = server.mint.add_bill(_bill(n))
+        secret, _ = server.mint.add_bill(_bill(pattern, n))
         session = _MessageSession(server)
         yield session, secret.serial, session.claim(secret.serial)
     finally:
@@ -161,9 +172,10 @@ def _count_calls(fn, *args):
     return count
 
 
-def _calls_per_query(open_session, n):
-    """Profile events per query of one adaptive attack."""
-    with open_session(n) as (session, serial, handle):
+def _calls_per_query(kind, pattern, n):
+    """Profile events per query of one adaptive attack on a `kind`
+    session, "local" or "server"."""
+    with _OPEN[kind](pattern, n) as (session, serial, handle):
         return _count_calls(_attack, session, serial, handle, n) / n
 
 
@@ -199,10 +211,10 @@ class _Metered:
         return self._call("measure", handle, i, basis)
 
 
-def _bytes_per_call(open_session, n):
+def _bytes_per_call(kind, pattern, n):
     """The median peak each kind of session call allocates, in bytes; the
     median, so that an occasional dict or list resize does not count."""
-    with open_session(n) as (session, serial, handle):
+    with _OPEN[kind](pattern, n) as (session, serial, handle):
         metered = _Metered(session)
         tracemalloc.start()
         try:
@@ -212,20 +224,24 @@ def _bytes_per_call(open_session, n):
     return {op: statistics.median(peaks) for op, peaks in metered.peaks.items()}
 
 
-_SESSIONS = pytest.mark.parametrize("open_session", [_local, _server], ids=["local", "server"])
+_OPEN = {"local": _local, "server": _server}
+# a 01 bill asks Z-basis queries only
+_SESSIONS = pytest.mark.parametrize("session, pattern", list(QUERY_CALL_CEILINGS),
+                                    ids=["local", "server", "local-01", "server-01"])
 
 
 @_SESSIONS
-def test_calls_per_query_do_not_grow_with_n(open_session):
-    small = _calls_per_query(open_session, SMALL)
-    large = _calls_per_query(open_session, LARGE_CALLS)
+def test_calls_per_query_do_not_grow_with_n(session, pattern):
+    small = _calls_per_query(session, pattern, SMALL)
+    large = _calls_per_query(session, pattern, LARGE_CALLS)
+    assert small <= QUERY_CALL_CEILINGS[session, pattern], small
     assert abs(large - small) <= TOLERANCE * small, (small, large)
 
 
 @_SESSIONS
-def test_bytes_per_call_do_not_grow_with_n(open_session):
-    small = _bytes_per_call(open_session, SMALL)
-    large = _bytes_per_call(open_session, LARGE_BYTES)
+def test_bytes_per_call_do_not_grow_with_n(session, pattern):
+    small = _bytes_per_call(session, pattern, SMALL)
+    large = _bytes_per_call(session, pattern, LARGE_BYTES)
     assert small.keys() == large.keys() == {"apply_x", "verify", "measure"}
     for op in small:
         assert large[op] <= small[op] + SLACK_BYTES, (op, small, large)

@@ -341,6 +341,19 @@ class TestRegistryLinearity:
             with pytest.raises(UnknownHandleError):
                 reg.apply_pauli_x(hid, 0)
 
+    def test_refused_measure_takes_no_draw(self):
+        # the out-of-range qubit is refused before the draw, so the
+        # stream's later readings are those of a registry that was not asked
+        def readings(refused):
+            reg, rng = StateRegistry(), random.Random(7)
+            h = reg.register(state_from_string("0000"))
+            if refused:
+                with pytest.raises(IndexError, match="^qubit index 4 out of range for n=4$"):
+                    reg.measure(h, 4, Basis.X, rng)
+            return [reg.measure(h, i, Basis.X, rng) for i in range(4)]
+
+        assert readings(True) == readings(False)
+
     def test_fresh_ids_never_reused(self):
         reg = StateRegistry()
         seen = set()

@@ -230,6 +230,28 @@ class TestRobustness:
                 c.apply_x(handle, 7)
             assert err.value.code == "BAD_REQUEST"
 
+    def test_refused_measure_takes_no_draw(self):
+        # every session measures with the server's one stream, so a
+        # refused measurement must leave it where it was
+        def readings(refused):
+            srv = MintServer("127.0.0.1", 0, Mint(rng=random.Random(7)),
+                             MintPolicy.RETURN_ALWAYS, random.Random(7))
+            secret, _ = srv.mint.add_bill(symbols_from_string("0000"))
+            srv.start()
+            try:
+                with client_for(srv) as c:
+                    handle, _ = c.claim(secret.serial)
+                    if refused:
+                        with pytest.raises(ProtocolError) as err:
+                            c.measure(handle, 4, Basis.X)
+                        assert err.value.code == "BAD_REQUEST"
+                        assert err.value.detail == "qubit index 4 out of range for n=4"
+                    return [c.measure(handle, i, Basis.X)[0] for i in range(4)]
+            finally:
+                srv.stop()
+
+        assert readings(True) == readings(False)
+
     def test_bad_unitary_entry_is_bad_request(self, server):
         raw = RawClient(server)
         try:
