@@ -4,7 +4,9 @@ Bills are random conjugate-coding product states; the mint verifies by
 projecting onto the stored secret.  A mint that returns post-measurement
 states on INVALID answers leaks its whole secret in n queries; a mint
 that destroys failed bills keeps counterfeiting exponentially hard
-against the attacks implemented here.
+against the attacks implemented here, in process, where the attacker
+holds one genuine bill.  Over `qmoney serve` it does not hold yet: the
+wire's `claim` hands out a fresh genuine copy of a bill on every call.
 
 `import qmoney` loads the simulator alone: `qmoney.qstate`, `qmoney.mint`
 and `qmoney.attacks`.  The Monte Carlo harness, `qmoney.harness`, and the

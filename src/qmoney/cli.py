@@ -47,6 +47,8 @@ def _parse_addr(text: str) -> tuple[str, int]:
         raise UsageError(f"address must be host:port, got {text!r}")
     if int(port) > 65535:
         raise UsageError(f"port must be from 0 to 65535, got {port}")
+    if host.startswith("[") and host.endswith("]"):  # [::1]:8080
+        host = host[1:-1]
     return host or "127.0.0.1", int(port)
 
 
@@ -96,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bl.set_defaults(run=_cmd_attack_baseline)
 
     p_rm = attack_sub.add_parser("remote", help="the n-query oracle attack, over the wire")
-    p_rm.add_argument("--addr", required=True, help="host:port of a running server")
+    p_rm.add_argument("--addr", required=True, help="host:port or [host]:port of a running server")
     p_rm.add_argument("--serial", default=None, help="attack this bill (server hands over a copy)")
     p_rm.add_argument("--n", type=int, default=None, help="mint and attack a fresh n-qubit bill")
     p_rm.add_argument("--transcript", default=None)
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.set_defaults(run=_cmd_experiment_sweep)
 
     p_srv = sub.add_parser("serve", help="run the networked mint")
-    p_srv.add_argument("--addr", required=True, help="host:port to bind")
+    p_srv.add_argument("--addr", required=True, help="host:port or [host]:port to bind")
     p_srv.add_argument("--db", default=None, help="load this secret database (else start empty)")
     p_srv.add_argument("--policy", choices=_POLICY_CHOICES, default=MintPolicy.RETURN_ALWAYS)
     p_srv.add_argument("--seed", type=int, default=None)

@@ -106,8 +106,8 @@ class StateRegistry:
     order, so an id below the next one that holds no state was consumed.
     Each method looks its state up inline, one dict hit in a `try`, and
     leaves telling a consumed handle from an unknown one to the miss.  A
-    measurement checks its qubit before it draws, so a refused one takes
-    nothing from the stream.
+    measurement passes the caller's generator on to the state, which
+    draws after its own checks.
 
     In-process callers must pass the `int` handle they were given:
     `True` and `2.0` equal 1 and 2 as dict keys, so they reach those
@@ -193,10 +193,7 @@ class StateRegistry:
                 state = self._states[handle]
             except KeyError:
                 raise self._gone(handle) from None
-            # before the draw, so that a refused measurement takes none
-            if not 0 <= i < state.n:
-                raise IndexError(f"qubit index {i} out of range for n={state.n}")
-            return state.measure_qubit(i, basis, rng.random())[0]
+            return state.measure_qubit(i, basis, rng)[0]
         finally:
             self._lock.release()
 
@@ -314,8 +311,7 @@ class Mint:
         state = self.registry.consume(handle, len(symbols))
         # a destroying mint drops an INVALID bill, so it asks for no residue
         outcome, post, p = state.measure_projector_detail(
-            symbols, rng.random(), policy == MintPolicy.RETURN_ALWAYS
-        )
+            symbols, rng, policy == MintPolicy.RETURN_ALWAYS)
         new_handle = None if post is None else self.registry.register(post)
         return _tuple_new(VerifyResult, (outcome, new_handle, p == 0.0 or p == 1.0))
 

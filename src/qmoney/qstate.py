@@ -30,13 +30,15 @@
 # An INVALID answer whose residue the caller does not want (a destroying
 # mint, and through it the harness's baseline trial) builds no term and
 # calls no `compress`.  A qubit measurement costs O(1) on a single
-# product term: one overlap per outcome, no norm
-# and no term list.  On more terms its pairwise overlaps run over the
-# dirty qubits while `_ref` is set, else over all n.  Every measurement
-# the attacks make is of a single product term (an X on a Z-basis qubit
-# makes the state orthogonal to the target, so its INVALID adds no
-# term); only tests measure the residues of two or more terms that an
-# INVALID after a general unitary leaves.
+# product term: one overlap per outcome, no norm and no term list.  On
+# more terms its pairwise overlaps run over the dirty qubits while
+# `_ref` is set, else over all n.  Every measurement the attacks make
+# is of a single product term (an X on a Z-basis qubit makes the state
+# orthogonal to the target, so its INVALID adds no term); only tests
+# measure the residues of two or more terms that an INVALID after a
+# general unitary leaves.  A measurement draws once, by calling its
+# caller's `rng.random()` after its own checks (the qubit index, or the
+# length of a target that is not `_ref`), so a refused one draws nothing.
 #
 # Construction: neither class has an `__init__`, so calling either
 # raises TypeError.  `from_symbols` builds every state, and it and the
@@ -51,13 +53,12 @@
 # `measure_qubit` check the qubit index inline, with no helper frame.
 # The projector and `inner_with_symbols` take no `tuple()` and no `len()`
 # of a target that is `_ref`, which has n symbols by construction, and a
-# VALID answer onto `_ref` keeps the surviving term.
-# `inner_with_symbols`, the one-term `measure_qubit` and the
-# overlaps of `norm_sq` and `compress` write out `_dot` and
-# `clamp_probability` instead of calling them: the same operations in
-# the same order, with a symbol's conjugated amplitudes cached on it
-# (`bra`), so the same bits.  `compress` of one term is one
-# renormalization.
+# VALID answer onto `_ref` keeps the surviving term.  `inner_with_symbols`,
+# the one-term `measure_qubit` and the overlaps of `norm_sq` and
+# `compress` write out `_dot` and `clamp_probability` instead of calling
+# them: the same operations in the same order, with a symbol's
+# conjugated amplitudes cached on it (`bra`), so the same bits.
+# `compress` of one term is one renormalization.
 
 from __future__ import annotations
 
@@ -311,8 +312,8 @@ class SumOfProductsState:
             t.coeff = coeff * _dot(bvec, f)
             t.factors[i] = bvec
 
-    def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "SumOfProductsState"]:
-        """Born-rule measurement of qubit i; consumes exactly one draw."""
+    def measure_qubit(self, i: int, basis: Basis, rng) -> tuple[int, "SumOfProductsState"]:
+        """Born-rule measurement of qubit i; one rng.random() draw, after the check."""
         if not 0 <= i < self.n:
             raise IndexError(f"qubit index {i} out of range for n={self.n}")
         terms = self.terms
@@ -331,7 +332,7 @@ class SumOfProductsState:
                 p = 0.0
             elif p > _NEAR_ONE:
                 p = 1.0
-            if draw < p:
+            if rng.random() < p:
                 bit = 0
             else:
                 bit, p = 1, 1.0 - p
@@ -345,7 +346,7 @@ class SumOfProductsState:
             # the norm needs no overlap on qubit i: every term holds b0 there
             self._project(i, b0, before)
             p0 = clamp_probability(self.norm_sq())
-            if draw < p0:
+            if rng.random() < p0:
                 bit, bvec, p = 0, b0, p0
             else:
                 bit, bvec, p = 1, b1, 1.0 - p0
@@ -364,9 +365,9 @@ class SumOfProductsState:
         return bit, self
 
     def measure_projector_detail(
-        self, target, draw: float, residue: bool = True
+        self, target, rng, residue: bool = True
     ) -> tuple[VerifyOutcome, "SumOfProductsState | None", float]:
-        """Project onto the product state of `target`; consumes one draw.
+        """Project onto the product state of `target`; one rng.random() draw.
 
         Returns (outcome, post-state, clamped probability of VALID).  The
         VALID post-state is the clean target product state (global phase
@@ -383,7 +384,7 @@ class SumOfProductsState:
             p = 0.0
         elif p > _NEAR_ONE:
             p = 1.0
-        if draw < p:
+        if rng.random() < p:
             if target is self._ref:
                 # any term is the target but for the dirty qubits
                 term = self.terms[0]

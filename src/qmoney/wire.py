@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import random
 import socket
 import struct
@@ -175,7 +176,9 @@ class MintServer:
         self.mint = mint if mint is not None else Mint()
         self.policy = MintPolicy.check(policy)
         self._rng = rng if rng is not None else random.Random()
-        self._listener = socket.create_server((host, port))
+        # a host with a colon is an IPv6 literal: the default family is IPv4
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
         self._thread: threading.Thread | None = None
         self._stopped = False
 
@@ -368,7 +371,8 @@ class RemoteMint:
         # timeout makes before every call
         self._sock.settimeout(None)
         if timeout is not None:
-            limit = struct.pack("@ll", int(timeout), int(timeout % 1 * 1e6))
+            # rounded up to whole microseconds: the kernel reads 0 as no limit
+            limit = struct.pack("@ll", *divmod(math.ceil(timeout * 1e6), 10**6))
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, limit)
             self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, limit)
         self._lines = _lines(self._sock.recv)

@@ -12,9 +12,13 @@ and neither state class has an `__init__`.  `sum_of_products` and
 `product_term` are the checked constructors that tests use to build
 multi-term states by hand; `state_from_string`, `inner_with`, `fidelity`,
 `fidelity_to_symbols`, `symbol_basis`, `symbol_bit`, the `PAULI_X` and
-`HADAMARD` gates, `bills_equal`, `serials` (a mint's serials), `is_live`
-(whether a registry holds a handle's state) and `read_results_csv` are
-the other helpers that only tests call.
+`HADAMARD` gates, `FixedDraw` (an rng whose draws are one set number),
+`bills_equal`, `serials` (a mint's serials), `is_live` (whether a
+registry holds a handle's state) and `read_results_csv` are the other
+helpers that only tests call.
+
+Both backends' measurements take an rng and draw from it once, after
+their own checks, as the runtime's do.
 """
 
 import cmath
@@ -208,14 +212,14 @@ class DenseState:
     def apply_pauli_x(self, i: int) -> "DenseState":
         return self.apply_unitary(i, PAULI_X)
 
-    def measure_qubit(self, i: int, basis: Basis, draw: float) -> tuple[int, "DenseState"]:
+    def measure_qubit(self, i: int, basis: Basis, rng) -> tuple[int, "DenseState"]:
         self._check_index(i)
         b0 = np.array(basis.vectors[0], dtype=complex)
         b1 = np.array(basis.vectors[1], dtype=complex)
         t = self._tensor()
         amp0 = np.tensordot(b0.conjugate(), t, axes=([0], [i]))
         p0 = clamp_probability(float(np.vdot(amp0, amp0).real))
-        if draw < p0:
+        if rng.random() < p0:
             bit, bvec, amp, p = 0, b0, amp0, p0
         else:
             amp1 = np.tensordot(b1.conjugate(), t, axes=([0], [i]))
@@ -224,7 +228,7 @@ class DenseState:
         return bit, DenseState(self.n, post.reshape(-1))
 
     def measure_projector_detail(
-        self, target, draw: float
+        self, target, rng
     ) -> tuple[VerifyOutcome, "DenseState", float]:
         target = tuple(target)
         if len(target) != self.n:
@@ -232,7 +236,7 @@ class DenseState:
         tvec = DenseState.from_symbols(target).amps
         c = complex(np.vdot(tvec, self.amps))
         p = clamp_probability(abs(c) ** 2)
-        if draw < p:
+        if rng.random() < p:
             return VerifyOutcome.VALID, DenseState(self.n, tvec), p
         post = (self.amps - c * tvec) / math.sqrt(1.0 - p)
         return VerifyOutcome.INVALID, DenseState(self.n, post), p
@@ -307,8 +311,19 @@ def random_program(rng: random.Random, max_n: int = 10, max_x: int = 5, max_meas
     return symbols, ops
 
 
+class FixedDraw:
+    """An rng stand-in whose every draw is the same number."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
 def run_on_both_backends(symbols, ops, draws):
-    """Execute the same op list on both backends with one draw stream.
+    """Execute the same op list on both backends with one draw stream:
+    each measurement's draw reaches both as one FixedDraw.
 
     Returns (outcome pairs, per-step cross fidelities, projector VALID
     probability pairs).  Each step rebinds the state each backend
@@ -330,14 +345,14 @@ def run_on_both_backends(symbols, ops, draws):
             sop = sop.apply_unitary(i, u)
             dense = dense.apply_unitary(i, u)
         elif op[0] == "project":
-            draw = next(draws)
+            draw = FixedDraw(next(draws))
             out_s, sop, p_s = sop.measure_projector_detail(op[1], draw)
             out_d, dense, p_d = dense.measure_projector_detail(op[1], draw)
             outcomes.append((out_s, out_d))
             probabilities.append((p_s, p_d))
         elif op[0] == "measure":
             _, i, basis = op
-            draw = next(draws)
+            draw = FixedDraw(next(draws))
             bit_s, sop = sop.measure_qubit(i, basis, draw)
             bit_d, dense = dense.measure_qubit(i, basis, draw)
             outcomes.append((bit_s, bit_d))

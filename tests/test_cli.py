@@ -346,6 +346,33 @@ class TestAttackRemote:
         finally:
             server.stop()
 
+    def test_over_ipv6_loopback(self, capsys):
+        try:
+            socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+        except OSError as exc:  # no IPv6 on this host
+            pytest.skip(f"cannot bind ::1: {exc}")
+        server = MintServer("::1", 0, Mint(rng=random.Random(2)),
+                            MintPolicy.RETURN_ALWAYS, random.Random(2))
+        server.start()
+        try:
+            _, port = server.address
+            code, out, _ = run_cli(capsys, "attack", "remote", "--addr", f"[::1]:{port}",
+                                   "--n", "8")
+            assert code == EXIT_OK
+            assert "bill recovered: yes" in out
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("text, addr", [
+        ("127.0.0.1:8080", ("127.0.0.1", 8080)),
+        (":8080", ("127.0.0.1", 8080)),
+        ("::1:8080", ("::1", 8080)),
+        ("[::1]:8080", ("::1", 8080)),
+        ("[fe80::1%lo]:0", ("fe80::1%lo", 0)),
+    ], ids=["ipv4", "no-host", "ipv6", "ipv6-bracketed", "ipv6-scoped"])
+    def test_parse_addr(self, text, addr):
+        assert cli._parse_addr(text) == addr
+
     def test_no_server(self, capsys):
         code, _, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:1", "--n", "2")
         assert code == EXIT_FAILURE

@@ -9,6 +9,7 @@ import pytest
 from support import (
     HADAMARD,
     DenseState,
+    FixedDraw,
     bills_equal,
     dense_fidelity,
     fidelity_to_symbols,
@@ -42,16 +43,6 @@ from qmoney.qstate import (
 @pytest.fixture
 def mint():
     return Mint(rng=random.Random(42))
-
-
-class FixedDraw:
-    """An rng whose every draw is the same number."""
-
-    def __init__(self, draw):
-        self.draw = draw
-
-    def random(self):
-        return self.draw
 
 
 def count_compress(monkeypatch) -> list:
@@ -157,7 +148,7 @@ class TestVerify:
         calls = count_compress(monkeypatch)
         res = mint.verify(secret.serial, handle, MintPolicy.RETURN_ALWAYS, FixedDraw(0.999))
         dense = DenseState.from_symbols(symbols).apply_unitary(0, HADAMARD).apply_unitary(2, u)
-        outcome, post, _ = dense.measure_projector_detail(symbols, 0.999)
+        outcome, post, _ = dense.measure_projector_detail(symbols, FixedDraw(0.999))
         assert res.outcome is outcome is VerifyOutcome.INVALID
         assert len(calls) == 1
         assert dense_fidelity(mint.registry.inspect(res.handle), post) >= 1 - 1e-12

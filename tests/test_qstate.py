@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 import types
 
@@ -9,6 +10,7 @@ from support import (
     HADAMARD,
     PAULI_X,
     DenseState,
+    FixedDraw,
     dense_fidelity,
     fidelity,
     fidelity_to_symbols,
@@ -215,12 +217,12 @@ class TestUnitary:
 
 class TestMeasureQubit:
     def test_deterministic_z(self):
-        bit, post = state_from_string("0").measure_qubit(0, Basis.Z, 0.999999)
+        bit, post = state_from_string("0").measure_qubit(0, Basis.Z, FixedDraw(0.999999))
         assert bit == 0
         assert fidelity_to_symbols(post, symbols_from_string("0")) == pytest.approx(1, abs=ATOL)
 
     def test_deterministic_x(self):
-        bit, _ = state_from_string("+").measure_qubit(0, Basis.X, 0.999999)
+        bit, _ = state_from_string("+").measure_qubit(0, Basis.X, FixedDraw(0.999999))
         assert bit == 0
 
     def test_plus_in_z_is_even(self):
@@ -229,18 +231,49 @@ class TestMeasureQubit:
         t = dense._tensor()
         amp0 = np.tensordot(np.array([1, 0], dtype=complex), t, axes=([0], [0]))
         assert float(np.vdot(amp0, amp0).real) == pytest.approx(0.5)
-        bit, post = state_from_string("+").measure_qubit(0, Basis.Z, 0.3)
+        bit, post = state_from_string("+").measure_qubit(0, Basis.Z, FixedDraw(0.3))
         assert bit == 0
         assert fidelity_to_symbols(post, symbols_from_string("0")) == pytest.approx(1, abs=ATOL)
-        bit, post = state_from_string("+").measure_qubit(0, Basis.Z, 0.7)
+        bit, post = state_from_string("+").measure_qubit(0, Basis.Z, FixedDraw(0.7))
         assert bit == 1
         assert fidelity_to_symbols(post, symbols_from_string("1")) == pytest.approx(1, abs=ATOL)
 
     def test_one_draw_contract(self):
         # both outcomes partition [0,1) at p(0)
         for draw in (0.0, 0.499, 0.501, 0.999):
-            bit, _ = state_from_string("+").measure_qubit(0, Basis.Z, draw)
+            bit, _ = state_from_string("+").measure_qubit(0, Basis.Z, FixedDraw(draw))
             assert bit == (0 if draw < 0.5 else 1)
+
+
+_OUT_OF_RANGE = "qubit index {} out of range for n=4"
+_SHORT = symbols_from_string("01+")  # a target one symbol short of n = 4
+
+
+class TestRefusedMeasurement:
+    """A measurement that raises has taken no draw, in either backend:
+    each checks its input before it calls `rng.random()`."""
+
+    @pytest.mark.parametrize("make, call, error, text", [
+        (state_from_string, lambda s, rng: s.measure_qubit(4, Basis.X, rng),
+         IndexError, _OUT_OF_RANGE.format(4)),
+        (state_from_string, lambda s, rng: s.measure_qubit(-1, Basis.Z, rng),
+         IndexError, _OUT_OF_RANGE.format(-1)),
+        (state_from_string, lambda s, rng: s.measure_projector_detail(_SHORT, rng),
+         ValueError, "dimension mismatch: state n=4, target length 3"),
+        (DenseState.from_string, lambda s, rng: s.measure_qubit(4, Basis.X, rng),
+         IndexError, _OUT_OF_RANGE.format(4)),
+        (DenseState.from_string, lambda s, rng: s.measure_qubit(-1, Basis.Z, rng),
+         IndexError, _OUT_OF_RANGE.format(-1)),
+        (DenseState.from_string, lambda s, rng: s.measure_projector_detail(_SHORT, rng),
+         ValueError, "dimension mismatch"),
+    ], ids=["sop-qubit-n", "sop-qubit-negative", "sop-projector-length",
+            "dense-qubit-n", "dense-qubit-negative", "dense-projector-length"])
+    def test_takes_no_draw(self, make, call, error, text):
+        rng = random.Random(7)
+        before = rng.getstate()
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            call(make("0+1-"), rng)
+        assert rng.getstate() == before
 
 
 def _with_zero_term(state: SumOfProductsState) -> SumOfProductsState:
@@ -253,12 +286,13 @@ def _with_zero_term(state: SumOfProductsState) -> SumOfProductsState:
 
 
 def _threshold(measure) -> float:
-    """The least draw in [0, 1] for which measure(draw) gives bit 1: p(0)
-    itself, to the last bit.  Non-negative doubles sort as their bits."""
+    """The least draw in [0, 1] for which measure(FixedDraw(draw)) gives
+    bit 1: p(0) itself, to the last bit.  Non-negative doubles sort as
+    their bits."""
     lo, hi = 0, struct.unpack("<q", struct.pack("<d", 1.0))[0]
     while lo < hi:
         mid = (lo + hi) // 2
-        if measure(struct.unpack("<d", struct.pack("<q", mid))[0]) == 1:
+        if measure(FixedDraw(struct.unpack("<d", struct.pack("<q", mid))[0])) == 1:
             hi = mid
         else:
             lo = mid + 1
@@ -281,9 +315,9 @@ class TestMeasureQubitOneTerm:
         if rotated:
             dense = dense.apply_unitary(1, u)
         for draw in (0.0, 0.4999, 0.999):
-            bit, post = one_term().measure_qubit(1, basis, draw)
-            bit_g, post_g = _with_zero_term(one_term()).measure_qubit(1, basis, draw)
-            bit_d, post_d = dense.measure_qubit(1, basis, draw)
+            bit, post = one_term().measure_qubit(1, basis, FixedDraw(draw))
+            bit_g, post_g = _with_zero_term(one_term()).measure_qubit(1, basis, FixedDraw(draw))
+            bit_d, post_d = dense.measure_qubit(1, basis, FixedDraw(draw))
             assert bit == bit_g == bit_d
             assert dense_fidelity(post, post_d) >= 1 - 1e-12
             # the general path prunes the zero term and leaves the same bits
@@ -299,7 +333,8 @@ class TestMeasureQubitOneTerm:
 class TestMeasureProjector:
     def test_exact_match_valid(self):
         s = state_from_string("0+")
-        outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"), 0.999999)
+        outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"),
+                                                      FixedDraw(0.999999))
         assert p == 1.0
         assert outcome is VerifyOutcome.VALID
         assert fidelity_to_symbols(post, symbols_from_string("0+")) == pytest.approx(1, abs=ATOL)
@@ -307,7 +342,7 @@ class TestMeasureProjector:
     def test_orthogonal_invalid_state_unchanged(self):
         # X on a Z-eigenstate qubit makes the bill orthogonal to the target
         s = state_from_string("0+").apply_pauli_x(0)
-        outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"), 0.0)
+        outcome, post, p = s.measure_projector_detail(symbols_from_string("0+"), FixedDraw(0.0))
         assert p == 0.0
         assert outcome is VerifyOutcome.INVALID
         assert fidelity_to_symbols(post, symbols_from_string("1+")) == pytest.approx(1, abs=ATOL)
@@ -321,7 +356,7 @@ class TestMeasureProjector:
         assert np.allclose(residue, DenseState.from_string("1").amps)
 
         outcome, post, p = state_from_string("+").measure_projector_detail(
-            symbols_from_string("0"), 0.9
+            symbols_from_string("0"), FixedDraw(0.9)
         )
         assert p == pytest.approx(0.5)
         assert outcome is VerifyOutcome.INVALID
@@ -335,7 +370,7 @@ class TestMeasureProjector:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             state_from_string("0+").measure_projector_detail(
-                symbols_from_string("0"), 0.5
+                symbols_from_string("0"), FixedDraw(0.5)
             )
 
     def test_term_growth_bound(self):
@@ -343,7 +378,7 @@ class TestMeasureProjector:
         state = state_from_string("01+-+-01")
         for k in range(1, 6):
             target = [rng.choice(list(QubitSymbol)) for _ in range(8)]
-            _, state, _ = state.measure_projector_detail(target, rng.random())
+            _, state, _ = state.measure_projector_detail(target, rng)
             assert len(state.terms) <= k + 1
             assert abs(state.norm_sq() - 1) <= ATOL
 
@@ -369,7 +404,7 @@ class TestToDense:
             s = SumOfProductsState.from_symbols(syms)
             for _ in range(2):
                 target = [rng.choice(list(QubitSymbol)) for _ in range(3)]
-                _, s, _ = s.measure_projector_detail(target, rng.random())
+                _, s, _ = s.measure_projector_detail(target, rng)
             assert abs(to_dense(s).norm_sq() - 1) <= ATOL
 
 
@@ -441,8 +476,8 @@ class TestNormPreservation:
             elif roll < 0.6:
                 s = s.apply_unitary(rng.randrange(6), HADAMARD)
             elif roll < 0.8:
-                _, s = s.measure_qubit(rng.randrange(6), rng.choice([Basis.Z, Basis.X]), rng.random())
+                _, s = s.measure_qubit(rng.randrange(6), rng.choice([Basis.Z, Basis.X]), rng)
             else:
                 target = [rng.choice(list(QubitSymbol)) for _ in range(6)]
-                _, s, _ = s.measure_projector_detail(target, rng.random())
+                _, s, _ = s.measure_projector_detail(target, rng)
             assert abs(s.norm_sq() - 1) <= ATOL

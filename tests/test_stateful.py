@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from support import DenseState, dense_fidelity, random_unitary
+from support import DenseState, FixedDraw, dense_fidelity, random_unitary
 
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import Basis, QubitSymbol, VerifyOutcome, clamp_probability
@@ -29,16 +29,6 @@ DRAW_MARGIN = 1e-6
 draws = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 picks = st.integers(min_value=0, max_value=MAX_BILLS - 1)
 qubits = st.integers(min_value=0, max_value=MAX_N - 1)
-
-
-class _Draw:
-    """An rng stand-in whose next draw is fixed by the test."""
-
-    def __init__(self, value: float):
-        self.value = value
-
-    def random(self) -> float:
-        return self.value
 
 
 class BillMachine(RuleBasedStateMachine):
@@ -83,18 +73,18 @@ class BillMachine(RuleBasedStateMachine):
         bill = self._bill(pick)
         i = qubit % bill[2].n
         assume(abs(draw - _zero_probability(bill[2], i, basis)) > DRAW_MARGIN)
-        bit_d, post = bill[2].measure_qubit(i, basis, draw)
-        bit_s = self.mint.registry.measure(bill[1], i, basis, _Draw(draw))
+        bit_d, post = bill[2].measure_qubit(i, basis, FixedDraw(draw))
+        bit_s = self.mint.registry.measure(bill[1], i, basis, FixedDraw(draw))
         assert bit_s == bit_d
         bill[2] = post
 
     def _verify(self, bill, serial, policy, draw):
         target = self.mint.secret(serial).symbols
         p_s = clamp_probability(abs(self._state(bill).inner_with_symbols(target)) ** 2)
-        out_d, post, p_d = bill[2].measure_projector_detail(target, draw)
+        out_d, post, p_d = bill[2].measure_projector_detail(target, FixedDraw(draw))
         assert abs(p_s - p_d) <= 1e-9
         assume(abs(draw - p_d) > DRAW_MARGIN)
-        res = self.mint.verify(serial, bill[1], policy, _Draw(draw))
+        res = self.mint.verify(serial, bill[1], policy, FixedDraw(draw))
         assert res.outcome is out_d
         if res.handle is None:
             assert policy == MintPolicy.DESTROY_ON_INVALID and out_d is VerifyOutcome.INVALID

@@ -559,6 +559,27 @@ class TestRobustness:
                 client.close()
                 peer.close()
 
+    def test_sub_microsecond_timeout_still_times_out(self):
+        # a limit packed as 0 s and 0 us would mean no limit at all
+        outcome = []
+
+        def call():
+            try:
+                with RemoteMint(*listener.getsockname(), timeout=1e-7) as client:
+                    client.mint_bill(1)
+            except TransportError as exc:
+                outcome.append(exc)
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:  # never accepts
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=5)
+            hung = caller.is_alive()
+        # closing the listener resets the queued connection, which ends a hung call
+        caller.join(timeout=5)
+        assert not hung
+        assert [str(exc) for exc in outcome] == ["timed out reading the reply"]
+
     @pytest.mark.parametrize("reply", [
         b'\xff{"type": "ok", "handle": 3}', b'not json', b'[1, 2]',
         b'{"type": "ok", "handle": 3} x', b'{} {}', b'[' * 100000 + b']' * 100000,
