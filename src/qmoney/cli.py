@@ -49,6 +49,8 @@ def _parse_addr(text: str) -> tuple[str, int]:
         raise UsageError(f"port must be from 0 to 65535, got {port}")
     if host.startswith("[") and host.endswith("]"):  # [::1]:8080
         host = host[1:-1]
+    if "[" in host or "]" in host:
+        raise UsageError(f"unbalanced brackets in address {text!r}")
     return host or "127.0.0.1", int(port)
 
 
@@ -239,6 +241,8 @@ def _cmd_serve(args) -> int:
     except OSError as exc:
         raise OSError(f"cannot bind {args.addr}: {exc}") from exc
     bound_host, bound_port = server.address
+    if ":" in bound_host:  # an IPv6 address, in the form _parse_addr reads
+        bound_host = f"[{bound_host}]"
     print(f"serving on {bound_host}:{bound_port} (policy {args.policy})", flush=True)
     try:
         server.serve_forever()

@@ -10,54 +10,56 @@
 # it in place and return the same object; `s = s.op(...)` reads the
 # same either way.
 #
-# Reference symbols: a state remembers the symbol tuple it was issued
-# from (`_ref`, set by from_symbols and by a VALID projection) and the
-# qubits touched since (`_dirty`).  Invariant: for every term and every
-# qubit k not in `_dirty`, `factors[k] is _ref[k].amplitudes`.  So
-# where no qubit is dirty all terms agree.  `norm_sq`, `compress` and
-# `inner_with_symbols` each take their overlaps in one loop over an
-# index list: the sorted dirty qubits while `_ref` is set (for the
-# projector, when its target is `_ref` itself), else `range(n)`.  The
-# mint verifies with the very tuple the bill was issued from, every
+# Reference symbols: every state remembers a symbol tuple (`_ref`: the
+# tuple it was issued from, or the target of its last VALID projection)
+# and the qubits touched since (`_dirty`).  Invariant: for every term
+# and every qubit k not in `_dirty`, `factors[k] is _ref[k].amplitudes`.
+# So off the dirty qubits all terms agree.  An INVALID answer onto
+# another tuple adds a term that may differ anywhere, so it marks every
+# qubit dirty.  `norm_sq` and `compress` take their overlaps in one loop
+# over the sorted dirty qubits, and so does `inner_with_symbols` when
+# its target is `_ref` itself; onto any other target it takes all n.
+# The mint verifies with the very tuple the bill was issued from, every
 # VALID answer clears `_dirty`, and a qubit measured onto its reference
 # symbol leaves it, so each query of the adaptive attack costs O(1)
 # whatever n is.
 #
-# Costs: a gate costs O(1) per term.  A projector onto the issued
-# symbols costs O(|dirty| * terms^2) at worst, plus O(n) when an
-# INVALID answer adds the target as a term; a projector onto any other
-# symbols costs O(n * terms^2) at worst, O(n) on a single product term.
-# An INVALID answer whose residue the caller does not want (a destroying
-# mint, and through it the harness's baseline trial) builds no term and
-# calls no `compress`.  A qubit measurement costs O(1) on a single
-# product term: one overlap per outcome, no norm and no term list.  On
-# more terms its pairwise overlaps run over the dirty qubits while
-# `_ref` is set, else over all n.  Every measurement the attacks make
-# is of a single product term (an X on a Z-basis qubit makes the state
-# orthogonal to the target, so its INVALID adds no term); only tests
-# measure the residues of two or more terms that an INVALID after a
-# general unitary leaves.  A measurement draws once, by calling its
-# caller's `rng.random()` after its own checks (the qubit index, or the
-# length of a target that is not `_ref`), so a refused one draws nothing.
+# Costs: a gate costs O(1) per term.  A projector onto `_ref` costs
+# O(|dirty| * terms^2) at worst, plus O(n) when an INVALID answer adds
+# the target as a term; a projector onto any other symbols costs
+# O(n * terms^2) at worst, O(n) on a single product term.  An INVALID
+# answer whose residue the caller does not want (a destroying mint, and
+# through it the harness's baseline trial) builds no term and calls no
+# `compress`.  A qubit measurement costs O(1) on a single product term:
+# one overlap per outcome, no norm and no term list.  On more terms its
+# pairwise overlaps run over the dirty qubits.  Every measurement the
+# attacks make is of a single product term (an X on a Z-basis qubit
+# makes the state orthogonal to the target, so its INVALID adds no
+# term); only tests measure the residues of two or more terms that an
+# INVALID after a general unitary leaves.  A measurement draws once, by
+# calling its caller's `rng.random()` after its own checks (the qubit
+# index, or the length of a target that is not `_ref`), so a refused one
+# draws nothing.
 #
 # Construction: neither class has an `__init__`, so calling either
-# raises TypeError.  `from_symbols` builds every state, and it and the
-# projector build every term, with `object.__new__` and the slots set
-# directly: a product of symbols is normalized by construction, so there
-# is nothing to check.  The tests build other states with the checked
-# constructor in tests/support.py.
+# raises TypeError.  `from_symbols` builds every state and its one term,
+# and the projector builds a term only for an INVALID residue, with
+# `object.__new__` and the slots set directly: a product of symbols is
+# normalized by construction, so there is nothing to check.  A VALID
+# answer keeps the surviving term.  The tests build other states with
+# the checked constructor in tests/support.py.
 #
 # Constant factors: each query of the adaptive attack, in process or
 # through the server, is a gate, a verify and a measurement that cost
 # O(1), so there the fixed cost per call is the cost.  The gates and
 # `measure_qubit` check the qubit index inline, with no helper frame.
 # The projector and `inner_with_symbols` take no `tuple()` and no `len()`
-# of a target that is `_ref`, which has n symbols by construction, and a
-# VALID answer onto `_ref` keeps the surviving term.  `inner_with_symbols`,
-# the one-term `measure_qubit` and the overlaps of `norm_sq` and
-# `compress` write out `_dot` and `clamp_probability` instead of calling
-# them: the same operations in the same order, with a symbol's
-# conjugated amplitudes cached on it (`bra`), so the same bits.
+# of a target that is `_ref`, which has n symbols by construction.
+# `inner_with_symbols`, the one-term `measure_qubit` and the overlaps of
+# `norm_sq` and `compress` write out `_dot` and `clamp_probability`
+# instead of calling them: the same operations in the same order, with
+# a symbol's conjugated amplitudes cached on it (`bra`), so the same
+# bits.  An INVALID residue is renormalized once, by `compress`, and
 # `compress` of one term is one renormalization.
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ class SumOfProductsState:
     def norm_sq(self) -> float:
         terms = self.terms
         # the qubits two terms can differ on
-        idx = range(self.n) if self._ref is None else sorted(self._dirty)
+        idx = sorted(self._dirty)
         total = 0.0 + 0.0j
         for j, tj in enumerate(terms):
             total += abs(tj.coeff) ** 2
@@ -261,10 +263,8 @@ class SumOfProductsState:
 
     def inner_with_symbols(self, target) -> complex:
         """<target|psi> where target is a symbol sequence."""
-        ref = self._ref
-        if target is ref and ref is not None:
-            # off the dirty qubits of a state issued from `target` every
-            # factor is the target's own
+        if target is self._ref:
+            # off the dirty qubits every factor is the target's own
             idx = sorted(self._dirty)
         else:
             if type(target) is not tuple:
@@ -355,13 +355,11 @@ class SumOfProductsState:
             self.terms = [t for t in terms if abs(t.coeff) >= PRUNE_TOL]
             for t in self.terms:
                 t.coeff *= scale
-        ref = self._ref
-        if ref is not None:
-            # qubit i is clean again iff it holds the reference factor
-            if bvec is ref[i].amplitudes:
-                self._dirty.discard(i)
-            else:
-                self._dirty.add(i)
+        # qubit i is clean again iff it holds the reference factor
+        if bvec is self._ref[i].amplitudes:
+            self._dirty.discard(i)
+        else:
+            self._dirty.add(i)
         return bit, self
 
     def measure_projector_detail(
@@ -385,14 +383,14 @@ class SumOfProductsState:
         elif p > _NEAR_ONE:
             p = 1.0
         if rng.random() < p:
+            # the surviving term becomes the target
+            term = self.terms[0]
             if target is self._ref:
-                # any term is the target but for the dirty qubits
-                term = self.terms[0]
+                # off the dirty qubits the term is the target already
                 factors = term.factors
                 for k in self._dirty:
                     factors[k] = target[k].amplitudes
             else:
-                term = _new(ProductTerm)
                 term.factors = [s.amplitudes for s in target]
                 self._ref = target
             self._dirty.clear()
@@ -401,15 +399,13 @@ class SumOfProductsState:
             return _VALID, self, p
         if not residue:
             return _INVALID, None, p
-        scale = 1.0 / _sqrt(1.0 - p)
-        for t in self.terms:
-            t.coeff *= scale
+        # the residue |psi> - c|target>, which `compress` renormalizes
         if mag >= PRUNE_TOL:
             if target is not self._ref:
-                # the new term breaks the reference invariant
-                self._ref = None
+                # the new term may differ from the others on any qubit
+                self._dirty = set(range(self.n))
             term = _new(ProductTerm)
-            term.coeff = -c * scale
+            term.coeff = -c
             term.factors = [s.amplitudes for s in target]
             self.terms.append(term)
         return _INVALID, self.compress(), p
@@ -427,7 +423,7 @@ class SumOfProductsState:
             return self
         merged: list[ProductTerm] = []
         # the qubits two terms can differ on
-        idx = range(self.n) if self._ref is None else sorted(self._dirty)
+        idx = sorted(self._dirty)
         for t in terms:
             if abs(t.coeff) < PRUNE_TOL:
                 continue

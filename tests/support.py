@@ -76,8 +76,9 @@ def sum_of_products(n: int, terms, check: bool = True) -> SumOfProductsState:
     state = object.__new__(SumOfProductsState)
     state.n = n
     state.terms = terms
-    state._ref = None
-    state._dirty = set()
+    # any n symbols will do as the reference while every qubit is dirty
+    state._ref = (QubitSymbol.ZERO,) * n
+    state._dirty = set(range(n))
     if check:
         state.terms = terms = [
             t if isinstance(t, ProductTerm) else product_term(complex(t.coeff), t.factors)

@@ -347,21 +347,27 @@ class TestAttackRemote:
             server.stop()
 
     def test_over_ipv6_loopback(self, capsys):
+        # `serve` prints the address in brackets, and the attack reads it back
         try:
             socket.create_server(("::1", 0), family=socket.AF_INET6).close()
         except OSError as exc:  # no IPv6 on this host
             pytest.skip(f"cannot bind ::1: {exc}")
-        server = MintServer("::1", 0, Mint(rng=random.Random(2)),
-                            MintPolicy.RETURN_ALWAYS, random.Random(2))
-        server.start()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", RUN_CLI, "serve", "--addr", "[::1]:0", "--seed", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
         try:
-            _, port = server.address
-            code, out, _ = run_cli(capsys, "attack", "remote", "--addr", f"[::1]:{port}",
+            banner = proc.stdout.readline()
+            match = re.fullmatch(r"serving on (\[::1\]:\d+) \(policy return-always\)\n", banner)
+            assert match, banner
+            code, out, _ = run_cli(capsys, "attack", "remote", "--addr", match.group(1),
                                    "--n", "8")
             assert code == EXIT_OK
             assert "bill recovered: yes" in out
         finally:
-            server.stop()
+            proc.kill()
+            proc.communicate()
 
     @pytest.mark.parametrize("text, addr", [
         ("127.0.0.1:8080", ("127.0.0.1", 8080)),
@@ -372,6 +378,14 @@ class TestAttackRemote:
     ], ids=["ipv4", "no-host", "ipv6", "ipv6-bracketed", "ipv6-scoped"])
     def test_parse_addr(self, text, addr):
         assert cli._parse_addr(text) == addr
+
+    @pytest.mark.parametrize("text", ["[::1:8080", "::1]:8080", "[[::1]]:8080"])
+    def test_unbalanced_bracket_is_a_usage_error(self, capsys, text):
+        with pytest.raises(cli.UsageError, match="^unbalanced brackets in address"):
+            cli._parse_addr(text)
+        code, out, err = run_cli(capsys, "attack", "remote", "--addr", text, "--n", "2")
+        assert code == EXIT_USAGE
+        assert out == "" and err.splitlines() == [f"error: unbalanced brackets in address {text!r}"]
 
     def test_no_server(self, capsys):
         code, _, err = run_cli(capsys, "attack", "remote", "--addr", "127.0.0.1:1", "--n", "2")

@@ -373,6 +373,34 @@ class TestMeasureProjector:
                 symbols_from_string("0"), FixedDraw(0.5)
             )
 
+    def test_invalid_onto_another_tuple_keeps_the_reference(self):
+        # the residue |0+1-> - <++1-|0+1->|++1-> has two terms that differ
+        # on qubit 0 only, but a term from another tuple may differ
+        # anywhere, so every qubit is dirty until measured back
+        ref = symbols_from_string("0+1-")
+        sop = SumOfProductsState.from_symbols(ref)
+        dense = DenseState.from_symbols(ref)
+        draw = FixedDraw(0.9)
+        outcome, sop, p = sop.measure_projector_detail(symbols_from_string("++1-"), draw)
+        outcome_d, dense, p_d = dense.measure_projector_detail(symbols_from_string("++1-"), draw)
+        assert outcome is outcome_d is VerifyOutcome.INVALID
+        assert p == pytest.approx(p_d, abs=1e-12) and p == pytest.approx(0.5)
+        assert len(sop.terms) == 2
+        assert sop._ref is ref
+        assert sop._dirty == {0, 1, 2, 3}
+        assert dense_fidelity(sop, dense) >= 1 - 1e-9
+        for i, sym in enumerate(ref):
+            draw = FixedDraw(0.0 if symbol_bit(sym) == 0 else 0.999)
+            bit, sop = sop.measure_qubit(i, symbol_basis(sym), draw)
+            bit_d, dense = dense.measure_qubit(i, symbol_basis(sym), draw)
+            assert bit == bit_d == symbol_bit(sym)
+            assert sop._ref is ref
+            assert sop._dirty == set(range(i + 1, 4))
+            assert dense_fidelity(sop, dense) >= 1 - 1e-9
+            assert abs(sop.norm_sq() - 1) <= 1e-9
+        for t in sop.terms:
+            assert all(f is s.amplitudes for f, s in zip(t.factors, ref))
+
     def test_term_growth_bound(self):
         rng = random.Random(11)
         state = state_from_string("01+-+-01")

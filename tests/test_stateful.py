@@ -117,8 +117,6 @@ class BillMachine(RuleBasedStateMachine):
         # own amplitude tuple
         for bill in self.bills:
             state = self._state(bill)
-            if state._ref is None:
-                continue
             for t in state.terms:
                 for k, sym in enumerate(state._ref):
                     if k not in state._dirty:

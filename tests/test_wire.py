@@ -1,5 +1,6 @@
 import errno
 import json
+import math
 import random
 import socket
 import threading
@@ -545,6 +546,22 @@ class TestRobustness:
     def test_connect_failure_is_transport_error(self):
         with pytest.raises(TransportError):
             RemoteMint("127.0.0.1", 1, timeout=0.5)
+
+    @pytest.mark.parametrize("timeout", [0, -1, math.inf, 1e300, math.nan],
+                             ids=["zero", "negative", "inf", "huge", "nan"])
+    def test_unusable_timeout_is_refused_before_connecting(self, timeout):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with pytest.raises(ValueError, match="^timeout must be None or a number of seconds"):
+                RemoteMint(*listener.getsockname(), timeout=timeout)
+            listener.settimeout(0.05)
+            with pytest.raises(TimeoutError):
+                listener.accept()  # no connection was made
+
+    def test_no_timeout_connects(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with RemoteMint(*listener.getsockname(), timeout=None):
+                peer, _ = listener.accept()
+                peer.close()
 
     def test_silent_server_times_out(self):
         with socket.create_server(("127.0.0.1", 0)) as listener:
