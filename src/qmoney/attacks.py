@@ -220,13 +220,18 @@ _PER_QUBIT_RATE = {
 }
 
 
-def analytic_pass_prob(kind: StrategyKind, n: int) -> float:
-    """Closed-form pass probability of a baseline counterfeit: the
-    per-qubit rate from exhaustive enumeration, raised to the n-th power."""
+def analytic_success_rate(strategy: StrategyKind, policy: str, n: int) -> float:
+    """Closed-form success probability of `strategy` on an n-qubit bill
+    against a mint under `policy`.  A baseline counterfeit passes with
+    its per-qubit rate from exhaustive enumeration, raised to the n-th
+    power.  The adaptive attack needs every round to survive: a returning
+    mint always lets it, a destroying one kills it on any Z-basis symbol."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if strategy is StrategyKind.ADAPTIVE_ORACLE:
+        return 1.0 if policy == MintPolicy.RETURN_ALWAYS else 0.5**n
     try:
-        rate = _PER_QUBIT_RATE[kind]
+        rate = _PER_QUBIT_RATE[strategy]
     except KeyError:
-        raise ValueError("adaptive attack success is not a per-qubit power law") from None
+        raise ValueError(f"{strategy!r} is not a strategy") from None
     return rate**n

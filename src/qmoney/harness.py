@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 
 from .attacks import (_GUESS, _MEASURE_COPY, _OVERLAP, LocalSession, StrategyKind, adaptive_attack,
-                      analytic_pass_prob, baseline_attack)
+                      analytic_success_rate, baseline_attack)
 from .mint import Mint, MintPolicy
 from .qstate import _NEAR_ONE, _SYMBOL_ORDER, ATOL, Basis, VerifyOutcome, clamp_probability
 
@@ -197,14 +197,6 @@ def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random)
     copy, _ = baseline_attack(strategy, registry, handle, n, rng)
     res = mint.verify(secret.serial, copy, policy, rng)
     return res.outcome is _VALID, 1
-
-
-def analytic_success_rate(strategy: StrategyKind, policy: str, n: int) -> float:
-    if strategy is StrategyKind.ADAPTIVE_ORACLE:
-        # full recovery needs every round to survive; a destroying mint
-        # kills the attack on any Z-basis symbol
-        return 1.0 if policy == MintPolicy.RETURN_ALWAYS else 0.5**n
-    return analytic_pass_prob(strategy, n)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:

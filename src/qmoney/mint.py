@@ -258,17 +258,14 @@ class Mint:
         self, symbols, n: int, denomination: str, rng: random.Random | None
     ) -> tuple[BillSecret, int]:
         # symbols=None draws n of them, after the serial, so seeded mints
-        # keep their bills; a serial gets three draws to be fresh
+        # keep their bills.  A serial is drawn until it is fresh: a seeded
+        # mint that loaded a database draws its earlier runs' serials first
         if rng is None:
             rng = self._rng
         bills = self._bills
         with self._lock:
-            for _ in range(3):
-                serial = f"WQM-{rng.getrandbits(128):032x}"
-                if serial not in bills:
-                    break
-            else:
-                raise MintError("serial collision persisted after 3 attempts")
+            while (serial := f"WQM-{rng.getrandbits(128):032x}") in bills:
+                pass
             if symbols is None:
                 symbols = random_symbols(rng, n)
             secret = _tuple_new(BillSecret, (serial, symbols, denomination))

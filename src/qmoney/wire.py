@@ -357,20 +357,17 @@ class MintServer:
             "apply_u": _do_apply_u, "measure": _do_measure, "release": _do_release}
 
 
-# the longest timeout a socket takes: about 292 years
-_MAX_TIMEOUT = threading.TIMEOUT_MAX
-
-
 class RemoteMint:
     """Client session; doubles as the capability object for the adaptive
     attack so the same attack logic runs locally and over the wire."""
 
     def __init__(self, host: str, port: int, timeout: float | None = 10.0):
-        # 0 would make a non-blocking connect; NaN fails every comparison
+        # 0 would make a non-blocking connect; NaN fails every comparison.
+        # TIMEOUT_MAX, about 292 years, is the longest a socket takes
         if timeout is not None and not (
-                isinstance(timeout, (int, float)) and 0 < timeout <= _MAX_TIMEOUT):
+                isinstance(timeout, (int, float)) and 0 < timeout <= threading.TIMEOUT_MAX):
             raise ValueError(f"timeout must be None or a number of seconds above 0 and at most "
-                             f"{_MAX_TIMEOUT:g}, got {timeout!r}")
+                             f"{threading.TIMEOUT_MAX:g}, got {timeout!r}")
         try:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         except OSError as exc:

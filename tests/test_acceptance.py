@@ -23,7 +23,7 @@ from qmoney.attacks import (
     LocalSession,
     StrategyKind,
     adaptive_attack,
-    analytic_pass_prob,
+    analytic_success_rate,
 )
 from qmoney.cli import EXIT_ATTACK_FAILED, EXIT_OK, main
 from qmoney.harness import ExperimentConfig, render_csv, run_experiment, trial_rng
@@ -87,7 +87,8 @@ def test_criterion_3_exponential_security_witness():
     for strategy, rate in per_qubit.items():
         # enumeration oracle first, Monte Carlo second
         for n in (1, 2, 4, 8):
-            assert analytic_pass_prob(strategy, n) == pytest.approx(rate**n, abs=1e-12)
+            assert analytic_success_rate(strategy, MintPolicy.RETURN_ALWAYS, n) == pytest.approx(
+                rate**n, abs=1e-12)
         rows = run_experiment(
             ExperimentConfig(
                 strategy=strategy,

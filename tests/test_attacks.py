@@ -19,7 +19,7 @@ from qmoney.attacks import (
     StrategyKind,
     _overlap_sq,
     adaptive_attack,
-    analytic_pass_prob,
+    analytic_success_rate,
     baseline_attack,
     forge_copies,
 )
@@ -296,38 +296,48 @@ class TestBaselines:
         assert is_live(mint.registry, copy)
 
 
+_RETURN, _DESTROY = MintPolicy.RETURN_ALWAYS, MintPolicy.DESTROY_ON_INVALID
+
+
 class TestAnalyticPassProb:
     def test_guess_single_qubit(self):
-        assert analytic_pass_prob(StrategyKind.GUESS_RANDOM_SYMBOLS, 1) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert analytic_success_rate(
+            StrategyKind.GUESS_RANDOM_SYMBOLS, _RETURN, 1) == pytest.approx(0.5, abs=1e-12)
 
     def test_measure_copy_four_qubits(self):
-        assert analytic_pass_prob(StrategyKind.MEASURE_RANDOM_BASIS_COPY, 4) == pytest.approx(
-            0.31640625, abs=1e-12
-        )
+        assert analytic_success_rate(
+            StrategyKind.MEASURE_RANDOM_BASIS_COPY, _RETURN, 4) == pytest.approx(
+                0.31640625, abs=1e-12)
 
     def test_power_law(self):
         for n in (1, 2, 4, 8):
-            assert analytic_pass_prob(StrategyKind.GUESS_RANDOM_SYMBOLS, n) == pytest.approx(
-                0.5**n, abs=1e-12
-            )
-            assert analytic_pass_prob(StrategyKind.MEASURE_RANDOM_BASIS_COPY, n) == pytest.approx(
-                0.75**n, abs=1e-12
-            )
+            assert analytic_success_rate(
+                StrategyKind.GUESS_RANDOM_SYMBOLS, _RETURN, n) == pytest.approx(0.5**n, abs=1e-12)
+            assert analytic_success_rate(
+                StrategyKind.MEASURE_RANDOM_BASIS_COPY, _RETURN, n) == pytest.approx(
+                    0.75**n, abs=1e-12)
 
     def test_zero_qubits_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_pass_prob(StrategyKind.MEASURE_RANDOM_BASIS_COPY, 0)
+        for strategy in StrategyKind:
+            with pytest.raises(ValueError):
+                analytic_success_rate(strategy, _RETURN, 0)
 
-    def test_adaptive_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_pass_prob(StrategyKind.ADAPTIVE_ORACLE, 4)
+    def test_adaptive_closed_form(self):
+        # a returning mint lets every round survive; a destroying one only
+        # a bill with no Z-basis symbol
+        for n in (1, 2, 4, 9):
+            assert analytic_success_rate(StrategyKind.ADAPTIVE_ORACLE, _RETURN, n) == 1.0
+            assert analytic_success_rate(StrategyKind.ADAPTIVE_ORACLE, _DESTROY, n) == 0.5**n
+
+    def test_unknown_strategy_rejected(self):
+        for strategy in ("guess", None):
+            with pytest.raises(ValueError):
+                analytic_success_rate(strategy, _RETURN, 4)
 
     def test_rates_equal_the_enumeration(self):
-        # the per-qubit loops analytic_pass_prob once ran on every call,
-        # kept here as its oracle: the CSV's analytic_rate bytes hang on
-        # the exact float
+        # the per-qubit loops the baselines' closed form once ran on every
+        # call, kept here as its oracle: the CSV's analytic_rate bytes hang
+        # on the exact float
         guess = 0.0
         for true in QubitSymbol:
             for g in QubitSymbol:
@@ -342,5 +352,7 @@ class TestAnalyticPassProb:
                     copy += 0.5 * p_outcome * _overlap_sq(true, outcome_sym)
         copy /= 4.0
         for n in range(1, 17):
-            assert analytic_pass_prob(StrategyKind.GUESS_RANDOM_SYMBOLS, n) == guess**n
-            assert analytic_pass_prob(StrategyKind.MEASURE_RANDOM_BASIS_COPY, n) == copy**n
+            assert analytic_success_rate(
+                StrategyKind.GUESS_RANDOM_SYMBOLS, _RETURN, n) == guess**n
+            assert analytic_success_rate(
+                StrategyKind.MEASURE_RANDOM_BASIS_COPY, _RETURN, n) == copy**n

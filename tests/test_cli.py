@@ -60,6 +60,16 @@ class TestMintNew:
         run_cli(capsys, "mint", "new", "--n", "4", "--db", str(b), "--seed", "9")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_same_seed_again_adds_a_fresh_bill(self, capsys, tmp_path):
+        # each run first draws the serials its earlier runs took
+        db = tmp_path / "m.json"
+        for _ in range(5):
+            code, _, err = run_cli(capsys, "mint", "new", "--n", "4", "--db", str(db),
+                                   "--seed", "7")
+            assert code == EXIT_OK, err
+        serials = [b["serial"] for b in json.loads(db.read_text())["bills"]]
+        assert len(serials) == len(set(serials)) == 5
+
     def test_bad_n(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "mint", "new", "--n", "0", "--db", str(tmp_path / "x"))
         assert code == EXIT_USAGE

@@ -102,6 +102,8 @@ def test_cold_import_loads_only_what_it_uses():
         "bare = set(sys.modules)\n"
         "import qmoney\n"
         "package = set(sys.modules) - bare\n"
+        "missing = [name for name in ('run_experiment', 'MintServer')\n"
+        "           if not hasattr(qmoney, name)]\n"
         "import qmoney.cli\n"
         "cli = set(sys.modules) - bare\n"
         "try:\n"
@@ -109,23 +111,24 @@ def test_cold_import_loads_only_what_it_uses():
         "    children = True\n"
         "except ChildProcessError:\n"
         "    children = False\n"
-        "lazy_harness = qmoney.run_experiment is qmoney.harness.run_experiment\n"
+        "import qmoney.harness\n"
         "harness = set(sys.modules) - bare\n"
         "for strategy in qmoney.StrategyKind:\n"
         "    for policy in qmoney.MintPolicy.ALL:\n"
-        "        qmoney.run_experiment(qmoney.ExperimentConfig(strategy, policy, [1, 3], 20, 5))\n"
+        "        qmoney.harness.run_experiment(\n"
+        "            qmoney.harness.ExperimentConfig(strategy, policy, [1, 3], 20, 5))\n"
         "swept = set(sys.modules) - bare\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
         "    sweep_children = True\n"
         "except ChildProcessError:\n"
         "    sweep_children = False\n"
-        "lazy = qmoney.MintServer is qmoney.wire.MintServer\n"
+        "import qmoney.wire\n"
         "wire = set(sys.modules) - bare\n"
         "star = {}\n"
         "exec('from qmoney import *', star)\n"
         "print(repr((sorted(package), sorted(cli), sorted(harness), sorted(swept), sorted(wire),\n"
-        "            children, sweep_children, lazy_harness, lazy,\n"
+        "            children, sweep_children, missing,\n"
         "            sorted(set(qmoney.__all__) - set(star)),\n"
         "            sorted(set(qmoney.__all__) - set(dir(qmoney))))))\n"
     )
@@ -133,13 +136,14 @@ def test_cold_import_loads_only_what_it_uses():
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    (package, cli, harness_stage, swept, wire, children, sweep_children, lazy_harness, lazy,
+    (package, cli, harness_stage, swept, wire, children, sweep_children, missing,
      unbound, undir) = ast.literal_eval(out.stdout)
     # `import qmoney` loads the simulator alone
     assert {m for m in package if m.startswith("qmoney")} == {
         "qmoney", "qmoney.qstate", "qmoney.mint", "qmoney.attacks"}
     assert "qmoney.harness" not in package and "qmoney.cli" in cli
-    # the package hook loads the harness on first use of one of its names
+    # the harness and the wire are reached through their own modules only
+    assert missing == ["run_experiment", "MintServer"]
     assert "qmoney.harness" in harness_stage and "qmoney.wire" not in harness_stage
     # a sweep counts every trial in the calling process
     assert {"multiprocessing", "mmap"}.isdisjoint(swept), sorted(swept)
@@ -149,7 +153,7 @@ def test_cold_import_loads_only_what_it_uses():
     assert _COLD_FORBIDDEN.isdisjoint(package), sorted(_COLD_FORBIDDEN & set(package))
     assert _COLD_FORBIDDEN.isdisjoint(cli), sorted(_COLD_FORBIDDEN & set(cli))
     assert not children
-    assert lazy_harness and lazy and unbound == [] and undir == []
+    assert unbound == [] and undir == []
 
 
 class TestAdaptiveKernel:

@@ -6,6 +6,7 @@ import socket
 import threading
 import time
 import tracemalloc
+import types
 
 import pytest
 from support import serials
@@ -500,8 +501,10 @@ class TestRobustness:
                 raise RuntimeError("can't start new thread")
             return threading.Thread(**kwargs)
 
-        # the wire module's own name only, so no other thread is touched
-        monkeypatch.setattr(wire, "threading", type("Threading", (), {"Thread": thread}))
+        # the wire module's own name only, so no other thread is touched;
+        # every other attribute is the real module's
+        monkeypatch.setattr(wire, "threading",
+                            types.SimpleNamespace(**{**vars(threading), "Thread": thread}))
         try:
             with client_for(srv) as c, pytest.raises(TransportError):
                 c.mint_bill(1)
