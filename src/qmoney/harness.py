@@ -1,21 +1,19 @@
 # Seeded Monte Carlo experiment runner.
 #
-# Every trial gets its own RNG stream derived from (seed, n, trial
-# index) by hashing, so trials are order-independent and the output
-# depends on the seed alone.  `run_trial`'s kernels compute each trial
-# exactly, with no mint: they draw what `mint_trial`, the full path
-# through a fresh mint, draws, in the same order, and compute the same
-# floats.  An adaptive-attack row against a returning mint, whose every
-# trial is (True, n), is counted in closed form; every other row also
-# runs its trial 0 through `mint_trial` and raises if the two differ.
-# `run_experiment` counts every row in the calling process, and
+# Every trial reads its own RNG stream, `trial_rng(seed, n, index)`, so
+# trials are order-independent and the output depends on the seed alone.
+# `_trials`'s kernels compute each trial exactly, with no mint: they draw
+# what `mint_trial`, the full path through a fresh mint, draws, in the
+# same order, and compute the same floats.  `_count` runs a row's trials
+# 1..T-1 in one loop on one kept generator, reseeded per trial to that
+# stream.  `run_experiment` counts every row in the calling process, and
 # `write_results` writes the rows as CSV or JSON.
 
 from __future__ import annotations
 
 import _random
-import math
 from dataclasses import asdict, astuple, dataclass, fields
+from math import sqrt as _sqrt
 
 from .attacks import (_GUESS, _MEASURE_COPY, _OVERLAP, LocalSession, StrategyKind, adaptive_attack,
                       analytic_success_rate, baseline_attack)
@@ -39,10 +37,15 @@ class ExperimentConfig:
         if not isinstance(self.strategy, StrategyKind):
             raise ValueError(f"strategy must be a StrategyKind, got {self.strategy!r}")
         MintPolicy.check(self.policy)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
+        # a bool would reach the CSV as True, a float or None a bare TypeError
+        for name, value in [("trials", self.trials), ("seed", self.seed), ("workers", self.workers),
+                            *(("n_values item", n) for n in self.n_values)]:
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
         if any(n < 1 for n in self.n_values):
             raise ValueError("all n values must be >= 1")
         if self.workers < 1:
@@ -70,8 +73,6 @@ CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 # members as module globals, for the trial paths (see qstate's _VALID)
 _ADAPTIVE = StrategyKind.ADAPTIVE_ORACLE
 _VALID = VerifyOutcome.VALID
-_DESTROY = MintPolicy.DESTROY_ON_INVALID
-_sqrt = math.sqrt
 
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
@@ -79,17 +80,24 @@ _MIX_C = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
 
+def _keys(seed: int, n: int, start: int, stop: int) -> range:
+    """The stream keys of trials [start, stop) of row (seed, n), each
+    `seed*A + n*B + index*C` before its mask to 64 bits."""
+    base = seed * _MIX_A + n * _MIX_B
+    return range(base + start * _MIX_C, base + stop * _MIX_C, _MIX_C)
+
+
 def trial_rng(seed: int, n: int, index: int) -> _random.Random:
-    """Independent per-trial stream from a fixed mix of (seed, n, index).
+    """The stream of trial `index` of row (seed, n), seeded with its `_keys` key.
 
     The multipliers are the splitmix64 constants; the Mersenne Twister
-    seeding scrambles the mix further.  Streams are stable across runs
-    and platforms.  The generator is `random.Random`'s C base: seeded
-    with an int it gives the same stream, and it is seeded once, where
-    `random.Random(mix)` seeds in `__new__` and again in `__init__`.
-    A trial reads only `random()` and `getrandbits()`.
+    seeding scrambles the mix further, into streams stable across runs and
+    platforms.  `random.Random`'s C base gives the same stream for an int
+    and seeds once, not twice; its `seed(key)` resets the whole state, so
+    `_count` reseeds one kept generator per trial and reads these same
+    streams.  A trial reads only `random()` and `getrandbits()`.
     """
-    return _random.Random((seed * _MIX_A + n * _MIX_B + index * _MIX_C) & _U64)
+    return _random.Random(_keys(seed, n, index, index + 1)[0] & _U64)
 
 
 # Per bill symbol s, in `_SYMBOL_ORDER`, each overlap a trial takes, read
@@ -108,78 +116,87 @@ _COPY_ROWS = tuple(
 
 
 def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
-    """One independent trial with a fresh bill; returns (success, queries).
+    """One independent trial with a fresh bill; returns (success, queries):
+    `mint_trial`'s result on the same stream, from `_trials` on `rng` as it
+    stands, or from `mint_trial` itself for an adaptive attack on a returning mint."""
+    if strategy is _ADAPTIVE and policy == MintPolicy.RETURN_ALWAYS:
+        return mint_trial(strategy, policy, n, rng)
+    ok, used = _trials(strategy, policy, n, rng, (None,))
+    return ok == 1, used
 
-    The result is the one `mint_trial` gives on the same stream, computed
-    with no mint: each kernel draws what `mint_trial` draws, in the same
-    order, and computes the same floats.  It draws the serial and then
-    the bill's symbols, as `Mint.mint_bill` does: draw d picks
-    `_SYMBOL_ORDER[int(d * 4)]` (see `random_symbols`).
 
-    Adaptive attack, destroying mint: each verify query is deterministic.
-    A flipped X-basis qubit still matches its symbol up to a phase
-    (VALID), and a flipped Z-basis qubit is orthogonal to it (INVALID),
-    so the mint eats the bill at its first Z-basis symbol, `d < 0.5`.
-    Against a returning mint every trial is (True, n): `_count` counts
-    those rows in closed form, and here they take the mint path.
+def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
+            keys: range | tuple[None]) -> tuple[int, int]:
+    """(successes, queries) of one trial per key of `keys`, on `rng` reseeded
+    with the key masked to 64 bits, or as it stands for None.  The checks
+    and the dispatch run once per call, and every trial in this frame.
 
-    Baselines, under either policy: the counterfeiter submits once and
-    reads only the verdict, which either verify draws and compares with
-    the same probability.  Per qubit, a guess draws a symbol; measure-copy
-    draws a basis and then a measurement, and carries the bill term's
-    coefficient through each measurement as the one-term `measure_qubit`
-    does, since the next outcome's probability depends on it.  The verify
-    overlap is `inner_with_symbols`'s running product, and the verify
-    draw comes last.  Once a guess's overlap is 0 the trial has failed,
-    whatever it would draw next, and it stops there; a copied symbol is
-    never orthogonal to the bill's.
+    A kernel draws what `mint_trial` draws, in order, and computes the
+    same floats: the serial, then the bill, as `Mint.mint_bill` does
+    (draw d picks `_SYMBOL_ORDER[int(d * 4)]`).  Against a destroying
+    mint, the adaptive attack's flip of an X-basis qubit verifies VALID
+    and of a Z-basis one INVALID, so the bill dies at its first Z-basis
+    symbol, `d < 0.5`.  A baseline's verdict, under either policy, is one
+    verify draw compared with the overlap: `inner_with_symbols`'s running
+    product, over a guessed symbol per qubit or, for measure-copy, a
+    basis draw and a measurement draw that carries the bill term's
+    coefficient as the one-term `measure_qubit` does.  An overlap of 0
+    fails whatever comes next: a guess stops there and draws no verify.
     """
     if policy not in MintPolicy.ALL:
         MintPolicy.check(policy)
     if n < 1:
         raise ValueError("bill size n must be >= 1")  # as Mint.mint_bill
-    if strategy is _ADAPTIVE:
-        if policy != _DESTROY:
-            return mint_trial(strategy, policy, n, rng)
-        rng.getrandbits(128)  # the serial
-        draw = rng.random
-        for i in range(n):
-            if draw() < 0.5:
-                return False, i + 1
-        return True, n
-    if strategy is _GUESS:
-        rows = _GUESS_ROWS
-    elif strategy is _MEASURE_COPY:
-        rows = _COPY_ROWS
-    else:
-        raise ValueError(f"{strategy} is not a baseline strategy")
-    rng.getrandbits(128)  # the serial
-    draw = rng.random
-    bill = [rows[int(draw() * 4)] for _ in range(n)]
-    amp = 1.0 + 0.0j
-    if rows is _GUESS_ROWS:
-        for row in bill:
-            amp *= row[int(draw() * 4)]
-            if amp == 0:
-                return False, 1
-    else:
-        coeff = 1.0 + 0.0j
-        for row in bill:
-            (w0, w1), (o0, o1) = row[draw() >= 0.5]  # Z below one half, as baseline_attack
-            c = coeff * w0
-            p = abs(c) ** 2  # clamp_probability, written out
-            if p < ATOL:
-                p = 0.0
-            elif p > _NEAR_ONE:
-                p = 1.0
-            if draw() < p:
-                amp *= o0
+    reseed, serial, draw = rng.seed, rng.getrandbits, rng.random
+    successes = queries = 0
+    qubits = range(n)
+    if strategy is _ADAPTIVE:  # destroying: the returning mint's rows never reach here
+        for key in keys:
+            if key is not None:
+                reseed(key & _U64)
+            serial(128)
+            for i in qubits:
+                if draw() < 0.5:
+                    queries += i + 1
+                    break
             else:
-                p = 1.0 - p
-                c = coeff * w1
-                amp *= o1
-            coeff = c * (1.0 / _sqrt(p))
-    return draw() < clamp_probability(abs(amp) ** 2), 1
+                successes += 1
+                queries += n
+        return successes, queries
+    rows = _GUESS_ROWS if strategy is _GUESS else _COPY_ROWS if strategy is _MEASURE_COPY else None
+    if rows is None:
+        raise ValueError(f"{strategy} is not a baseline strategy")
+    for key in keys:
+        if key is not None:
+            reseed(key & _U64)
+        serial(128)
+        bill = [draw() for _ in qubits]
+        amp = 1.0 + 0.0j
+        if rows is _GUESS_ROWS:
+            for d in bill:
+                amp *= rows[int(d * 4)][int(draw() * 4)]
+                if amp == 0:
+                    break
+        else:
+            coeff = 1.0 + 0.0j
+            for d in bill:
+                (w0, w1), (o0, o1) = rows[int(d * 4)][draw() >= 0.5]  # Z below 1/2, as baseline_attack
+                c = coeff * w0
+                p = abs(c) ** 2  # clamp_probability, written out
+                if p < ATOL:
+                    p = 0.0
+                elif p > _NEAR_ONE:
+                    p = 1.0
+                if draw() < p:
+                    amp *= o0
+                else:
+                    p = 1.0 - p
+                    c = coeff * w1
+                    amp *= o1
+                coeff = c * (1.0 / _sqrt(p))
+        if amp != 0:
+            successes += draw() < clamp_probability(abs(amp) ** 2)
+    return successes, len(keys)
 
 
 def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
@@ -187,14 +204,13 @@ def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random)
     own policy: the reference that `run_trial` and `_count`'s closed form
     are tested against, and that `_count` holds each row's trial 0 to."""
     mint = Mint(rng)
-    registry = mint.registry
     secret, handle = mint.mint_bill(n, rng=rng)
     if strategy is _ADAPTIVE:
         session = LocalSession(mint, policy, rng)
         transcript, _ = adaptive_attack(session, secret.serial, handle, n)
         success = transcript.bill_recovered and transcript.learned == list(secret.symbols)
         return success, transcript.queries_used
-    copy, _ = baseline_attack(strategy, registry, handle, n, rng)
+    copy, _ = baseline_attack(strategy, mint.registry, handle, n, rng)
     res = mint.verify(secret.serial, copy, policy, rng)
     return res.outcome is _VALID, 1
 
@@ -206,22 +222,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     for n in config.n_values:
         successes, queries = _count(strategy, policy, n, seed, trials)
         rate = successes / trials
-        mean_queries = queries / trials
-        std_error = math.sqrt(rate * (1.0 - rate) / trials)
-        rows.append(
-            ResultRow(
-                n=n,
-                strategy=strategy.value,
-                policy=policy,
-                trials=trials,
-                successes=successes,
-                success_rate=rate,
-                mean_queries=mean_queries,
-                std_error=std_error,
-                analytic_rate=analytic_success_rate(strategy, policy, n),
-                seed=seed,
-            )
-        )
+        rows.append(ResultRow(n, strategy.value, policy, trials, successes, rate, queries / trials,
+                              _sqrt(rate * (1.0 - rate) / trials),
+                              analytic_success_rate(strategy, policy, n), seed))
     return rows
 
 
@@ -229,30 +232,26 @@ def _count(strategy: StrategyKind, policy: str, n: int, seed: int, trials: int) 
     """(successes, queries) over trial indices [0, trials).
 
     A row whose every trial is the same is counted in closed form.  Any
-    other row also runs its trial 0 through `mint_trial` under the row's
-    own policy, and raises RuntimeError if the kernel disagrees: every
-    row is tied to the real mint and attack code, for one full trial.
-    That trial also keeps `baseline_attack`, `Mint()` and, under
-    `return-always`, a verify that builds its residue running in every
-    sweep; the benchmark's tracer (perfbench/tracing.py) reads
-    `attacks.baseline_attack_us.*`, `mint.construct_us` and
-    `qstate.compress_calls` from them, until those per-layer metrics
-    come from probes of their own.
+    other row runs its trial 0 through `run_trial` and through
+    `mint_trial` under the row's own policy, and raises RuntimeError if
+    they differ: every row is tied to the real mint and attack code, and
+    the benchmark's tracer reads the per-layer metrics of `baseline_attack`,
+    `Mint()` and a `return-always` verify there.  Trials 1..T-1 run in one
+    `_trials` loop on trial 0's generator, reseeded per trial with
+    `trial_rng`'s key: each reads `trial_rng(seed, n, index)`'s stream.
     """
     if strategy is _ADAPTIVE and policy == MintPolicy.RETURN_ALWAYS:
         # every such trial is (True, n) and reads no draw: seed no stream
         return trials, n * trials
-    successes, queries = run_trial(strategy, policy, n, trial_rng(seed, n, 0))
+    rng = trial_rng(seed, n, 0)
+    first = run_trial(strategy, policy, n, rng)
     reference = mint_trial(strategy, policy, n, trial_rng(seed, n, 0))
-    if (successes, queries) != reference:
+    if first != reference:
         raise RuntimeError(
             f"{strategy.value} trial 0 under {policy} at n={n}, seed {seed}: "
-            f"run_trial gave {(successes, queries)}, mint_trial {reference}")
-    for index in range(1, trials):
-        ok, used = run_trial(strategy, policy, n, trial_rng(seed, n, index))
-        successes += ok
-        queries += used
-    return successes, queries
+            f"run_trial gave {first}, mint_trial {reference}")
+    successes, queries = _trials(strategy, policy, n, rng, _keys(seed, n, 1, trials))
+    return successes + first[0], queries + first[1]
 
 
 def render_csv(rows: list[ResultRow]) -> str:

@@ -28,8 +28,12 @@ A baseline trial through the mint (`harness.mint_trial`) makes a fixed
 number of calls per n on average: its profile events, averaged over
 trials 0-299 of seed 303, stay at or under a ceiling recorded for each
 strategy, policy and n.  `harness.run_trial` computes a baseline trial
-exactly, with no mint, so it has its own ceilings, each its measured
-count plus 0.1, under a third of `mint_trial`'s.
+exactly, with no mint, so it has its own ceilings, under a third of
+`mint_trial`'s.  A row runs its trials 1..T-1 in one loop on one kept
+generator, reseeded per trial, so a trial there costs fewer events than
+a `run_trial` with its own `trial_rng`: the events per trial of that
+loop stay at or under a ceiling for each kernel, its measured count
+plus 0.1.
 """
 
 import json
@@ -42,6 +46,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from qmoney import harness
 from qmoney.attacks import LocalSession, StrategyKind, adaptive_attack
 from qmoney.harness import mint_trial, run_trial, trial_rng
 from qmoney.mint import Mint, MintPolicy
@@ -84,10 +89,21 @@ TRIAL_CALL_CEILINGS = {
     ("measure-copy", MintPolicy.DESTROY_ON_INVALID): (55.5, 89.0, 135.6),
 }
 # the ceiling on the mean profile events per `run_trial` of a baseline
-# under `return-always`, at the same trials and n
+# under `return-always`, at the same trials and n.  Two of them are its
+# call of the row loop and that loop's len()
 RUN_TRIAL_CALL_CEILINGS = {
-    "guess": (8.4, 11.5, 15.9),
-    "measure-copy": (12.1, 27.1, 47.1),
+    "guess": (10.4, 13.5, 17.9),
+    "measure-copy": (14.1, 29.1, 49.1),
+}
+# the ceiling on the mean profile events per trial of a row's loop, over
+# trials 1..TRIALS-1 of `harness._count` at the same seed and n.  Each is
+# under the events of one `run_trial` plus its `trial_rng` call before
+# the loop was one frame: guess (8.25, 11.43, 15.81), measure-copy
+# (12.0, 27.0, 47.0), adaptive (4.0, 4.74, 5.03)
+ROW_TRIAL_CALL_CEILINGS = {
+    ("guess", MintPolicy.RETURN_ALWAYS): (7.35, 10.52, 14.92),
+    ("measure-copy", MintPolicy.RETURN_ALWAYS): (11.1, 26.1, 46.1),
+    ("adaptive", MintPolicy.DESTROY_ON_INVALID): (3.1, 3.84, 4.11),
 }
 
 _OUTCOMES = {o.value: o for o in VerifyOutcome}
@@ -185,6 +201,14 @@ def _calls_per_trial(trial, strategy, policy, n):
                for index in range(TRIALS)) / TRIALS
 
 
+def _calls_per_row_trial(strategy, policy, n):
+    """Mean profile events per trial of `_count`'s loop over trials
+    1..TRIALS-1: a row of TRIALS trials less a row of one."""
+    row = [_count_calls(harness._count, strategy, policy, n, TRIAL_SEED, trials)
+           for trials in (TRIALS, 1)]
+    return (row[0] - row[1]) / (TRIALS - 1)
+
+
 class _Metered:
     """Forwards the attack's session calls and records, per operation,
     the traced memory each call allocates above what was live when it
@@ -259,6 +283,13 @@ def test_calls_per_routed_baseline_trial_stay_under_ceiling(strategy):
     ceilings = RUN_TRIAL_CALL_CEILINGS[strategy]
     calls = [_calls_per_trial(run_trial, StrategyKind(strategy), MintPolicy.RETURN_ALWAYS, n)
              for n in TRIAL_NS]
+    assert all(c <= ceiling for c, ceiling in zip(calls, ceilings)), (calls, ceilings)
+
+
+@pytest.mark.parametrize("strategy, policy", list(ROW_TRIAL_CALL_CEILINGS))
+def test_calls_per_row_trial_stay_under_ceiling(strategy, policy):
+    ceilings = ROW_TRIAL_CALL_CEILINGS[strategy, policy]
+    calls = [_calls_per_row_trial(StrategyKind(strategy), policy, n) for n in TRIAL_NS]
     assert all(c <= ceiling for c, ceiling in zip(calls, ceilings)), (calls, ceilings)
 
 

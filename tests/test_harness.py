@@ -81,6 +81,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="StrategyKind"):
             run_experiment(small_config(strategy="adaptive"))
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(n_values=[True]), "n_values item"),
+        (dict(n_values=[1, 2.0]), "n_values item"),
+        (dict(trials=True), "trials"),
+        (dict(seed=1.5), "seed"),
+        (dict(seed=None), "seed"),
+        (dict(seed=False), "seed"),
+        (dict(workers=None), "workers"),
+    ], ids=["n-bool", "n-float", "trials-bool", "seed-float", "seed-none", "seed-bool",
+            "workers-none"])
+    def test_int_fields_take_ints_only(self, overrides, field):
+        # a bool is refused, as the wire refuses one: it would reach the
+        # CSV as True.  A float or None would fail inside the trial path
+        config = small_config(strategy=StrategyKind.GUESS_RANDOM_SYMBOLS, **overrides)
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got "):
+            run_experiment(config)
+
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -236,6 +253,56 @@ class TestTrialRng:
             assert lean.getrandbits(128) == reference.getrandbits(128), (seed, n, i)
             assert [lean.random() for _ in range(20)] == [reference.random() for _ in range(20)]
         assert sum(m < 1 << 32 for m in mixes) == 4 and sum(m > 1 << 63 for m in mixes) >= 4
+
+
+def _draws_after_serial(rng, seed, n, index):
+    """The random() draws after its serial that bring trial `index`'s
+    stream to where `rng` stands."""
+    fresh = trial_rng(seed, n, index)
+    fresh.getrandbits(128)
+    for taken in range(4 * n + 2):
+        if fresh.getstate() == rng.getstate():
+            return taken
+        fresh.random()
+    raise AssertionError(f"rng is not on trial {index}'s stream")
+
+
+class TestRowPath:
+    # _count runs trials 1..T-1 in one loop on the generator trial 0 used,
+    # reseeded per trial with the key trial_rng seeds from
+    @pytest.mark.parametrize("strategy, policy, n, stopped_early", [
+        # a guess whose overlap hit 0 draws neither its other guesses nor its verify
+        (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, 8, lambda k: k < 17),
+        # an adaptive bill eaten at qubit 0 read one symbol draw
+        (StrategyKind.ADAPTIVE_ORACLE, MintPolicy.DESTROY_ON_INVALID, 4, lambda k: k == 1),
+    ], ids=["guess", "adaptive"])
+    def test_reseed_after_early_stop_gives_trial_rng_stream(self, strategy, policy, n,
+                                                            stopped_early):
+        seed, stopped = 303, 0
+        rng = trial_rng(seed, n, 0)
+        for index in range(1, 200):
+            harness._trials(strategy, policy, n, rng, harness._keys(seed, n, index, index + 1))
+            if not stopped_early(_draws_after_serial(rng, seed, n, index)):
+                continue
+            stopped += 1
+            rng.seed(harness._keys(seed, n, index + 1, index + 2)[0] & harness._U64)
+            fresh = trial_rng(seed, n, index + 1)
+            assert rng.getrandbits(128) == fresh.getrandbits(128), index
+            assert [rng.random() for _ in range(20)] == [fresh.random() for _ in range(20)]
+        assert stopped >= 50
+
+    @pytest.mark.parametrize("strategy, policy", [
+        *((s, p) for s in (StrategyKind.GUESS_RANDOM_SYMBOLS, StrategyKind.MEASURE_RANDOM_BASIS_COPY)
+          for p in MintPolicy.ALL),
+        (StrategyKind.ADAPTIVE_ORACLE, MintPolicy.DESTROY_ON_INVALID),
+    ])
+    @pytest.mark.parametrize("trials", [1, 2, 257])
+    def test_row_equals_mint_trials_summed(self, strategy, policy, trials):
+        for n in (1, 3, 8):
+            results = [mint_trial(strategy, policy, n, trial_rng(77, n, index))
+                       for index in range(trials)]
+            expected = sum(ok for ok, _ in results), sum(used for _, used in results)
+            assert harness._count(strategy, policy, n, 77, trials) == expected, n
 
 
 # SHA-256 of the bytes b"%d,%d;" % (success, queries) over trials 0..1999
