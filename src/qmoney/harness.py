@@ -1,13 +1,13 @@
 # Seeded Monte Carlo experiment runner.
 #
-# Every trial reads its own RNG stream, `trial_rng(seed, n, index)`, so
-# trials are order-independent and the output depends on the seed alone.
-# `_trials`'s kernels compute each trial exactly, with no mint: they draw
-# what `mint_trial`, the full path through a fresh mint, draws, in the
-# same order, and compute the same floats.  `_count` runs a row's trials
-# 1..T-1 in one loop on one kept generator, reseeded per trial to that
-# stream.  `run_experiment` counts every row in the calling process, and
-# `write_results` writes the rows as CSV or JSON.
+# Each row (seed, n) reads one RNG stream, `trial_rng(seed, n)`, and its
+# trials read it in order, so the output depends on the seed alone.
+# `_trials`'s kernels compute each trial exactly, with no mint: from where
+# the stream stands they draw what `mint_trial`, the full path through a
+# fresh mint, draws, in the same order, and compute the same floats, up to
+# the early stops `mint_trial` does not take.  `_count` runs a row's trials
+# in one loop on that one generator.  `run_experiment` counts every row in
+# the calling process, and `write_results` writes the rows as CSV or JSON.
 
 from __future__ import annotations
 
@@ -76,28 +76,19 @@ _VALID = VerifyOutcome.VALID
 
 _MIX_A = 0x9E3779B97F4A7C15
 _MIX_B = 0xBF58476D1CE4E5B9
-_MIX_C = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 
 
-def _keys(seed: int, n: int, start: int, stop: int) -> range:
-    """The stream keys of trials [start, stop) of row (seed, n), each
-    `seed*A + n*B + index*C` before its mask to 64 bits."""
-    base = seed * _MIX_A + n * _MIX_B
-    return range(base + start * _MIX_C, base + stop * _MIX_C, _MIX_C)
-
-
-def trial_rng(seed: int, n: int, index: int) -> _random.Random:
-    """The stream of trial `index` of row (seed, n), seeded with its `_keys` key.
+def trial_rng(seed: int, n: int) -> _random.Random:
+    """The stream of row (seed, n), seeded with `seed*A + n*B` masked to 64 bits.
 
     The multipliers are the splitmix64 constants; the Mersenne Twister
     seeding scrambles the mix further, into streams stable across runs and
     platforms.  `random.Random`'s C base gives the same stream for an int
-    and seeds once, not twice; its `seed(key)` resets the whole state, so
-    `_count` reseeds one kept generator per trial and reads these same
-    streams.  A trial reads only `random()` and `getrandbits()`.
+    and seeds once, not twice.  A trial reads only `random()` and
+    `getrandbits()`.
     """
-    return _random.Random(_keys(seed, n, index, index + 1)[0] & _U64)
+    return _random.Random((seed * _MIX_A + n * _MIX_B) & _U64)
 
 
 # Per bill symbol s, in `_SYMBOL_ORDER`, each overlap a trial takes, read
@@ -116,44 +107,45 @@ _COPY_ROWS = tuple(
 
 
 def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
-    """One independent trial with a fresh bill; returns (success, queries):
-    `mint_trial`'s result on the same stream, from `_trials` on `rng` as it
-    stands, or from `mint_trial` itself for an adaptive attack on a returning mint."""
+    """One trial with a fresh bill on `rng` as it stands; returns (success,
+    queries): `mint_trial`'s result from the same state, from `_trials`, or
+    from `mint_trial` itself for an adaptive attack on a returning mint."""
     if strategy is _ADAPTIVE and policy == MintPolicy.RETURN_ALWAYS:
         return mint_trial(strategy, policy, n, rng)
-    ok, used = _trials(strategy, policy, n, rng, (None,))
+    ok, used = _trials(strategy, policy, n, rng, 1)
     return ok == 1, used
 
 
 def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
-            keys: range | tuple[None]) -> tuple[int, int]:
-    """(successes, queries) of one trial per key of `keys`, on `rng` reseeded
-    with the key masked to 64 bits, or as it stands for None.  The checks
-    and the dispatch run once per call, and every trial in this frame.
+            trials: int) -> tuple[int, int]:
+    """(successes, queries) of `trials` trials, each reading `rng` on from
+    where the one before left it.  The checks and the dispatch run once
+    per call, and every trial in this frame.
 
-    A kernel draws what `mint_trial` draws, in order, and computes the
-    same floats: the serial, then the bill, as `Mint.mint_bill` does
-    (draw d picks `_SYMBOL_ORDER[int(d * 4)]`).  Against a destroying
-    mint, the adaptive attack's flip of an X-basis qubit verifies VALID
-    and of a Z-basis one INVALID, so the bill dies at its first Z-basis
-    symbol, `d < 0.5`.  A baseline's verdict, under either policy, is one
-    verify draw compared with the overlap: `inner_with_symbols`'s running
-    product, over a guessed symbol per qubit or, for measure-copy, a
-    basis draw and a measurement draw that carries the bill term's
-    coefficient as the one-term `measure_qubit` does.  An overlap of 0
-    fails whatever comes next: a guess stops there and draws no verify.
+    A trial gives what `mint_trial` gives from the same state of `rng`,
+    from the same draws taken in the same order, and computes the same
+    floats: the serial, then the bill, as `Mint.mint_bill` does (draw d
+    picks `_SYMBOL_ORDER[int(d * 4)]`).  Against a destroying mint, the
+    adaptive attack's flip of an X-basis qubit verifies VALID and of a
+    Z-basis one INVALID, so the bill dies at its first Z-basis symbol,
+    `d < 0.5`, and the kernel draws no further.  A baseline's verdict,
+    under either policy, is one verify draw compared with the overlap:
+    `inner_with_symbols`'s running product, over a guessed symbol per
+    qubit or, for measure-copy, a basis draw and a measurement draw that
+    carries the bill term's coefficient as the one-term `measure_qubit`
+    does.  An overlap of 0 fails whatever comes next: a guess stops there
+    and draws no verify.  After such an early stop the next trial reads
+    on from there, where `mint_trial` would have drawn further.
     """
     if policy not in MintPolicy.ALL:
         MintPolicy.check(policy)
     if n < 1:
         raise ValueError("bill size n must be >= 1")  # as Mint.mint_bill
-    reseed, serial, draw = rng.seed, rng.getrandbits, rng.random
+    serial, draw = rng.getrandbits, rng.random
     successes = queries = 0
     qubits = range(n)
     if strategy is _ADAPTIVE:  # destroying: the returning mint's rows never reach here
-        for key in keys:
-            if key is not None:
-                reseed(key & _U64)
+        for _ in range(trials):
             serial(128)
             for i in qubits:
                 if draw() < 0.5:
@@ -166,9 +158,7 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
     rows = _GUESS_ROWS if strategy is _GUESS else _COPY_ROWS if strategy is _MEASURE_COPY else None
     if rows is None:
         raise ValueError(f"{strategy} is not a baseline strategy")
-    for key in keys:
-        if key is not None:
-            reseed(key & _U64)
+    for _ in range(trials):
         serial(128)
         bill = [draw() for _ in qubits]
         amp = 1.0 + 0.0j
@@ -196,7 +186,7 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
                 coeff = c * (1.0 / _sqrt(p))
         if amp != 0:
             successes += draw() < clamp_probability(abs(amp) ** 2)
-    return successes, len(keys)
+    return successes, trials
 
 
 def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
@@ -229,28 +219,28 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _count(strategy: StrategyKind, policy: str, n: int, seed: int, trials: int) -> tuple[int, int]:
-    """(successes, queries) over trial indices [0, trials).
+    """(successes, queries) of the row's `trials` trials, read in order
+    from the row's one stream, `trial_rng(seed, n)`.
 
     A row whose every trial is the same is counted in closed form.  Any
     other row runs its trial 0 through `run_trial` and through
     `mint_trial` under the row's own policy, and raises RuntimeError if
     they differ: every row is tied to the real mint and attack code, and
     the benchmark's tracer reads the per-layer metrics of `baseline_attack`,
-    `Mint()` and a `return-always` verify there.  Trials 1..T-1 run in one
-    `_trials` loop on trial 0's generator, reseeded per trial with
-    `trial_rng`'s key: each reads `trial_rng(seed, n, index)`'s stream.
+    `Mint()` and a `return-always` verify there.  Trials 1..T-1 then run
+    in one `_trials` loop on the generator, from where trial 0 left it.
     """
     if strategy is _ADAPTIVE and policy == MintPolicy.RETURN_ALWAYS:
         # every such trial is (True, n) and reads no draw: seed no stream
         return trials, n * trials
-    rng = trial_rng(seed, n, 0)
+    rng = trial_rng(seed, n)
     first = run_trial(strategy, policy, n, rng)
-    reference = mint_trial(strategy, policy, n, trial_rng(seed, n, 0))
+    reference = mint_trial(strategy, policy, n, trial_rng(seed, n))
     if first != reference:
         raise RuntimeError(
             f"{strategy.value} trial 0 under {policy} at n={n}, seed {seed}: "
             f"run_trial gave {first}, mint_trial {reference}")
-    successes, queries = _trials(strategy, policy, n, rng, _keys(seed, n, 1, trials))
+    successes, queries = _trials(strategy, policy, n, rng, trials - 1)
     return successes + first[0], queries + first[1]
 
 

@@ -14,13 +14,15 @@ multi-term states by hand; `state_from_string`, `inner_with`, `fidelity`,
 `fidelity_to_symbols`, `symbol_basis`, `symbol_bit`, the `PAULI_X` and
 `HADAMARD` gates, `FixedDraw` (an rng whose draws are one set number),
 `bills_equal`, `serials` (a mint's serials), `is_live` (whether a
-registry holds a handle's state) and `read_results_csv` are the other
-helpers that only tests call.
+registry holds a handle's state), `read_results_csv` and `indexed_rng`
+(a stream per trial index, for tests pinned to such streams) are the
+other helpers that only tests call.
 
 Both backends' measurements take an rng and draw from it once, after
 their own checks, as the runtime's do.
 """
 
+import _random
 import cmath
 import csv
 import math
@@ -28,7 +30,7 @@ import random
 
 import numpy as np
 
-from qmoney.harness import ResultRow
+from qmoney.harness import _MIX_A, _MIX_B, _U64, ResultRow
 from qmoney.qstate import (
     ATOL,
     Basis,
@@ -135,6 +137,18 @@ def serials(mint) -> list[str]:
 def is_live(registry, handle: int) -> bool:
     with registry._lock:
         return handle in registry._states
+
+
+# the third splitmix64 constant, which mixed a trial index into its own
+# stream before a row's trials read one stream in order
+_MIX_C = 0x94D049BB133111EB
+
+
+def indexed_rng(seed: int, n: int, index: int) -> _random.Random:
+    """The generator seeded with `seed*A + n*B + index*C` masked to 64 bits:
+    trial `index`'s own stream, from which the mint path's pinned digests
+    and criterion 1 were recorded.  Index 0 is `harness.trial_rng(seed, n)`."""
+    return _random.Random((seed * _MIX_A + n * _MIX_B + index * _MIX_C) & _U64)
 
 
 def read_results_csv(path) -> list[ResultRow]:

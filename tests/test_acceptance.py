@@ -13,6 +13,7 @@ import pytest
 from support import (
     bills_equal,
     fidelity_to_symbols,
+    indexed_rng,
     is_live,
     random_program,
     run_on_both_backends,
@@ -26,7 +27,7 @@ from qmoney.attacks import (
     analytic_success_rate,
 )
 from qmoney.cli import EXIT_ATTACK_FAILED, EXIT_OK, main
-from qmoney.harness import ExperimentConfig, render_csv, run_experiment, trial_rng
+from qmoney.harness import ExperimentConfig, render_csv, run_experiment
 from qmoney.mint import (
     HandleConsumedError,
     Mint,
@@ -46,7 +47,7 @@ def test_criterion_1_exact_query_attack():
     start = time.monotonic()
     for n in (1, 2, 4, 8, 16, 32, 64):
         for trial in range(200):
-            rng = trial_rng(101, n, trial)
+            rng = indexed_rng(101, n, trial)
             mint = Mint(rng=rng)
             secret, handle = mint.mint_bill(n)
             session = LocalSession(mint, MintPolicy.RETURN_ALWAYS, rng)

@@ -29,11 +29,10 @@ number of calls per n on average: its profile events, averaged over
 trials 0-299 of seed 303, stay at or under a ceiling recorded for each
 strategy, policy and n.  `harness.run_trial` computes a baseline trial
 exactly, with no mint, so it has its own ceilings, under a third of
-`mint_trial`'s.  A row runs its trials 1..T-1 in one loop on one kept
-generator, reseeded per trial, so a trial there costs fewer events than
-a `run_trial` with its own `trial_rng`: the events per trial of that
-loop stay at or under a ceiling for each kernel, its measured count
-plus 0.1.
+`mint_trial`'s.  A row runs its trials 1..T-1 in one loop that reads the
+row's one generator on, with no reseed, so a trial there costs fewer
+events than a `run_trial`: the events per trial of that loop stay at or
+under a ceiling for each kernel, its measured count plus 0.1.
 """
 
 import json
@@ -45,10 +44,11 @@ from collections import defaultdict
 from contextlib import contextmanager
 
 import pytest
+from support import indexed_rng
 
 from qmoney import harness
 from qmoney.attacks import LocalSession, StrategyKind, adaptive_attack
-from qmoney.harness import mint_trial, run_trial, trial_rng
+from qmoney.harness import mint_trial, run_trial
 from qmoney.mint import Mint, MintPolicy
 from qmoney.qstate import VerifyOutcome, symbols_from_string
 from qmoney.wire import MintServer, remote_adaptive_attack
@@ -89,21 +89,18 @@ TRIAL_CALL_CEILINGS = {
     ("measure-copy", MintPolicy.DESTROY_ON_INVALID): (55.5, 89.0, 135.6),
 }
 # the ceiling on the mean profile events per `run_trial` of a baseline
-# under `return-always`, at the same trials and n.  Two of them are its
-# call of the row loop and that loop's len()
+# under `return-always`, at the same trials and n.  One of them is its
+# call of the row loop
 RUN_TRIAL_CALL_CEILINGS = {
-    "guess": (10.4, 13.5, 17.9),
-    "measure-copy": (14.1, 29.1, 49.1),
+    "guess": (9.4, 12.5, 16.9),
+    "measure-copy": (13.1, 28.1, 48.1),
 }
 # the ceiling on the mean profile events per trial of a row's loop, over
-# trials 1..TRIALS-1 of `harness._count` at the same seed and n.  Each is
-# under the events of one `run_trial` plus its `trial_rng` call before
-# the loop was one frame: guess (8.25, 11.43, 15.81), measure-copy
-# (12.0, 27.0, 47.0), adaptive (4.0, 4.74, 5.03)
+# trials 1..TRIALS-1 of `harness._count` at the same seed and n
 ROW_TRIAL_CALL_CEILINGS = {
-    ("guess", MintPolicy.RETURN_ALWAYS): (7.35, 10.52, 14.92),
-    ("measure-copy", MintPolicy.RETURN_ALWAYS): (11.1, 26.1, 46.1),
-    ("adaptive", MintPolicy.DESTROY_ON_INVALID): (3.1, 3.84, 4.11),
+    ("guess", MintPolicy.RETURN_ALWAYS): (6.38, 9.85, 14.09),
+    ("measure-copy", MintPolicy.RETURN_ALWAYS): (10.1, 25.1, 45.1),
+    ("adaptive", MintPolicy.DESTROY_ON_INVALID): (2.1, 2.93, 3.15),
 }
 
 _OUTCOMES = {o.value: o for o in VerifyOutcome}
@@ -197,7 +194,7 @@ def _calls_per_query(kind, pattern, n):
 
 def _calls_per_trial(trial, strategy, policy, n):
     """Mean profile events per call of `trial`, its stream's seeding excluded."""
-    return sum(_count_calls(trial, strategy, policy, n, trial_rng(TRIAL_SEED, n, index))
+    return sum(_count_calls(trial, strategy, policy, n, indexed_rng(TRIAL_SEED, n, index))
                for index in range(TRIALS)) / TRIALS
 
 

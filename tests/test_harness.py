@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from support import read_results_csv
+from support import _MIX_C, indexed_rng, read_results_csv
 
 from qmoney import harness
 from qmoney.attacks import StrategyKind
@@ -182,21 +183,22 @@ class TestAdaptiveKernel:
         # twice, so that both paths read the same draws
         for n in range(1, 9):
             for index in range(2000):
-                kernel = run_trial(StrategyKind.ADAPTIVE_ORACLE, policy, n, trial_rng(11, n, index))
+                kernel = run_trial(StrategyKind.ADAPTIVE_ORACLE, policy, n,
+                                   indexed_rng(11, n, index))
                 reference = mint_trial(StrategyKind.ADAPTIVE_ORACLE, policy, n,
-                                       trial_rng(11, n, index))
+                                       indexed_rng(11, n, index))
                 assert kernel == reference, (policy, n, index)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            run_trial(StrategyKind.ADAPTIVE_ORACLE, "shred-everything", 2, trial_rng(1, 2, 0))
+            run_trial(StrategyKind.ADAPTIVE_ORACLE, "shred-everything", 2, trial_rng(1, 2))
 
 
 @pytest.mark.parametrize("strategy", list(StrategyKind), ids=lambda s: s.value)
 def test_empty_bill_rejected(strategy):
     for trial in (run_trial, mint_trial):
         with pytest.raises(ValueError, match="^bill size n must be >= 1$"):
-            trial(strategy, MintPolicy.DESTROY_ON_INVALID, 0, trial_rng(1, 0, 0))
+            trial(strategy, MintPolicy.DESTROY_ON_INVALID, 0, trial_rng(1, 0))
 
 
 _BASELINES = pytest.mark.parametrize("strategy", [
@@ -216,28 +218,29 @@ class TestBaselineRouting:
         for n in (1, 2, 3, 4, 8):
             for seed in (303, 11, 7):
                 for index in range(2000):
-                    routed = run_trial(strategy, policy, n, trial_rng(seed, n, index))
-                    reference = mint_trial(strategy, policy, n, trial_rng(seed, n, index))
+                    routed = run_trial(strategy, policy, n, indexed_rng(seed, n, index))
+                    reference = mint_trial(strategy, policy, n, indexed_rng(seed, n, index))
                     assert routed == reference, (strategy, policy, n, seed, index)
 
     @_BASELINES
     def test_unknown_policy_rejected(self, strategy):
         # run_trial rejects an unknown policy as the mint does
         with pytest.raises(ValueError) as routed:
-            run_trial(strategy, "shred-everything", 2, trial_rng(1, 2, 0))
+            run_trial(strategy, "shred-everything", 2, trial_rng(1, 2))
         with pytest.raises(ValueError) as reference:
-            mint_trial(strategy, "shred-everything", 2, trial_rng(1, 2, 0))
+            mint_trial(strategy, "shred-everything", 2, trial_rng(1, 2))
         assert str(routed.value) == str(reference.value)
         assert "unknown policy 'shred-everything'" in str(routed.value)
 
 
 class TestTrialRng:
     def test_streams_are_stable(self):
-        assert trial_rng(7, 4, 0).random() == trial_rng(7, 4, 0).random()
+        assert trial_rng(7, 4).random() == trial_rng(7, 4).random()
 
     def test_streams_are_independent(self):
-        draws = {trial_rng(7, 4, i).random() for i in range(100)}
-        assert len(draws) == 100
+        draws = {trial_rng(7, n).random() for n in range(1, 101)}
+        draws |= {trial_rng(seed, 4).random() for seed in range(100)}
+        assert len(draws) == 199
 
     def test_same_stream_as_random_random(self):
         # seed * _MIX_A alone is the mix when n = index = 0, so inverting
@@ -248,49 +251,20 @@ class TestTrialRng:
         cases += [(seed, n, i) for seed in (303, 404) for n in (1, 8) for i in (0, 1, 999)]
         mixes = []
         for seed, n, i in cases:
-            mixes.append((seed * harness._MIX_A + n * harness._MIX_B + i * harness._MIX_C) % u64)
-            lean, reference = trial_rng(seed, n, i), random.Random(mixes[-1])
+            mixes.append((seed * harness._MIX_A + n * harness._MIX_B + i * _MIX_C) % u64)
+            lean, reference = indexed_rng(seed, n, i), random.Random(mixes[-1])
+            if i == 0:
+                # a row's stream is its trial 0's old stream
+                assert trial_rng(seed, n).getstate() == lean.getstate(), (seed, n)
             assert lean.getrandbits(128) == reference.getrandbits(128), (seed, n, i)
             assert [lean.random() for _ in range(20)] == [reference.random() for _ in range(20)]
         assert sum(m < 1 << 32 for m in mixes) == 4 and sum(m > 1 << 63 for m in mixes) >= 4
 
 
-def _draws_after_serial(rng, seed, n, index):
-    """The random() draws after its serial that bring trial `index`'s
-    stream to where `rng` stands."""
-    fresh = trial_rng(seed, n, index)
-    fresh.getrandbits(128)
-    for taken in range(4 * n + 2):
-        if fresh.getstate() == rng.getstate():
-            return taken
-        fresh.random()
-    raise AssertionError(f"rng is not on trial {index}'s stream")
-
-
 class TestRowPath:
-    # _count runs trials 1..T-1 in one loop on the generator trial 0 used,
-    # reseeded per trial with the key trial_rng seeds from
-    @pytest.mark.parametrize("strategy, policy, n, stopped_early", [
-        # a guess whose overlap hit 0 draws neither its other guesses nor its verify
-        (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, 8, lambda k: k < 17),
-        # an adaptive bill eaten at qubit 0 read one symbol draw
-        (StrategyKind.ADAPTIVE_ORACLE, MintPolicy.DESTROY_ON_INVALID, 4, lambda k: k == 1),
-    ], ids=["guess", "adaptive"])
-    def test_reseed_after_early_stop_gives_trial_rng_stream(self, strategy, policy, n,
-                                                            stopped_early):
-        seed, stopped = 303, 0
-        rng = trial_rng(seed, n, 0)
-        for index in range(1, 200):
-            harness._trials(strategy, policy, n, rng, harness._keys(seed, n, index, index + 1))
-            if not stopped_early(_draws_after_serial(rng, seed, n, index)):
-                continue
-            stopped += 1
-            rng.seed(harness._keys(seed, n, index + 1, index + 2)[0] & harness._U64)
-            fresh = trial_rng(seed, n, index + 1)
-            assert rng.getrandbits(128) == fresh.getrandbits(128), index
-            assert [rng.random() for _ in range(20)] == [fresh.random() for _ in range(20)]
-        assert stopped >= 50
-
+    # a row's trials read one stream in order.  A kernel stops early where
+    # mint_trial draws on, so each trial is tied to mint_trial run from the
+    # state the stream stood in before it: results, not draws, must agree
     @pytest.mark.parametrize("strategy, policy", [
         *((s, p) for s in (StrategyKind.GUESS_RANDOM_SYMBOLS, StrategyKind.MEASURE_RANDOM_BASIS_COPY)
           for p in MintPolicy.ALL),
@@ -299,16 +273,22 @@ class TestRowPath:
     @pytest.mark.parametrize("trials", [1, 2, 257])
     def test_row_equals_mint_trials_summed(self, strategy, policy, trials):
         for n in (1, 3, 8):
-            results = [mint_trial(strategy, policy, n, trial_rng(77, n, index))
-                       for index in range(trials)]
+            rng, restored, results = trial_rng(77, n), trial_rng(77, n), []
+            for index in range(trials):
+                state = rng.getstate()
+                kernel = run_trial(strategy, policy, n, rng)
+                restored.setstate(state)
+                assert kernel == mint_trial(strategy, policy, n, restored), (n, index)
+                results.append(kernel)
             expected = sum(ok for ok, _ in results), sum(used for _, used in results)
             assert harness._count(strategy, policy, n, 77, trials) == expected, n
 
 
 # SHA-256 of the bytes b"%d,%d;" % (success, queries) over trials 0..1999
-# of mint_trial at seed 303, as the mint path gave them before it was
-# made lean.  The policy changes no baseline outcome.  The pinned CSVs
-# below hold only each row's sums, which flips that cancel leave alone.
+# of mint_trial at seed 303, each on its own `indexed_rng` stream, as the
+# mint path gave them before it was made lean.  The policy changes no
+# baseline outcome.  The pinned CSVs below hold only each row's sums,
+# which flips that cancel leave alone.
 MINT_TRIAL_DIGESTS = {
     (StrategyKind.GUESS_RANDOM_SYMBOLS, 1): "56eab3d092a800a46b7267466ae01157ebf63c615d98fafaf7f49681df1bd7cf",
     (StrategyKind.GUESS_RANDOM_SYMBOLS, 2): "76037da18767f679f9f6965acc762f8c82c6a937607b6b9cd83bf60f1202676e",
@@ -326,14 +306,14 @@ def test_mint_trials_are_pinned(policy):
     for (strategy, n), expected in MINT_TRIAL_DIGESTS.items():
         digest = hashlib.sha256()
         for index in range(2000):
-            digest.update(b"%d,%d;" % mint_trial(strategy, policy, n, trial_rng(303, n, index)))
+            digest.update(b"%d,%d;" % mint_trial(strategy, policy, n, indexed_rng(303, n, index)))
         assert digest.hexdigest() == expected, (strategy, policy, n)
 
 
 def test_adaptive_return_always_rows_in_closed_form():
     def by_trial(strategy, policy, n, seed, trials):
-        results = [run_trial(strategy, policy, n, trial_rng(seed, n, index))
-                   for index in range(trials)]
+        rng = trial_rng(seed, n)
+        results = [run_trial(strategy, policy, n, rng) for _ in range(trials)]
         return sum(ok for ok, _ in results), sum(used for _, used in results)
 
     def counted_trial_by_trial(config):
@@ -448,29 +428,29 @@ class TestExponentialDecaySlope:
         ) == pytest.approx(0.25, abs=1e-12)
 
 
-# A seeded sweep is a reproducible result: these CSVs were rendered
-# before the trial code was last optimized, and every later version must
-# reproduce them byte for byte.
+# A seeded sweep is a reproducible result: these CSVs were rendered when a
+# row's trials first read one stream in order, and every later version
+# must reproduce them byte for byte.
 PINNED_CSV = {
     (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, (1, 2, 4, 8), 303): """\
 n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed
-1,guess,return-always,2000,984,0.492,1.0,0.011178908712392278,0.5,303
-2,guess,return-always,2000,526,0.263,1.0,0.009844567029585404,0.25,303
-4,guess,return-always,2000,121,0.0605,1.0,0.005331029450303197,0.0625,303
-8,guess,return-always,2000,6,0.003,1.0,0.0012229063741758812,0.00390625,303
+1,guess,return-always,2000,970,0.485,1.0,0.01117530760203047,0.5,303
+2,guess,return-always,2000,504,0.252,1.0,0.009708140913686821,0.25,303
+4,guess,return-always,2000,126,0.063,1.0,0.005432816948876522,0.0625,303
+8,guess,return-always,2000,5,0.0025,1.0,0.001116635571706365,0.00390625,303
 """,
     (StrategyKind.MEASURE_RANDOM_BASIS_COPY, MintPolicy.RETURN_ALWAYS, (1, 2, 4, 8), 303): """\
 n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed
-1,measure-copy,return-always,2000,1501,0.7505,1.0,0.009675994780899791,0.7499999999999998,303
-2,measure-copy,return-always,2000,1124,0.562,1.0,0.011094052460665579,0.5624999999999997,303
-4,measure-copy,return-always,2000,678,0.339,1.0,0.010584871279330704,0.3164062499999996,303
-8,measure-copy,return-always,2000,212,0.106,1.0,0.0068834584330843464,0.10011291503906226,303
+1,measure-copy,return-always,2000,1496,0.748,1.0,0.009708140913686821,0.7499999999999998,303
+2,measure-copy,return-always,2000,1117,0.5585,1.0,0.011103552359492884,0.5624999999999997,303
+4,measure-copy,return-always,2000,620,0.31,1.0,0.010341663309158734,0.3164062499999996,303
+8,measure-copy,return-always,2000,216,0.108,1.0,0.0069403169956422026,0.10011291503906226,303
 """,
     (StrategyKind.ADAPTIVE_ORACLE, MintPolicy.DESTROY_ON_INVALID, (1, 2, 4), 404): """\
 n,strategy,policy,trials,successes,success_rate,mean_queries,std_error,analytic_rate,seed
-1,adaptive,destroy-on-invalid,2000,1004,0.502,1.0,0.011180250444422075,0.5,404
-2,adaptive,destroy-on-invalid,2000,501,0.2505,1.5015,0.009688904736862677,0.25,404
-4,adaptive,destroy-on-invalid,2000,127,0.0635,1.8735,0.005452877680637995,0.0625,404
+1,adaptive,destroy-on-invalid,2000,1034,0.517,1.0,0.011173875782377394,0.5,404
+2,adaptive,destroy-on-invalid,2000,491,0.2455,1.492,0.009623662244696662,0.25,404
+4,adaptive,destroy-on-invalid,2000,126,0.063,1.8465,0.005432816948876522,0.0625,404
 """,
 }
 
@@ -480,3 +460,41 @@ def test_seeded_csv_is_pinned():
         config = ExperimentConfig(strategy=strategy, policy=policy, n_values=list(n_values),
                                   trials=2000, seed=seed)
         assert render_csv(run_experiment(config)) == expected
+
+
+# The rows of criteria 3 and 4 at seeds fixed before their rates were
+# seen: each success rate lies within 3 standard errors of its closed
+# form, and each destroying adaptive row's mean_queries within 3 of
+# 2 - 2^(1-n).  The byte pins above check only that the streams stay put
+STAT_SEEDS = (303, 404, 505)
+STAT_TRIALS = 2000
+STAT_SIGMAS = 3
+
+
+def _adaptive_queries(n):
+    """(mean, variance) of the queries of the adaptive attack on a
+    destroying mint: it stops at qubit i, the bill's first Z-basis symbol,
+    with probability 2^-(i+1), or after all n with probability 2^-n."""
+    dist = [(i + 1, 0.5 ** (i + 1)) for i in range(n)] + [(n, 0.5 ** n)]
+    mean = sum(q * p for q, p in dist)
+    return mean, sum(q * q * p for q, p in dist) - mean ** 2
+
+
+@pytest.mark.parametrize("seed", STAT_SEEDS)
+@pytest.mark.parametrize("strategy, policy, n_values", [
+    (StrategyKind.GUESS_RANDOM_SYMBOLS, MintPolicy.RETURN_ALWAYS, [1, 2, 4, 8]),
+    (StrategyKind.MEASURE_RANDOM_BASIS_COPY, MintPolicy.RETURN_ALWAYS, [1, 2, 4, 8]),
+    (StrategyKind.ADAPTIVE_ORACLE, MintPolicy.DESTROY_ON_INVALID, [1, 2, 4]),
+], ids=["guess", "measure-copy", "adaptive-destroying"])
+def test_criteria_rows_lie_near_closed_form(strategy, policy, n_values, seed):
+    rows = run_experiment(ExperimentConfig(strategy=strategy, policy=policy, n_values=n_values,
+                                           trials=STAT_TRIALS, seed=seed))
+    for row in rows:
+        p = analytic_success_rate(strategy, policy, row.n)
+        se = math.sqrt(p * (1.0 - p) / STAT_TRIALS)
+        assert abs(row.success_rate - p) <= STAT_SIGMAS * se, row
+        if strategy is StrategyKind.ADAPTIVE_ORACLE:
+            mean, variance = _adaptive_queries(row.n)
+            assert mean == 2 - 2 ** (1 - row.n)
+            se = math.sqrt(variance / STAT_TRIALS)
+            assert abs(row.mean_queries - mean) <= STAT_SIGMAS * se, row
