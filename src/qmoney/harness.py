@@ -18,7 +18,7 @@ from math import sqrt as _sqrt
 from .attacks import (_GUESS, _MEASURE_COPY, _OVERLAP, LocalSession, StrategyKind, adaptive_attack,
                       analytic_success_rate, baseline_attack)
 from .mint import Mint, MintPolicy
-from .qstate import _NEAR_ONE, _SYMBOL_ORDER, ATOL, Basis, VerifyOutcome, clamp_probability
+from .qstate import _NEAR_ONE, _SYMBOL_ORDER, ATOL, Basis, VerifyOutcome
 
 
 @dataclass
@@ -91,16 +91,13 @@ def trial_rng(seed: int, n: int) -> _random.Random:
     return _random.Random((seed * _MIX_A + n * _MIX_B) & _U64)
 
 
-# Per bill symbol s, in `_SYMBOL_ORDER`, each overlap a trial takes, read
-# from `attacks._OVERLAP`, whose `_dot` of the amplitudes is the
-# expression `inner_with_symbols` and `measure_qubit` evaluate with the
-# cached bras: for a guess, with each guessed symbol g, <s|g>; for
-# measure-copy, per basis (Z, then X), the branch overlap <o|s> of each
-# outcome o, then the copy's <s|o>.
+# Per bill symbol s, in `_SYMBOL_ORDER`, the overlaps a trial takes, from
+# `attacks._OVERLAP` (what `inner_with_symbols` and `measure_qubit`
+# evaluate): for a guess, <s|g> per guessed symbol g; for measure-copy, per
+# basis (Z, then X) with outcomes o0, o1, (<o0|s>, <o1|s>, <s|o0>, <s|o1>).
 _GUESS_ROWS = tuple(tuple(_OVERLAP[s][g] for g in _SYMBOL_ORDER) for s in _SYMBOL_ORDER)
 _COPY_ROWS = tuple(
-    tuple((tuple(_OVERLAP[o][s] for o in b.symbols),
-           tuple(_OVERLAP[s][o] for o in b.symbols))
+    tuple((*(_OVERLAP[o][s] for o in b.symbols), *(_OVERLAP[s][o] for o in b.symbols))
           for b in (Basis.Z, Basis.X))
     for s in _SYMBOL_ORDER
 )
@@ -119,23 +116,19 @@ def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) 
 def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
             trials: int) -> tuple[int, int]:
     """(successes, queries) of `trials` trials, each reading `rng` on from
-    where the one before left it.  The checks and the dispatch run once
-    per call, and every trial in this frame.
+    where the one before left it; the checks and the dispatch run once.
 
-    A trial gives what `mint_trial` gives from the same state of `rng`,
-    from the same draws taken in the same order, and computes the same
-    floats: the serial, then the bill, as `Mint.mint_bill` does (draw d
-    picks `_SYMBOL_ORDER[int(d * 4)]`).  Against a destroying mint, the
-    adaptive attack's flip of an X-basis qubit verifies VALID and of a
-    Z-basis one INVALID, so the bill dies at its first Z-basis symbol,
-    `d < 0.5`, and the kernel draws no further.  A baseline's verdict,
-    under either policy, is one verify draw compared with the overlap:
-    `inner_with_symbols`'s running product, over a guessed symbol per
-    qubit or, for measure-copy, a basis draw and a measurement draw that
-    carries the bill term's coefficient as the one-term `measure_qubit`
-    does.  An overlap of 0 fails whatever comes next: a guess stops there
-    and draws no verify.  After such an early stop the next trial reads
-    on from there, where `mint_trial` would have drawn further.
+    Each trial takes `mint_trial`'s draws, in its order, and computes its
+    floats.  A bill draw d picks `_SYMBOL_ORDER[int(d * 4)]`; d * 4 is
+    exact, so comparing d with the quarters picks the same, and yields the
+    qubit's row (a guess draw picks its overlap there the same way).  A
+    destroying mint kills the adaptive attack's bill at its first Z-basis
+    symbol, d < 0.5.  A baseline's verdict is one verify draw against
+    `inner_with_symbols`'s running product, clamped as `clamp_probability`
+    does: over a guessed symbol per qubit or, for measure-copy, a basis
+    draw and a measurement draw whose branch carries the bill term's
+    coefficient as the one-term `measure_qubit` does.  A product of 0 draws
+    no verify, and a guess stops there: the next trial reads on from there.
     """
     if policy not in MintPolicy.ALL:
         MintPolicy.check(policy)
@@ -155,37 +148,44 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
                 successes += 1
                 queries += n
         return successes, queries
-    rows = _GUESS_ROWS if strategy is _GUESS else _COPY_ROWS if strategy is _MEASURE_COPY else None
-    if rows is None:
+    guess = strategy is _GUESS
+    if not guess and strategy is not _MEASURE_COPY:
         raise ValueError(f"{strategy} is not a baseline strategy")
+    r0, r1, r2, r3 = _GUESS_ROWS if guess else _COPY_ROWS
     for _ in range(trials):
         serial(128)
-        bill = [draw() for _ in qubits]
+        bill = [(r0 if d < 0.25 else r1) if (d := draw()) < 0.5 else (r2 if d < 0.75 else r3)
+                for _ in qubits]
         amp = 1.0 + 0.0j
-        if rows is _GUESS_ROWS:
-            for d in bill:
-                amp *= rows[int(d * 4)][int(draw() * 4)]
+        if guess:
+            for row in bill:
+                amp *= (row[0] if g < 0.25 else row[1]) if (g := draw()) < 0.5 else (
+                    row[2] if g < 0.75 else row[3])
                 if amp == 0:
                     break
-        else:
-            coeff = 1.0 + 0.0j
-            for d in bill:
-                (w0, w1), (o0, o1) = rows[int(d * 4)][draw() >= 0.5]  # Z below 1/2, as baseline_attack
-                c = coeff * w0
-                p = abs(c) ** 2  # clamp_probability, written out
-                if p < ATOL:
-                    p = 0.0
-                elif p > _NEAR_ONE:
-                    p = 1.0
-                if draw() < p:
-                    amp *= o0
-                else:
-                    p = 1.0 - p
-                    c = coeff * w1
-                    amp *= o1
-                coeff = c * (1.0 / _sqrt(p))
+            else:
+                p = abs(amp) ** 2
+                successes += draw() < (0.0 if p < ATOL else 1.0 if p > _NEAR_ONE else p)
+            continue
+        coeff = 1.0 + 0.0j
+        for row in bill:
+            w0, w1, o0, o1 = row[0] if draw() < 0.5 else row[1]  # Z below 1/2, as baseline_attack
+            c = coeff * w0
+            p = abs(c) ** 2
+            if p < ATOL:
+                p = 0.0
+            elif p > _NEAR_ONE:
+                p = 1.0
+            if draw() < p:
+                amp *= o0
+            else:
+                p = 1.0 - p
+                c = coeff * w1
+                amp *= o1
+            coeff = c * (1.0 / _sqrt(p))
         if amp != 0:
-            successes += draw() < clamp_probability(abs(amp) ** 2)
+            p = abs(amp) ** 2
+            successes += draw() < (0.0 if p < ATOL else 1.0 if p > _NEAR_ONE else p)
     return successes, trials
 
 

@@ -15,8 +15,8 @@
 # and the qubits touched since (`_dirty`).  Invariant: for every term
 # and every qubit k not in `_dirty`, `factors[k] is _ref[k].amplitudes`.
 # So off the dirty qubits all terms agree.  An INVALID answer onto
-# another tuple adds a term that may differ anywhere, so it marks every
-# qubit dirty.  `norm_sq` and `compress` take their overlaps in one loop
+# another tuple marks dirty the qubits where the target differs from
+# `_ref`.  `norm_sq` and `compress` take their overlaps in one loop
 # over the sorted dirty qubits, and so does `inner_with_symbols` when
 # its target is `_ref` itself; onto any other target it takes all n.
 # The mint verifies with the very tuple the bill was issued from, every
@@ -402,8 +402,9 @@ class SumOfProductsState:
         # the residue |psi> - c|target>, which `compress` renormalizes
         if mag >= PRUNE_TOL:
             if target is not self._ref:
-                # the new term may differ from the others on any qubit
-                self._dirty = set(range(self.n))
+                # the new term differs from `_ref` where the target does; locals
+                # named only in the first iterable become no closure cells
+                self._dirty |= {k for k, (s, r) in enumerate(zip(target, self._ref)) if s is not r}
             term = _new(ProductTerm)
             term.coeff = -c
             term.factors = [s.amplitudes for s in target]

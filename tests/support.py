@@ -13,6 +13,7 @@ and neither state class has an `__init__`.  `sum_of_products` and
 multi-term states by hand; `state_from_string`, `inner_with`, `fidelity`,
 `fidelity_to_symbols`, `symbol_basis`, `symbol_bit`, the `PAULI_X` and
 `HADAMARD` gates, `FixedDraw` (an rng whose draws are one set number),
+`ScriptedDraw` (an rng whose draws are a given list, in order),
 `bills_equal`, `serials` (a mint's serials), `is_live` (whether a
 registry holds a handle's state), `read_results_csv` and `indexed_rng`
 (a stream per trial index, for tests pinned to such streams) are the
@@ -334,6 +335,20 @@ class FixedDraw:
 
     def random(self) -> float:
         return self.value
+
+
+class ScriptedDraw:
+    """An rng stand-in whose draws are the given numbers, in order, and
+    whose serials are all 0."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+    def getrandbits(self, _k: int) -> int:
+        return 0
 
 
 def run_on_both_backends(symbols, ops, draws):

@@ -85,21 +85,21 @@ TRIAL_NS = (1, 4, 8)
 TRIAL_CALL_CEILINGS = {
     ("guess", MintPolicy.RETURN_ALWAYS): (55.1, 63.9, 69.5),
     ("guess", MintPolicy.DESTROY_ON_INVALID): (46.1, 49.4, 57.1),
-    ("measure-copy", MintPolicy.RETURN_ALWAYS): (62.7, 112.7, 175.1),
+    ("measure-copy", MintPolicy.RETURN_ALWAYS): (62.24, 109.52, 166.67),
     ("measure-copy", MintPolicy.DESTROY_ON_INVALID): (55.5, 89.0, 135.6),
 }
 # the ceiling on the mean profile events per `run_trial` of a baseline
 # under `return-always`, at the same trials and n.  One of them is its
 # call of the row loop
 RUN_TRIAL_CALL_CEILINGS = {
-    "guess": (9.4, 12.5, 16.9),
-    "measure-copy": (13.1, 28.1, 48.1),
+    "guess": (8.6, 12.27, 16.84),
+    "measure-copy": (12.1, 27.1, 47.1),
 }
 # the ceiling on the mean profile events per trial of a row's loop, over
 # trials 1..TRIALS-1 of `harness._count` at the same seed and n
 ROW_TRIAL_CALL_CEILINGS = {
-    ("guess", MintPolicy.RETURN_ALWAYS): (6.38, 9.85, 14.09),
-    ("measure-copy", MintPolicy.RETURN_ALWAYS): (10.1, 25.1, 45.1),
+    ("guess", MintPolicy.RETURN_ALWAYS): (5.62, 9.52, 13.98),
+    ("measure-copy", MintPolicy.RETURN_ALWAYS): (9.1, 24.1, 44.1),
     ("adaptive", MintPolicy.DESTROY_ON_INVALID): (2.1, 2.93, 3.15),
 }
 

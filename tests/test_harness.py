@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from support import _MIX_C, indexed_rng, read_results_csv
+from support import _MIX_C, ScriptedDraw, indexed_rng, read_results_csv
 
 from qmoney import harness
 from qmoney.attacks import StrategyKind
@@ -221,6 +222,23 @@ class TestBaselineRouting:
                     routed = run_trial(strategy, policy, n, indexed_rng(seed, n, index))
                     reference = mint_trial(strategy, policy, n, indexed_rng(seed, n, index))
                     assert routed == reference, (strategy, policy, n, seed, index)
+
+    @_BASELINES
+    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    def test_draws_at_the_quarters_pick_as_the_mint_does(self, strategy, policy):
+        # a bill of one qubit: its symbol draw, then a guess's symbol draw or
+        # measure-copy's basis and measurement draws, then the verify draw,
+        # each one of the quarters, one ulp below each, the last float below
+        # 1, which only a whole overlap passes, or a half overlap's
+        # probability, which that overlap fails.  Seeded streams almost
+        # never hit these
+        edges = [x for q in (0.25, 0.5, 0.75) for x in (math.nextafter(q, 0.0), q)]
+        edges += [math.nextafter(1.0, 0.0), abs(harness._GUESS_ROWS[0][2]) ** 2]
+        draws = 3 if strategy is StrategyKind.GUESS_RANDOM_SYMBOLS else 4
+        for script in itertools.product(edges, repeat=draws):
+            routed = run_trial(strategy, policy, 1, ScriptedDraw(script))
+            reference = mint_trial(strategy, policy, 1, ScriptedDraw(script))
+            assert routed == reference, script
 
     @_BASELINES
     def test_unknown_policy_rejected(self, strategy):
