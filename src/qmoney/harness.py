@@ -18,7 +18,7 @@ from math import sqrt as _sqrt
 from .attacks import (_GUESS, _MEASURE_COPY, _OVERLAP, LocalSession, StrategyKind, adaptive_attack,
                       analytic_success_rate, baseline_attack)
 from .mint import Mint, MintPolicy
-from .qstate import _NEAR_ONE, _SYMBOL_ORDER, ATOL, Basis, VerifyOutcome
+from .qstate import _NEAR_ONE, _SYMBOL_ORDER, ATOL, Basis, QubitSymbol, VerifyOutcome
 
 
 @dataclass
@@ -95,9 +95,16 @@ def trial_rng(seed: int, n: int) -> _random.Random:
 # `attacks._OVERLAP` (what `inner_with_symbols` and `measure_qubit`
 # evaluate): for a guess, <s|g> per guessed symbol g; for measure-copy, per
 # basis (Z, then X) with outcomes o0, o1, (<o0|s>, <o1|s>, <s|o0>, <s|o1>).
-_GUESS_ROWS = tuple(tuple(_OVERLAP[s][g] for g in _SYMBOL_ORDER) for s in _SYMBOL_ORDER)
+# All are real: `_real` takes each as a float, and refuses one with a phase.
+def _real(a: QubitSymbol, b: QubitSymbol) -> float:
+    if (z := _OVERLAP[a][b]).imag:
+        raise ValueError(f"<{a.name}|{b.name}> = {z!r} is not real: the trial kernels carry floats")
+    return z.real
+
+
+_GUESS_ROWS = tuple(tuple(_real(s, g) for g in _SYMBOL_ORDER) for s in _SYMBOL_ORDER)
 _COPY_ROWS = tuple(
-    tuple((*(_OVERLAP[o][s] for o in b.symbols), *(_OVERLAP[s][o] for o in b.symbols))
+    tuple((*(_real(o, s) for o in b.symbols), *(_real(s, o) for o in b.symbols))
           for b in (Basis.Z, Basis.X))
     for s in _SYMBOL_ORDER
 )
@@ -118,17 +125,21 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
     """(successes, queries) of `trials` trials, each reading `rng` on from
     where the one before left it; the checks and the dispatch run once.
 
-    Each trial takes `mint_trial`'s draws, in its order, and computes its
-    floats.  A bill draw d picks `_SYMBOL_ORDER[int(d * 4)]`; d * 4 is
-    exact, so comparing d with the quarters picks the same, and yields the
-    qubit's row (a guess draw picks its overlap there the same way).  A
-    destroying mint kills the adaptive attack's bill at its first Z-basis
-    symbol, d < 0.5.  A baseline's verdict is one verify draw against
-    `inner_with_symbols`'s running product, clamped as `clamp_probability`
-    does: over a guessed symbol per qubit or, for measure-copy, a basis
-    draw and a measurement draw whose branch carries the bill term's
-    coefficient as the one-term `measure_qubit` does.  A product of 0 draws
-    no verify, and a guess stops there: the next trial reads on from there.
+    Each trial takes `mint_trial`'s draws, in its order.  A bill draw d
+    picks `_SYMBOL_ORDER[int(d * 4)]`; d * 4 is exact, so comparing d with
+    the quarters picks the same, and yields the qubit's row (a guess draw
+    picks its overlap there the same way).  A destroying mint kills the
+    adaptive attack's bill at its first Z-basis symbol, d < 0.5.  A
+    baseline's verdict is one verify draw against `inner_with_symbols`'s
+    running product, clamped as `clamp_probability` does: over a guessed
+    symbol per qubit or, for measure-copy, a basis draw and a measurement
+    draw whose branch carries the bill term's coefficient as the one-term
+    `measure_qubit` does.  A product of 0 draws no verify, and a guess
+    stops there: the next trial reads on from there.  The baselines carry
+    floats where `qstate` carries complex numbers of imaginary part +-0,
+    with the same bits: a product's real part is the float product, and
+    abs(x +- 0j) = hypot(x, 0) = |x|.  p stays `abs(c) ** 2` as there:
+    `c * c` equals it only where libm's `pow` rounds correctly.
     """
     if policy not in MintPolicy.ALL:
         MintPolicy.check(policy)
@@ -156,7 +167,7 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
         serial(128)
         bill = [(r0 if d < 0.25 else r1) if (d := draw()) < 0.5 else (r2 if d < 0.75 else r3)
                 for _ in qubits]
-        amp = 1.0 + 0.0j
+        amp = 1.0
         if guess:
             for row in bill:
                 amp *= (row[0] if g < 0.25 else row[1]) if (g := draw()) < 0.5 else (
@@ -167,7 +178,7 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
                 p = abs(amp) ** 2
                 successes += draw() < (0.0 if p < ATOL else 1.0 if p > _NEAR_ONE else p)
             continue
-        coeff = 1.0 + 0.0j
+        coeff = 1.0
         for row in bill:
             w0, w1, o0, o1 = row[0] if draw() < 0.5 else row[1]  # Z below 1/2, as baseline_attack
             c = coeff * w0

@@ -13,7 +13,7 @@ import pytest
 from support import _MIX_C, ScriptedDraw, indexed_rng, read_results_csv
 
 from qmoney import harness
-from qmoney.attacks import StrategyKind
+from qmoney.attacks import _OVERLAP, StrategyKind, baseline_attack
 from qmoney.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -26,7 +26,8 @@ from qmoney.harness import (
     trial_rng,
     write_results,
 )
-from qmoney.mint import MintPolicy
+from qmoney.mint import Mint, MintPolicy
+from qmoney.qstate import _SYMBOL_ORDER, Basis
 
 
 def small_config(**overrides):
@@ -241,6 +242,32 @@ class TestBaselineRouting:
             assert routed == reference, script
 
     @_BASELINES
+    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    def test_large_bill_verify_draws_at_the_mint_probability(self, strategy, policy):
+        # with the mint's VALID probability p as the verify draw a trial
+        # fails, and one ulp below p it passes: the kernel must compute p to
+        # the bit over 16 and 33 factors.  A guess takes its qubit's symbol
+        # or one of the other basis (index ^ 2), so its product is never 0
+        for n, seed in itertools.product((16, 33), range(20)):
+            stream = random.Random(seed)
+            draws = [stream.random() for _ in range(n)]
+            if strategy is StrategyKind.GUESS_RANDOM_SYMBOLS:
+                draws += [((int(d * 4) ^ stream.choice((0, 2))) + 0.5) / 4 for d in draws]
+            else:
+                draws += [stream.random() for _ in range(2 * n)]
+            rng = ScriptedDraw(draws)
+            mint = Mint(rng)
+            secret, handle = mint.mint_bill(n, rng=rng)
+            copy, _ = baseline_attack(strategy, mint.registry, handle, n, rng)
+            state = mint.registry.consume(copy, n)
+            _, _, p = state.measure_projector_detail(secret.symbols, ScriptedDraw([1.0]), False)
+            assert 0.0 < p < 1.0, (n, seed)
+            for verify, valid in ((p, False), (math.nextafter(p, 0.0), True)):
+                for trial in (mint_trial, run_trial):
+                    assert trial(strategy, policy, n, ScriptedDraw([*draws, verify])) == (valid, 1), (
+                        trial.__name__, n, seed, valid)
+
+    @_BASELINES
     def test_unknown_policy_rejected(self, strategy):
         # run_trial rejects an unknown policy as the mint does
         with pytest.raises(ValueError) as routed:
@@ -249,6 +276,30 @@ class TestBaselineRouting:
             mint_trial(strategy, "shred-everything", 2, trial_rng(1, 2))
         assert str(routed.value) == str(reference.value)
         assert "unknown policy 'shred-everything'" in str(routed.value)
+
+
+class TestRowTables:
+    # the kernels' rows hold the overlaps they take as floats
+    def test_entries_are_the_overlaps_as_floats(self):
+        pairs = []
+        for s, guess_row, copy_row in zip(_SYMBOL_ORDER, harness._GUESS_ROWS, harness._COPY_ROWS,
+                                          strict=True):
+            pairs += zip(guess_row, [(s, g) for g in _SYMBOL_ORDER], strict=True)
+            for basis, entries in zip((Basis.Z, Basis.X), copy_row, strict=True):
+                o0, o1 = basis.symbols
+                pairs += zip(entries, [(o0, s), (o1, s), (s, o0), (s, o1)], strict=True)
+        assert len(pairs) == 16 + 32
+        for entry, (a, b) in pairs:
+            assert type(entry) is float, (a, b)
+            assert complex(entry) == _OVERLAP[a][b], (a, b)
+
+    def test_an_overlap_with_a_phase_is_refused(self, monkeypatch):
+        # a float would drop the phase, so `_real` raises
+        zero, one = _SYMBOL_ORDER[:2]
+        monkeypatch.setitem(harness._OVERLAP, zero, {**_OVERLAP[zero], one: 0.5 + 0.5j})
+        assert harness._real(one, zero) == 0.0
+        with pytest.raises(ValueError, match=r"^<ZERO\|ONE> = \(0\.5\+0\.5j\) is not real"):
+            harness._real(zero, one)
 
 
 class TestTrialRng:
@@ -290,7 +341,10 @@ class TestRowPath:
     ])
     @pytest.mark.parametrize("trials", [1, 2, 257])
     def test_row_equals_mint_trials_summed(self, strategy, policy, trials):
-        for n in (1, 3, 8):
+        # measure-copy renormalises its coefficient once per qubit: by n = 16
+        # and 33 its magnitude has drifted up to hundreds and thousands of
+        # ulps from 1 before the verify
+        for n in (1, 3, 8, 16, 33):
             rng, restored, results = trial_rng(77, n), trial_rng(77, n), []
             for index in range(trials):
                 state = rng.getstate()
