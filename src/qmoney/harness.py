@@ -2,12 +2,12 @@
 #
 # Each row (seed, n) reads one RNG stream, `trial_rng(seed, n)`, and its
 # trials read it in order, so the output depends on the seed alone.
-# `_trials`'s kernels compute each trial exactly, with no mint: from where
-# the stream stands they draw what `mint_trial`, the full path through a
-# fresh mint, draws, in the same order, and compute the same floats, up to
-# the early stops `mint_trial` does not take.  `_count` runs a row's trials
-# in one loop on that one generator.  `run_experiment` counts every row in
-# the calling process, and `write_results` writes the rows as CSV or JSON.
+# `_trials`'s kernels compute each trial exactly, with no mint: they read the
+# Mersenne Twister words that `mint_trial`, the full path through a fresh
+# mint, reads, in the same order (a baseline's serial and bill in one
+# `getrandbits` call), and compute the same floats, up to early stops.
+# `_count` runs a row's trials in one loop on that one generator, and
+# `run_experiment` counts every row; `write_results` writes them as CSV or JSON.
 
 from __future__ import annotations
 
@@ -108,6 +108,12 @@ _COPY_ROWS = tuple(
           for b in (Basis.Z, Basis.X))
     for s in _SYMBOL_ORDER
 )
+# A bill draw d picks `_SYMBOL_ORDER[int(d * 4)]`.  `random()` reads two
+# Mersenne Twister words, a then b, and returns ((a >> 5) * 2**26 + (b >> 6))
+# * 2**-53, so int(d * 4) is a >> 30.  `getrandbits` reads the same words in
+# the same order, the first least significant: byte 3 of a draw's 8 is a's top.
+_GUESS_BY_BYTE = tuple(_GUESS_ROWS[b >> 6] for b in range(256))
+_COPY_BY_BYTE = tuple(_COPY_ROWS[b >> 6] for b in range(256))
 
 
 def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
@@ -125,11 +131,11 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
     """(successes, queries) of `trials` trials, each reading `rng` on from
     where the one before left it; the checks and the dispatch run once.
 
-    Each trial takes `mint_trial`'s draws, in its order.  A bill draw d
-    picks `_SYMBOL_ORDER[int(d * 4)]`; d * 4 is exact, so comparing d with
-    the quarters picks the same, and yields the qubit's row (a guess draw
-    picks its overlap there the same way).  A destroying mint kills the
-    adaptive attack's bill at its first Z-basis symbol, d < 0.5.  A
+    Each trial takes `mint_trial`'s draws, in its order.  A baseline's
+    serial and bill are one `getrandbits`, whose bill bytes index the row
+    tables; a guess draw g picks overlap `int(g * 4)`, and since g * 4 is
+    exact, comparing g with the quarters picks the same.  A destroying mint
+    kills the adaptive attack's bill at its first Z-basis symbol, d < 0.5.  A
     baseline's verdict is one verify draw against `inner_with_symbols`'s
     running product, clamped as `clamp_probability` does: over a guessed
     symbol per qubit or, for measure-copy, a basis draw and a measurement
@@ -145,12 +151,12 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
         MintPolicy.check(policy)
     if n < 1:
         raise ValueError("bill size n must be >= 1")  # as Mint.mint_bill
-    serial, draw = rng.getrandbits, rng.random
+    words, draw = rng.getrandbits, rng.random
     successes = queries = 0
     qubits = range(n)
     if strategy is _ADAPTIVE:  # destroying: the returning mint's rows never reach here
         for _ in range(trials):
-            serial(128)
+            words(128)
             for i in qubits:
                 if draw() < 0.5:
                     queries += i + 1
@@ -162,38 +168,32 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
     guess = strategy is _GUESS
     if not guess and strategy is not _MEASURE_COPY:
         raise ValueError(f"{strategy} is not a baseline strategy")
-    r0, r1, r2, r3 = _GUESS_ROWS if guess else _COPY_ROWS
+    rows = _GUESS_BY_BYTE if guess else _COPY_BY_BYTE
+    nbits, nbytes = 128 + 64 * n, 16 + 8 * n  # the serial's 4 words, then 2 per bill draw
     for _ in range(trials):
-        serial(128)
-        bill = [(r0 if d < 0.25 else r1) if (d := draw()) < 0.5 else (r2 if d < 0.75 else r3)
-                for _ in qubits]
+        bill = words(nbits).to_bytes(nbytes, "little")[19::8]
         amp = 1.0
         if guess:
-            for row in bill:
+            for b in bill:
+                row = rows[b]
                 amp *= (row[0] if g < 0.25 else row[1]) if (g := draw()) < 0.5 else (
                     row[2] if g < 0.75 else row[3])
                 if amp == 0:
                     break
-            else:
-                p = abs(amp) ** 2
-                successes += draw() < (0.0 if p < ATOL else 1.0 if p > _NEAR_ONE else p)
-            continue
-        coeff = 1.0
-        for row in bill:
-            w0, w1, o0, o1 = row[0] if draw() < 0.5 else row[1]  # Z below 1/2, as baseline_attack
-            c = coeff * w0
-            p = abs(c) ** 2
-            if p < ATOL:
-                p = 0.0
-            elif p > _NEAR_ONE:
-                p = 1.0
-            if draw() < p:
-                amp *= o0
-            else:
-                p = 1.0 - p
-                c = coeff * w1
-                amp *= o1
-            coeff = c * (1.0 / _sqrt(p))
+        else:
+            coeff = 1.0
+            for b in bill:
+                row = rows[b]
+                w0, w1, o0, o1 = row[0] if draw() < 0.5 else row[1]  # Z below 1/2, as baseline_attack
+                c = coeff * w0
+                p = 0.0 if (p := abs(c) ** 2) < ATOL else 1.0 if p > _NEAR_ONE else p
+                if draw() < p:
+                    amp *= o0
+                else:
+                    p = 1.0 - p
+                    c = coeff * w1
+                    amp *= o1
+                coeff = c * (1.0 / _sqrt(p))
         if amp != 0:
             p = abs(amp) ** 2
             successes += draw() < (0.0 if p < ATOL else 1.0 if p > _NEAR_ONE else p)

@@ -13,7 +13,8 @@ and neither state class has an `__init__`.  `sum_of_products` and
 multi-term states by hand; `state_from_string`, `inner_with`, `fidelity`,
 `fidelity_to_symbols`, `symbol_basis`, `symbol_bit`, the `PAULI_X` and
 `HADAMARD` gates, `FixedDraw` (an rng whose draws are one set number),
-`ScriptedDraw` (an rng whose draws are a given list, in order),
+`ScriptedDraw` (an rng whose draws are a given list, in order, and whose
+`getrandbits` returns the words that give those draws),
 `bills_equal`, `serials` (a mint's serials), `is_live` (whether a
 registry holds a handle's state), `read_results_csv` and `indexed_rng`
 (a stream per trial index, for tests pinned to such streams) are the
@@ -338,8 +339,16 @@ class FixedDraw:
 
 
 class ScriptedDraw:
-    """An rng stand-in whose draws are the given numbers, in order, and
-    whose serials are all 0."""
+    """An rng stand-in whose draws are the given numbers, in order, read at
+    the Mersenne Twister word level as `_random.Random` reads them.
+
+    `random()` returns the next number as it is.  `getrandbits(k)` takes
+    k / 64 numbers and returns the words a generator reads to return each
+    from `random()`: for d = D * 2**-53, a = (D >> 26) << 5 then
+    b = (D mod 2**26) << 6, the first word least significant.  So a serial,
+    `getrandbits(128)`, takes two numbers (0.0 and 0.0 make serial 0), and
+    it refuses a number that `random()` cannot return.
+    """
 
     def __init__(self, values):
         self._values = iter(values)
@@ -347,8 +356,17 @@ class ScriptedDraw:
     def random(self) -> float:
         return next(self._values)
 
-    def getrandbits(self, _k: int) -> int:
-        return 0
+    def getrandbits(self, k: int) -> int:
+        if k % 64:
+            raise ValueError(f"getrandbits({k}): a script holds whole 64-bit draws only")
+        bits = 0
+        for i in range(k // 64):
+            d = next(self._values)
+            if not (type(d) is float and 0.0 <= d < 1.0 and (d * 2.0**53).is_integer()):
+                raise ValueError(f"{d!r} is not a random() output: no words give it")
+            big = int(d * 2.0**53)
+            bits |= ((big >> 26) << 5 | (big & (1 << 26) - 1) << 38) << 64 * i
+        return bits
 
 
 def run_on_both_backends(symbols, ops, draws):

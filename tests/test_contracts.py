@@ -92,14 +92,14 @@ TRIAL_CALL_CEILINGS = {
 # under `return-always`, at the same trials and n.  One of them is its
 # call of the row loop
 RUN_TRIAL_CALL_CEILINGS = {
-    "guess": (8.6, 12.27, 16.84),
-    "measure-copy": (12.1, 27.1, 47.1),
+    "guess": (7.6, 8.27, 8.84),
+    "measure-copy": (11.1, 23.1, 39.1),
 }
 # the ceiling on the mean profile events per trial of a row's loop, over
 # trials 1..TRIALS-1 of `harness._count` at the same seed and n
 ROW_TRIAL_CALL_CEILINGS = {
-    ("guess", MintPolicy.RETURN_ALWAYS): (5.62, 9.52, 13.98),
-    ("measure-copy", MintPolicy.RETURN_ALWAYS): (9.1, 24.1, 44.1),
+    ("guess", MintPolicy.RETURN_ALWAYS): (4.62, 5.52, 5.98),
+    ("measure-copy", MintPolicy.RETURN_ALWAYS): (8.1, 20.1, 36.1),
     ("adaptive", MintPolicy.DESTROY_ON_INVALID): (2.1, 2.93, 3.15),
 }
 

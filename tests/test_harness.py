@@ -1,3 +1,4 @@
+import _random
 import ast
 import hashlib
 import itertools
@@ -27,7 +28,7 @@ from qmoney.harness import (
     write_results,
 )
 from qmoney.mint import Mint, MintPolicy
-from qmoney.qstate import _SYMBOL_ORDER, Basis
+from qmoney.qstate import _NEAR_ONE, _SYMBOL_ORDER, Basis
 
 
 def small_config(**overrides):
@@ -203,6 +204,27 @@ def test_empty_bill_rejected(strategy):
             trial(strategy, MintPolicy.DESTROY_ON_INVALID, 0, trial_rng(1, 0))
 
 
+def _edge(p, probe):
+    # the draw that meets p as `probe` does: p itself, or one ulp below it.
+    # A draw of 1 would take a branch of probability 0, and none lies below 0
+    if p == 1.0:
+        return 1.0 - 2.0**-53
+    return math.nextafter(p, 0.0) if probe.below and p > 0.0 else p
+
+
+class _AtThreshold(float):
+    # a measurement draw that reads as the probability it is compared with,
+    # or one ulp below it, and keeps that probability in `seen`
+    def __new__(cls, below, seen):
+        draw = super().__new__(cls, 0.0)
+        draw.below, draw.seen = below, seen
+        return draw
+
+    def __lt__(self, p):
+        self.seen.append(p)
+        return _edge(p, self) < p
+
+
 _BASELINES = pytest.mark.parametrize("strategy", [
     StrategyKind.GUESS_RANDOM_SYMBOLS, StrategyKind.MEASURE_RANDOM_BASIS_COPY,
 ], ids=["guess", "measure-copy"])
@@ -231,14 +253,18 @@ class TestBaselineRouting:
         # measure-copy's basis and measurement draws, then the verify draw,
         # each one of the quarters, one ulp below each, the last float below
         # 1, which only a whole overlap passes, or a half overlap's
-        # probability, which that overlap fails.  Seeded streams almost
-        # never hit these
+        # probability, which that overlap fails.  The kernel reads the bill
+        # draw as words, and the largest `random()` output below a quarter q
+        # is q - 2**-53, not an ulp below q.  Seeded streams almost never
+        # hit these
         edges = [x for q in (0.25, 0.5, 0.75) for x in (math.nextafter(q, 0.0), q)]
         edges += [math.nextafter(1.0, 0.0), abs(harness._GUESS_ROWS[0][2]) ** 2]
-        draws = 3 if strategy is StrategyKind.GUESS_RANDOM_SYMBOLS else 4
-        for script in itertools.product(edges, repeat=draws):
-            routed = run_trial(strategy, policy, 1, ScriptedDraw(script))
-            reference = mint_trial(strategy, policy, 1, ScriptedDraw(script))
+        bill_edges = [x for q in (0.25, 0.5, 0.75) for x in (q - 2.0**-53, q)] + [1.0 - 2.0**-53]
+        draws = 2 if strategy is StrategyKind.GUESS_RANDOM_SYMBOLS else 3
+        for script in itertools.product(bill_edges, *[edges] * draws):
+            # two draws of 0.0 are serial 0
+            routed = run_trial(strategy, policy, 1, ScriptedDraw([0.0, 0.0, *script]))
+            reference = mint_trial(strategy, policy, 1, ScriptedDraw([0.0, 0.0, *script]))
             assert routed == reference, script
 
     @_BASELINES
@@ -250,9 +276,9 @@ class TestBaselineRouting:
         # or one of the other basis (index ^ 2), so its product is never 0
         for n, seed in itertools.product((16, 33), range(20)):
             stream = random.Random(seed)
-            draws = [stream.random() for _ in range(n)]
+            draws = [0.0, 0.0, *(stream.random() for _ in range(n))]  # serial 0, then the bill
             if strategy is StrategyKind.GUESS_RANDOM_SYMBOLS:
-                draws += [((int(d * 4) ^ stream.choice((0, 2))) + 0.5) / 4 for d in draws]
+                draws += [((int(d * 4) ^ stream.choice((0, 2))) + 0.5) / 4 for d in draws[2:]]
             else:
                 draws += [stream.random() for _ in range(2 * n)]
             rng = ScriptedDraw(draws)
@@ -266,6 +292,33 @@ class TestBaselineRouting:
                 for trial in (mint_trial, run_trial):
                     assert trial(strategy, policy, n, ScriptedDraw([*draws, verify])) == (valid, 1), (
                         trial.__name__, n, seed, valid)
+
+    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    def test_measurement_draws_at_the_mint_probability(self, policy):
+        # measure-copy's measurement draws, each at the branch probability p
+        # that the mint path compares it with, or one ulp below p; the
+        # verify draw is 0, which any overlap above ATOL passes.  The mint
+        # path runs once with probes in those places to learn each p, then
+        # both paths run on the plain draws.  A draw at p gives outcome 1,
+        # whose renormalisation by 1 - p doubles the coefficient's rounding
+        # error at each mixed-basis qubit: by n = 48 some bill's
+        # matched-basis p falls below _NEAR_ONE, so its unlikely outcome, an
+        # overlap of 0, hangs on how the kernel rounds each renormalisation
+        copy = StrategyKind.MEASURE_RANDOM_BASIS_COPY
+        escaped = 0
+        for n, seed, below in itertools.product((8, 16, 48), range(25), (False, True)):
+            stream = random.Random(seed)
+            bill, bases = ([stream.random() for _ in range(n)] for _ in range(2))
+            seen = []
+            probes = [_AtThreshold(below, seen) for _ in range(n)]
+            probed = mint_trial(copy, policy, n, ScriptedDraw(
+                [0.0, 0.0, *bill, *itertools.chain(*zip(bases, probes)), 0.0]))
+            assert len(seen) == n, (n, seed)
+            escaped += any(0.5 < p < _NEAR_ONE for p in seen)
+            draws = [0.0, 0.0, *bill, *itertools.chain(*zip(bases, map(_edge, seen, probes))), 0.0]
+            for trial in (mint_trial, run_trial):
+                assert trial(copy, policy, n, ScriptedDraw(draws)) == probed, (trial.__name__, n, seed)
+        assert escaped >= 10, escaped
 
     @_BASELINES
     def test_unknown_policy_rejected(self, strategy):
@@ -300,6 +353,42 @@ class TestRowTables:
         assert harness._real(one, zero) == 0.0
         with pytest.raises(ValueError, match=r"^<ZERO\|ONE> = \(0\.5\+0\.5j\) is not real"):
             harness._real(zero, one)
+
+
+_WORD_NS = pytest.mark.parametrize("n", [1, 8, 33, 1000])
+
+
+class TestWordOrder:
+    # a baseline kernel reads a trial's serial and bill as one
+    # getrandbits(128 + 64n): the Mersenne Twister words that
+    # getrandbits(128) and n random() calls read, the first least significant
+    @_WORD_NS
+    def test_scripted_draw_gives_the_generators_words(self, n):
+        # random() drops the low 5 bits of its first word and 6 of its
+        # second, so a replay gives the words with those bits clear
+        kept = sum((0xFFFFFFE0 | 0xFFFFFFC0 << 32) << 64 * i for i in range(2 + n))
+        for seed in range(100):
+            real, copy = _random.Random(seed), _random.Random(seed)
+            draws = [real.random() for _ in range(2 + n)]
+            replayed = ScriptedDraw(draws).getrandbits(128 + 64 * n)
+            assert replayed == copy.getrandbits(128 + 64 * n) & kept, (n, seed)
+            assert real.random() == copy.random(), (n, seed)
+
+    @_WORD_NS
+    def test_top_bytes_are_the_symbol_draws(self, n):
+        for seed in range(100):
+            words, draws = trial_rng(seed, n), trial_rng(seed, n)
+            top = words.getrandbits(128 + 64 * n).to_bytes(16 + 8 * n, "little")[19::8]
+            draws.getrandbits(128)
+            assert [b >> 6 for b in top] == [int(draws.random() * 4) for _ in range(n)], (n, seed)
+            assert words.random() == draws.random(), (n, seed)
+
+    def test_scripted_draw_refuses_what_random_cannot_return(self):
+        for d in (math.nextafter(0.25, 0.0), 2.0**-54, 1.0, -2.0**-53, 0):
+            with pytest.raises(ValueError, match="is not a random[(][)] output"):
+                ScriptedDraw([d]).getrandbits(64)
+        with pytest.raises(ValueError, match="whole 64-bit draws"):
+            ScriptedDraw([0.5]).getrandbits(32)
 
 
 class TestTrialRng:
