@@ -1,13 +1,10 @@
 # Seeded Monte Carlo experiment runner.
 #
-# Each row (seed, n) reads one RNG stream, `trial_rng(seed, n)`, and its
-# trials read it in order, so the output depends on the seed alone.
-# `_trials`'s kernels compute each trial exactly, with no mint: they read the
-# Mersenne Twister words that `mint_trial`, the full path through a fresh
-# mint, reads, in the same order (a baseline's serial and bill in one
-# `getrandbits` call), and compute the same floats, up to early stops.
-# `_count` runs a row's trials in one loop on that one generator, and
-# `run_experiment` counts every row; `write_results` writes them as CSV or JSON.
+# A row (seed, n) reads one stream, `trial_rng(seed, n)`, in order.  The
+# `_trials` kernels compute each trial exactly with no mint: they read the
+# words that `mint_trial`, the path through a fresh mint, reads, in its order,
+# and get its floats, up to early stops.  `_count` runs a row's trials in one
+# loop, `run_experiment` counts every row, `write_results` writes CSV or JSON.
 
 from __future__ import annotations
 
@@ -28,8 +25,7 @@ class ExperimentConfig:
     n_values: list[int]
     trials: int
     seed: int
-    # ignored, and validated only for compatibility: kept because
-    # perfbench/bench.py sets it
+    # ignored, and validated only because perfbench/bench.py sets it
     workers: int = 1
 
     def validate(self) -> None:
@@ -80,20 +76,14 @@ _U64 = (1 << 64) - 1
 
 
 def trial_rng(seed: int, n: int) -> _random.Random:
-    """The stream of row (seed, n), seeded with `seed*A + n*B` masked to 64 bits.
-
-    The multipliers are the splitmix64 constants; the Mersenne Twister
-    seeding scrambles the mix further, into streams stable across runs and
-    platforms.  `random.Random`'s C base gives the same stream for an int
-    and seeds once, not twice.  A trial reads only `random()` and
-    `getrandbits()`.
-    """
+    """Row (seed, n)'s stream, seeded with `seed*A + n*B` masked to 64 bits, A
+    and B the splitmix64 constants: stable across runs and platforms, and the
+    stream of `random.Random` with that seed, seeded once, not twice."""
     return _random.Random((seed * _MIX_A + n * _MIX_B) & _U64)
 
 
-# Per bill symbol s, in `_SYMBOL_ORDER`, the overlaps a trial takes, from
-# `attacks._OVERLAP` (what `inner_with_symbols` and `measure_qubit`
-# evaluate): for a guess, <s|g> per guessed symbol g; for measure-copy, per
+# Per bill symbol s, in `_SYMBOL_ORDER`, the `attacks._OVERLAP` entries a
+# trial takes: for a guess, <s|g> per guessed symbol g; for measure-copy, per
 # basis (Z, then X) with outcomes o0, o1, (<o0|s>, <o1|s>, <s|o0>, <s|o1>).
 # All are real: `_real` takes each as a float, and refuses one with a phase.
 def _real(a: QubitSymbol, b: QubitSymbol) -> float:
@@ -103,17 +93,37 @@ def _real(a: QubitSymbol, b: QubitSymbol) -> float:
 
 
 _GUESS_ROWS = tuple(tuple(_real(s, g) for g in _SYMBOL_ORDER) for s in _SYMBOL_ORDER)
-_COPY_ROWS = tuple(
-    tuple((*(_real(o, s) for o in b.symbols), *(_real(s, o) for o in b.symbols))
-          for b in (Basis.Z, Basis.X))
-    for s in _SYMBOL_ORDER
-)
+_COPY_ROWS = tuple(tuple((*(_real(o, s) for o in b.symbols), *(_real(s, o) for o in b.symbols))
+                         for b in (Basis.Z, Basis.X)) for s in _SYMBOL_ORDER)
 # A bill draw d picks `_SYMBOL_ORDER[int(d * 4)]`.  `random()` reads two
 # Mersenne Twister words, a then b, and returns ((a >> 5) * 2**26 + (b >> 6))
 # * 2**-53, so int(d * 4) is a >> 30.  `getrandbits` reads the same words in
 # the same order, the first least significant: byte 3 of a draw's 8 is a's top.
 _GUESS_BY_BYTE = tuple(_GUESS_ROWS[b >> 6] for b in range(256))
-_COPY_BY_BYTE = tuple(_COPY_ROWS[b >> 6] for b in range(256))
+# Measure-copy's steps by running coefficient c (see `_trials`): slot s
+# (symbol index s, b >> 6, in Z) or s + 4 (in X) of |c|'s state, a list, holds
+# the step (p, the state after outcome 0, after 1, <s|o0>, <s|o1>); slot 8 |c|.
+_COPY_STATES: dict[float, list] = {}
+_COPY_STATES_MAX = 1024
+
+
+def _copy_state(coeff: float) -> list:
+    state = _COPY_STATES.get(coeff) or [None] * 8 + [coeff]
+    if len(_COPY_STATES) < _COPY_STATES_MAX:
+        _COPY_STATES[coeff] = state
+    return state
+
+
+def _copy_step(state: list, k: int) -> tuple:
+    coeff = state[8]
+    w0, w1, o0, o1 = _COPY_ROWS[k & 3][k >> 2]
+    c = coeff * w0
+    p = 0.0 if (p := abs(c) ** 2) < ATOL else 1.0 if p > _NEAR_ONE else p
+    step = (p, _copy_state(abs(c) * (1.0 / _sqrt(p))) if p else None,
+            _copy_state(abs(coeff * w1) * (1.0 / _sqrt(1.0 - p))) if p < 1.0 else None, o0, o1)
+    if len(_COPY_STATES) < _COPY_STATES_MAX:  # so both its states are kept
+        state[k] = step
+    return step
 
 
 def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) -> tuple[bool, int]:
@@ -129,23 +139,21 @@ def run_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random) 
 def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
             trials: int) -> tuple[int, int]:
     """(successes, queries) of `trials` trials, each reading `rng` on from
-    where the one before left it; the checks and the dispatch run once.
+    where the one before left it, with `mint_trial`'s draws in its order.
 
-    Each trial takes `mint_trial`'s draws, in its order.  A baseline's
-    serial and bill are one `getrandbits`, whose bill bytes index the row
-    tables; a guess draw g picks overlap `int(g * 4)`, and since g * 4 is
-    exact, comparing g with the quarters picks the same.  A destroying mint
-    kills the adaptive attack's bill at its first Z-basis symbol, d < 0.5.  A
-    baseline's verdict is one verify draw against `inner_with_symbols`'s
-    running product, clamped as `clamp_probability` does: over a guessed
-    symbol per qubit or, for measure-copy, a basis draw and a measurement
-    draw whose branch carries the bill term's coefficient as the one-term
-    `measure_qubit` does.  A product of 0 draws no verify, and a guess
-    stops there: the next trial reads on from there.  The baselines carry
-    floats where `qstate` carries complex numbers of imaginary part +-0,
-    with the same bits: a product's real part is the float product, and
-    abs(x +- 0j) = hypot(x, 0) = |x|.  p stays `abs(c) ** 2` as there:
-    `c * c` equals it only where libm's `pow` rounds correctly.
+    A baseline's serial and bill are one `getrandbits`.  A guess draw g picks
+    overlap `int(g * 4)`, as comparing g with the quarters does.  Measure-copy
+    draws a basis, then a measurement against p of the step that the state of
+    its coefficient's magnitude |c| holds for the symbol and basis: |c| drifts
+    by ulps from 1, so `_COPY_STATES` keys few states.  A step is computed
+    once, as the one-term `measure_qubit` does, and no sign changes p or |c|,
+    so the bits are the same; past `_COPY_STATES_MAX` states none is stored.
+    One verify draw meets `inner_with_symbols`'s product, clamped as
+    `clamp_probability` does; a product of 0 draws none, and a guess stops
+    there.  A destroying mint kills the adaptive bill at its first Z symbol,
+    d < 0.5.  Floats stand in for `qstate`'s complex numbers, whose imaginary
+    parts stay +-0, with the same bits: abs(x +- 0j) = hypot(x, 0) = |x|.  p
+    stays `abs(c) ** 2`: `c * c` equals it only where libm's pow rounds right.
     """
     if policy not in MintPolicy.ALL:
         MintPolicy.check(policy)
@@ -168,7 +176,8 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
     guess = strategy is _GUESS
     if not guess and strategy is not _MEASURE_COPY:
         raise ValueError(f"{strategy} is not a baseline strategy")
-    rows = _GUESS_BY_BYTE if guess else _COPY_BY_BYTE
+    rows = _GUESS_BY_BYTE
+    start = None if guess else _COPY_STATES.get(1.0) or _copy_state(1.0)  # |c| = 1
     nbits, nbytes = 128 + 64 * n, 16 + 8 * n  # the serial's 4 words, then 2 per bill draw
     for _ in range(trials):
         bill = words(nbits).to_bytes(nbytes, "little")[19::8]
@@ -181,19 +190,16 @@ def _trials(strategy: StrategyKind, policy: str, n: int, rng: _random.Random,
                 if amp == 0:
                     break
         else:
-            coeff = 1.0
+            state = start
             for b in bill:
-                row = rows[b]
-                w0, w1, o0, o1 = row[0] if draw() < 0.5 else row[1]  # Z below 1/2, as baseline_attack
-                c = coeff * w0
-                p = 0.0 if (p := abs(c) ** 2) < ATOL else 1.0 if p > _NEAR_ONE else p
-                if draw() < p:
-                    amp *= o0
+                k = b >> 6 if draw() < 0.5 else (b >> 6) + 4  # Z below 1/2, as baseline_attack
+                t = state[k] or _copy_step(state, k)
+                if draw() < t[0]:
+                    amp *= t[3]
+                    state = t[1]
                 else:
-                    p = 1.0 - p
-                    c = coeff * w1
-                    amp *= o1
-                coeff = c * (1.0 / _sqrt(p))
+                    amp *= t[4]
+                    state = t[2]
         if amp != 0:
             p = abs(amp) ** 2
             successes += draw() < (0.0 if p < ATOL else 1.0 if p > _NEAR_ONE else p)
@@ -212,8 +218,7 @@ def mint_trial(strategy: StrategyKind, policy: str, n: int, rng: _random.Random)
         success = transcript.bill_recovered and transcript.learned == list(secret.symbols)
         return success, transcript.queries_used
     copy, _ = baseline_attack(strategy, mint.registry, handle, n, rng)
-    res = mint.verify(secret.serial, copy, policy, rng)
-    return res.outcome is _VALID, 1
+    return mint.verify(secret.serial, copy, policy, rng).outcome is _VALID, 1
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
@@ -231,16 +236,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
 def _count(strategy: StrategyKind, policy: str, n: int, seed: int, trials: int) -> tuple[int, int]:
     """(successes, queries) of the row's `trials` trials, read in order
-    from the row's one stream, `trial_rng(seed, n)`.
+    from its one stream, `trial_rng(seed, n)`.
 
     A row whose every trial is the same is counted in closed form.  Any
-    other row runs its trial 0 through `run_trial` and through
-    `mint_trial` under the row's own policy, and raises RuntimeError if
-    they differ: every row is tied to the real mint and attack code, and
-    the benchmark's tracer reads the per-layer metrics of `baseline_attack`,
-    `Mint()` and a `return-always` verify there.  Trials 1..T-1 then run
-    in one `_trials` loop on the generator, from where trial 0 left it.
-    """
+    other row raises RuntimeError unless `run_trial` and `mint_trial` under its
+    own policy agree on trial 0, which ties it to the mint code the benchmark's
+    tracer reads; trials 1..T-1 then run in one `_trials` loop."""
     if strategy is _ADAPTIVE and policy == MintPolicy.RETURN_ALWAYS:
         # every such trial is (True, n) and reads no draw: seed no stream
         return trials, n * trials
@@ -270,7 +271,6 @@ def write_results(rows: list[ResultRow], path, fmt: str = "csv") -> None:
         text = render_csv(rows)
     elif fmt == "json":
         import json  # here, so that importing qmoney does not load it
-
         text = json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     else:
         raise ValueError(f"unknown output format {fmt!r}")

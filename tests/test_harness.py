@@ -320,6 +320,28 @@ class TestBaselineRouting:
                 assert trial(copy, policy, n, ScriptedDraw(draws)) == probed, (trial.__name__, n, seed)
         assert escaped >= 10, escaped
 
+    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    def test_outcome_0_renormalises_a_drifted_coefficient_as_the_mint_does(self, policy):
+        # a bill of 64 qubits, each measured in the other basis, with each
+        # measurement draw at the mint path's p, for outcome 1, but one ulp
+        # below it, for outcome 0, at qubit k.  Each outcome 1 doubles the
+        # coefficient's rounding error, and by k = 28 it has drifted so far
+        # from 1 that c * (1 / sqrt(p)) and c / sqrt(p) can round apart, which
+        # near 1 they do not.  The kernel must compare every draw with the
+        # mint path's p to the bit, which the results alone would not show
+        copy, n = StrategyKind.MEASURE_RANDOM_BASIS_COPY, 64
+        for k in range(n):
+            stream = random.Random(k)
+            bill = [stream.choice((0.0, 0.25, 0.5, 0.75)) for _ in range(n)]  # one draw per symbol
+            bases = [0.75 if d < 0.5 else 0.25 for d in bill]  # X for 0 and 1, Z for + and -
+            seen, results = {mint_trial: [], run_trial: []}, []
+            for trial, ps in seen.items():
+                probes = [_AtThreshold(i == k, ps) for i in range(n)]
+                results.append(trial(copy, policy, n, ScriptedDraw(
+                    [0.0, 0.0, *bill, *itertools.chain(*zip(bases, probes)), 0.0])))
+            assert len(seen[mint_trial]) == n, k
+            assert seen[run_trial] == seen[mint_trial] and results[0] == results[1], k
+
     @_BASELINES
     def test_unknown_policy_rejected(self, strategy):
         # run_trial rejects an unknown policy as the mint does
@@ -353,6 +375,66 @@ class TestRowTables:
         assert harness._real(one, zero) == 0.0
         with pytest.raises(ValueError, match=r"^<ZERO\|ONE> = \(0\.5\+0\.5j\) is not real"):
             harness._real(zero, one)
+
+
+class TestCopyStepTable:
+    # measure-copy's kernel caches each step by the magnitude of its running
+    # coefficient, in `_COPY_STATES`; the cache must change no result
+    copy = StrategyKind.MEASURE_RANDOM_BASIS_COPY
+
+    def _tied(self, policy, n, trials=200):
+        # each trial of a row stream, tied to mint_trial from the state the
+        # stream stood in before it, as in TestRowPath
+        rng, restored, results = trial_rng(505, n), trial_rng(505, n), []
+        for index in range(trials):
+            state = rng.getstate()
+            kernel = run_trial(self.copy, policy, n, rng)
+            restored.setstate(state)
+            assert kernel == mint_trial(self.copy, policy, n, restored), (n, index)
+            results.append(kernel)
+        return results
+
+    @pytest.mark.parametrize("policy", MintPolicy.ALL)
+    def test_cold_warm_and_over_bound_tables_agree_with_the_mint(self, monkeypatch, policy):
+        misses, step, bound = [], harness._copy_step, harness._COPY_STATES_MAX
+
+        def counted(state, k):
+            misses.append(k)
+            return step(state, k)
+
+        monkeypatch.setattr(harness, "_copy_step", counted)
+        for n in (16, 33, 64):
+            monkeypatch.setattr(harness, "_COPY_STATES", {})
+            monkeypatch.setattr(harness, "_COPY_STATES_MAX", bound)
+            cold = self._tied(policy, n)
+            assert misses and 0 < len(harness._COPY_STATES) < bound, n
+            misses.clear()
+            assert self._tied(policy, n) == cold, n
+            assert not misses, n  # warm: every step is a hit
+            monkeypatch.setattr(harness, "_COPY_STATES", {})
+            monkeypatch.setattr(harness, "_COPY_STATES_MAX", 0)
+            assert self._tied(policy, n) == cold, n
+            assert harness._COPY_STATES == {}, n
+            assert len(misses) == 200 * n, n  # over the bound: every step is computed
+            misses.clear()
+
+    def test_table_stays_within_its_bound(self, monkeypatch):
+        # a sweep at n = 256 meets more coefficients than the bound keeps; the
+        # table stops there, each stored step leads to kept states, and a
+        # table that keeps nothing gives the same row
+        monkeypatch.setattr(harness, "_COPY_STATES", {})
+        config = ExperimentConfig(self.copy, MintPolicy.RETURN_ALWAYS, [256], 2000, 3)
+        rows = run_experiment(config)
+        table = harness._COPY_STATES
+        assert len(table) == harness._COPY_STATES_MAX
+        for coeff, state in table.items():
+            assert coeff > 0 and state[8] is coeff
+            for step in filter(None, state[:8]):
+                assert all(table[s[8]] is s for s in step[1:3] if s is not None)
+        monkeypatch.setattr(harness, "_COPY_STATES", {})
+        monkeypatch.setattr(harness, "_COPY_STATES_MAX", 0)
+        assert run_experiment(config) == rows
+        assert harness._COPY_STATES == {}
 
 
 _WORD_NS = pytest.mark.parametrize("n", [1, 8, 33, 1000])
